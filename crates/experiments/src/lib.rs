@@ -66,8 +66,8 @@ pub use runner::{
     FleetFaultsUnsupported, RunConfig, RunMetrics,
 };
 pub use sched::{
-    clear_quarantine, max_retries, quarantine_report, retry_count, set_max_retries,
-    QuarantineError, QuarantineRecord, DEFAULT_MAX_RETRIES,
+    clear_quarantine, max_retries, quarantine_report, retry_count, set_max_retries, JobCtx,
+    ProgressEvent, QuarantineError, QuarantineRecord, DEFAULT_MAX_RETRIES,
 };
 
 /// Registers the harness-resilience counters (`sched.retries`,

@@ -35,17 +35,27 @@
 //! batch, so the wait graph stays acyclic).
 //!
 //! `RLPM_THREADS` caps the pool exactly as before: it is re-read on
-//! every call, and a value of `1` bypasses the pool entirely for a
-//! sequential in-place map (which runs the *same* supervisor, so retry
-//! and quarantine behave identically at any thread count).
+//! every call, and a value of `1` keeps the batch off the pool entirely:
+//! the submitting thread runs every job in place, through the *same*
+//! supervisor and job context, so retry, quarantine and progress behave
+//! identically at any thread count.
 //!
-//! **Progress.** Every completed job (quarantined ones included) pushes
-//! one [`simkit::obs::emit_progress`] event carrying the batch label and
-//! a live `done/total` — the seam the `rlpm-serve` front door streams to
-//! its clients. With no subscribers the emit is a single relaxed load,
-//! so batch results stay bit-identical whether anyone listens or not.
+//! **Job context.** A [`JobCtx`] scopes a batch's progress events and
+//! quarantine records to whoever submitted it. `scatter` captures the
+//! context installed on the submitting thread once per batch; every
+//! completed job (quarantined ones included) sends one [`ProgressEvent`]
+//! with the batch label and a live `done/total` to that context alone,
+//! and a quarantined job's record lands in that context's sink as well
+//! as in the process-wide report — on whichever thread ran the job. Each
+//! event is sent before its batch completes, so a submitter that has
+//! seen `scatter` return has been sent all of the batch's events. The
+//! `rlpm-serve` front door installs one context per request, so
+//! concurrent clients never see each other's events or quarantine.
+//! Outside any context progress goes nowhere; either way the batch's
+//! results are the same bits.
 
 use std::any::Any;
+use std::cell::RefCell;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -145,12 +155,17 @@ impl fmt::Display for QuarantineRecord {
     }
 }
 
+/// Sorts quarantine records by batch label then cell index, so a report
+/// is deterministic regardless of worker interleaving.
+fn sorted(mut records: Vec<QuarantineRecord>) -> Vec<QuarantineRecord> {
+    records.sort_by(|a, b| (a.batch, a.index).cmp(&(b.batch, b.index)));
+    records
+}
+
 /// A snapshot of every quarantined job so far, sorted by batch label
 /// then cell index — deterministic regardless of worker interleaving.
 pub fn quarantine_report() -> Vec<QuarantineRecord> {
-    let mut report = lock(&QUARANTINE).clone();
-    report.sort_by(|a, b| (a.batch, a.index).cmp(&(b.batch, b.index)));
-    report
+    sorted(lock(&QUARANTINE).clone())
 }
 
 /// Clears the quarantine registry (one CLI invocation = one report).
@@ -177,6 +192,109 @@ impl fmt::Display for QuarantineError {
 }
 
 impl std::error::Error for QuarantineError {}
+
+/// One progress observation: `done` of `total` jobs of the batch
+/// labelled `source` have finished (quarantined jobs count).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ProgressEvent {
+    /// The batch's label (the experiment section, e.g. `e1`).
+    pub source: &'static str,
+    /// Jobs of the batch finished so far.
+    pub done: u64,
+    /// Jobs in the batch.
+    pub total: u64,
+}
+
+/// Where a [`JobCtx`] sends its progress events.
+type ProgressFn = dyn Fn(ProgressEvent) + Send + Sync;
+
+/// A request-scoped job context: the progress sender and quarantine
+/// sink that the batches submitted under it report to.
+///
+/// [`JobCtx::enter`] installs a context on the calling thread;
+/// `scatter` captures the installed one once per batch, and every job
+/// of that batch reports to it alone, whichever thread runs the job.
+/// Workers install the batch's context while they run its jobs, so a
+/// batch submitted from inside a job inherits it. Cloning shares the
+/// sender and the sink.
+#[derive(Clone, Default)]
+pub struct JobCtx {
+    progress: Option<Arc<ProgressFn>>,
+    quarantine: Option<Arc<Mutex<Vec<QuarantineRecord>>>>,
+}
+
+thread_local! {
+    /// The context [`JobCtx::enter`] installed on this thread.
+    static CURRENT: RefCell<JobCtx> = const {
+        RefCell::new(JobCtx {
+            progress: None,
+            quarantine: None,
+        })
+    };
+}
+
+impl JobCtx {
+    /// The context installed on the calling thread; outside any, an
+    /// empty one whose progress goes nowhere and whose quarantine
+    /// records reach only the process-wide [`quarantine_report`].
+    pub fn current() -> JobCtx {
+        CURRENT.with_borrow(JobCtx::clone)
+    }
+
+    /// This context with its progress events sent to `send`, in place
+    /// of any earlier sender. `send` runs on the thread that finished
+    /// the job — often a scheduler worker — so it should only hand the
+    /// event on, never block.
+    pub fn with_progress(self, send: impl Fn(ProgressEvent) + Send + Sync + 'static) -> JobCtx {
+        JobCtx {
+            progress: Some(Arc::new(send)),
+            ..self
+        }
+    }
+
+    /// This context with a fresh, empty quarantine sink in place of any
+    /// earlier one; read it back with [`JobCtx::quarantined`].
+    pub fn with_quarantine_sink(self) -> JobCtx {
+        JobCtx {
+            quarantine: Some(Arc::new(Mutex::new(Vec::new()))),
+            ..self
+        }
+    }
+
+    /// The records this context's quarantine sink has collected, sorted
+    /// by batch label then cell index (empty without a sink).
+    pub fn quarantined(&self) -> Vec<QuarantineRecord> {
+        self.quarantine
+            .as_ref()
+            .map_or_else(Vec::new, |sink| sorted(lock(sink).clone()))
+    }
+
+    /// Runs `f` with this context installed on the calling thread, and
+    /// reinstalls the previous context when `f` returns or unwinds.
+    pub fn enter<R>(self, f: impl FnOnce() -> R) -> R {
+        /// Reinstalls the outer context on drop.
+        struct Restore(JobCtx);
+        impl Drop for Restore {
+            fn drop(&mut self) {
+                CURRENT.set(std::mem::take(&mut self.0));
+            }
+        }
+        let _restore = Restore(CURRENT.replace(self));
+        f()
+    }
+
+    fn send_progress(&self, event: ProgressEvent) {
+        if let Some(send) = &self.progress {
+            send(event);
+        }
+    }
+
+    fn record_quarantine(&self, record: &QuarantineRecord) {
+        if let Some(sink) = &self.quarantine {
+            lock(sink).push(record.clone());
+        }
+    }
+}
 
 /// Renders a caught panic payload for the quarantine report.
 fn panic_message(payload: &(dyn Any + Send)) -> String {
@@ -326,6 +444,8 @@ struct BatchState<R> {
 struct Batch<T, R, F> {
     /// The submitting experiment's label, carried into quarantine records.
     label: &'static str,
+    /// The submitter's context, captured once; every job reports to it.
+    ctx: JobCtx,
     /// Job slots; each is taken exactly once by the claiming worker.
     items: Vec<Mutex<Option<T>>>,
     /// Lock-free claim cursor: `fetch_add` hands out each index once.
@@ -344,9 +464,10 @@ where
     R: Send,
     F: Fn(T) -> R + Sync,
 {
-    fn new(label: &'static str, items: Vec<T>, f: F) -> Self {
+    fn new(label: &'static str, ctx: JobCtx, items: Vec<T>, f: F) -> Self {
         Batch {
             label,
+            ctx,
             items: items.into_iter().map(|i| Mutex::new(Some(i))).collect(),
             next: AtomicUsize::new(0),
             finished: AtomicUsize::new(0),
@@ -382,11 +503,20 @@ where
             };
             match supervise(self.label, &self.f, &item, i) {
                 Ok(result) => local.push((i, result)),
-                Err(record) => local_quarantined.push(record),
+                Err(record) => {
+                    self.ctx.record_quarantine(&record);
+                    local_quarantined.push(record);
+                }
             }
             // xtask-atomics: monotone completion count for progress events; result integrity comes from the batch mutex, not this counter
             let finished = self.finished.fetch_add(1, Ordering::Relaxed) + 1;
-            simkit::obs::emit_progress(self.label, finished as u64, n as u64);
+            // Sent before this participation's drop-off below, so before
+            // the batch can complete.
+            self.ctx.send_progress(ProgressEvent {
+                source: self.label,
+                done: finished as u64,
+                total: n as u64,
+            });
         }
         if claimed == 0 {
             return;
@@ -424,7 +554,7 @@ where
     F: Fn(T) -> R + Send + Sync,
 {
     fn participate(&self) {
-        self.run_to_exhaustion();
+        self.ctx.clone().enter(|| self.run_to_exhaustion());
     }
 
     fn has_pending(&self) -> bool {
@@ -461,7 +591,8 @@ fn assemble<R>(
 /// a job was quarantined) plus this batch's quarantine records. The
 /// calling thread participates, so this also works with zero pool
 /// workers; with `RLPM_THREADS=1` (or a single item) it degenerates to
-/// a sequential supervised map with no pool involvement.
+/// a sequential supervised map with no pool involvement. Progress and
+/// quarantine go to the [`JobCtx`] installed on the calling thread.
 ///
 /// Results are bit-identical across worker counts: jobs are independent,
 /// index-tagged and re-sorted, and failpoint decisions are pure
@@ -474,34 +605,14 @@ where
     F: Fn(T) -> R + Send + Sync + 'static,
 {
     let n = items.len();
-    if n == 0 {
-        return BatchOutcome {
-            results: Vec::new(),
-            quarantined: Vec::new(),
-        };
-    }
+    let batch = Arc::new(Batch::new(label, JobCtx::current(), items, f));
     let threads = thread_count().min(n);
-    if threads <= 1 {
-        let mut tagged = Vec::new();
-        let mut quarantined = Vec::new();
-        for (i, item) in items.iter().enumerate() {
-            match supervise(label, &f, item, i) {
-                Ok(result) => tagged.push((i, result)),
-                Err(record) => quarantined.push(record),
-            }
-            simkit::obs::emit_progress(label, (i + 1) as u64, n as u64);
-        }
-        return assemble(n, tagged, quarantined);
-    }
-
-    ensure_workers(threads.saturating_sub(1));
-    let batch = Arc::new(Batch::new(label, items, f));
-    {
+    if threads > 1 {
+        ensure_workers(threads - 1);
         let task: Arc<dyn Task> = Arc::clone(&batch) as Arc<dyn Task>;
         lock(&QUEUE).push(task);
+        QUEUE_CV.notify_all();
     }
-    QUEUE_CV.notify_all();
-
     batch.run_to_exhaustion();
     let state = batch.wait();
     assemble(n, state.results, state.quarantined)
@@ -615,6 +726,139 @@ mod tests {
         assert_eq!(results, (0..8).map(|x| x * 10).collect::<Vec<_>>());
         assert_eq!(lock(&attempts).get(&3), Some(&2), "cell 3 ran twice");
         assert!(retry_count() > before, "the retry was counted");
+    }
+
+    /// `RLPM_THREADS` is process-wide; the tests that set it serialise
+    /// on this lock.
+    static ENV_LOCK: Mutex<()> = Mutex::new(());
+
+    /// What one context saw of its batch: progress events and sink.
+    struct Seen {
+        events: Vec<ProgressEvent>,
+        quarantined: Vec<QuarantineRecord>,
+    }
+
+    /// Submits a 16-job batch from a fresh thread under its own context.
+    /// Job 0 waits on `in_flight`, so two such batches are in flight at
+    /// once; `dead` names a cell that always panics.
+    fn submit_under_ctx(
+        label: &'static str,
+        dead: Option<u32>,
+        in_flight: &Arc<std::sync::Barrier>,
+    ) -> std::thread::JoinHandle<Seen> {
+        let in_flight = Arc::clone(in_flight);
+        std::thread::spawn(move || {
+            let events = Arc::new(Mutex::new(Vec::new()));
+            let sent = Arc::clone(&events);
+            let ctx = JobCtx::default()
+                .with_progress(move |event| lock(&sent).push(event))
+                .with_quarantine_sink();
+            let outcome = ctx.clone().enter(|| {
+                scatter(label, (0..16).collect(), move |x: u32| {
+                    if x == 0 {
+                        in_flight.wait();
+                    }
+                    assert!(Some(x) != dead, "boom at {x}");
+                    x
+                })
+            });
+            assert_eq!(
+                outcome.results.iter().flatten().count(),
+                16 - dead.iter().count()
+            );
+            // Every event was sent before `scatter` returned.
+            let events = lock(&events).clone();
+            Seen {
+                events,
+                quarantined: ctx.quarantined(),
+            }
+        })
+    }
+
+    #[test]
+    fn each_context_receives_exactly_its_own_batch() {
+        let _env = lock(&ENV_LOCK);
+        for threads in ["1", "4"] {
+            // Callers hold ENV_LOCK: no other test sets the variable.
+            std::env::set_var("RLPM_THREADS", threads);
+            let in_flight = Arc::new(std::sync::Barrier::new(2));
+            let a = submit_under_ctx("t-ctx-a", Some(5), &in_flight);
+            let b = submit_under_ctx("t-ctx-b", None, &in_flight);
+            let (a, b) = (
+                a.join().expect("batch a thread"),
+                b.join().expect("batch b thread"),
+            );
+            for (label, seen) in [("t-ctx-a", &a), ("t-ctx-b", &b)] {
+                assert!(
+                    seen.events
+                        .iter()
+                        .all(|e| e.source == label && e.total == 16),
+                    "{label} at {threads} thread(s) saw foreign events: {:?}",
+                    seen.events
+                );
+                let mut done: Vec<u64> = seen.events.iter().map(|e| e.done).collect();
+                done.sort_unstable();
+                assert_eq!(done, (1..=16).collect::<Vec<_>>(), "{label} at {threads}");
+            }
+            assert_eq!(a.quarantined.len(), 1, "at {threads}: {:?}", a.quarantined);
+            let record = a.quarantined.first().expect("one record");
+            assert_eq!((record.batch, record.index), ("t-ctx-a", 5));
+            assert!(
+                b.quarantined.is_empty(),
+                "at {threads}: {:?}",
+                b.quarantined
+            );
+        }
+        std::env::remove_var("RLPM_THREADS");
+    }
+
+    #[test]
+    fn a_batch_submitted_inside_a_job_reports_to_the_same_context() {
+        let _env = lock(&ENV_LOCK);
+        // Callers hold ENV_LOCK: no other test sets the variable.
+        std::env::set_var("RLPM_THREADS", "2");
+        // Both outer jobs wait for each other, so one of them runs on a
+        // pool worker rather than the submitting thread.
+        let both_running = Arc::new(std::sync::Barrier::new(2));
+        let events = Arc::new(Mutex::new(Vec::new()));
+        let sent = Arc::clone(&events);
+        JobCtx::default()
+            .with_progress(move |event| lock(&sent).push(event.source))
+            .enter(|| {
+                all(scatter("t-outer", vec![0u32, 1], move |_| {
+                    both_running.wait();
+                    all(scatter("t-inner", (0..3).collect(), |x: u32| x)).len()
+                }))
+            });
+        std::env::remove_var("RLPM_THREADS");
+        let events = lock(&events).clone();
+        let count = |label: &str| events.iter().filter(|&&source| source == label).count();
+        assert_eq!(
+            (count("t-outer"), count("t-inner"), events.len()),
+            (2, 6, 8),
+            "{events:?}"
+        );
+    }
+
+    #[test]
+    fn enter_reinstalls_the_outer_context_even_on_unwind() {
+        let outer = JobCtx::default().with_quarantine_sink();
+        let is_outer = |ctx: &JobCtx| match (&ctx.quarantine, &outer.quarantine) {
+            (Some(a), Some(b)) => Arc::ptr_eq(a, b),
+            _ => false,
+        };
+        outer.clone().enter(|| {
+            let inner = JobCtx::current().with_quarantine_sink();
+            let unwound = catch_unwind(AssertUnwindSafe(|| {
+                inner.enter(|| {
+                    assert!(!is_outer(&JobCtx::current()), "inner is installed");
+                    panic!("unwinds through enter");
+                })
+            }));
+            assert!(unwound.is_err());
+            assert!(is_outer(&JobCtx::current()), "outer is back");
+        });
+        assert!(JobCtx::current().quarantine.is_none(), "nothing installed");
     }
 
     #[test]

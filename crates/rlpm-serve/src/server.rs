@@ -6,12 +6,17 @@
 //! connections run concurrently and contend only where the experiment
 //! harness itself serialises (the process-wide scheduler and cache).
 //!
-//! While a request runs, a forwarder thread drains the
-//! [`simkit::obs`] progress seam and writes `progress` events tagged
-//! with the request's `id`. The seam is process-wide: under concurrent
-//! load a client can observe progress for batches started by other
-//! requests — the `source` field names the batch, and PROTOCOL.md
-//! documents the sharing.
+//! Each request runs on a scoped thread under its own
+//! [`experiments::JobCtx`], whose progress sender feeds a channel that
+//! only this request uses. The connection thread blocks on that channel
+//! with no timeout: it writes each `progress` event, tagged with the
+//! request's `id`, as it arrives, and writes the terminal response as
+//! soon as [`Service::handle`] returns. The scheduler sends each event
+//! before its batch completes and the request thread sends the end of
+//! the request after `handle` returns, on the same channel, so every
+//! event of a request precedes its response and no other request's
+//! events reach it. Only connection threads write to a client; the
+//! scheduler's workers never do.
 //!
 //! Malformed input never tears the connection down: bad JSON, unknown
 //! types, and oversized lines each get a typed `error` response and the
@@ -22,16 +27,14 @@ use std::io::{self, BufRead, BufReader, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
-use std::time::Duration;
+use std::sync::{mpsc, Arc};
+use std::thread::JoinHandle;
+
+use experiments::{JobCtx, ProgressEvent};
 
 use crate::json::{self, Value};
 use crate::proto::{ErrorCode, Event, Response, MAX_LINE_BYTES};
-use crate::service::Service;
-
-/// How often the progress forwarder wakes to check for request
-/// completion when no events are flowing.
-const PROGRESS_POLL: Duration = Duration::from_millis(25);
+use crate::service::{Handled, Service};
 
 /// A bound Unix-socket server ready to accept connections.
 pub struct Server {
@@ -64,7 +67,9 @@ impl Server {
 
     /// Accepts connections until a `shutdown` request arrives, then
     /// joins every connection thread (in-flight requests finish) and
-    /// removes the socket file.
+    /// removes the socket file. Each accept first joins the connection
+    /// threads that have already finished, so the server holds handles
+    /// for live connections only.
     pub fn run(self) -> io::Result<()> {
         let mut handles = Vec::new();
         for conn in self.listener.incoming() {
@@ -72,6 +77,7 @@ impl Server {
             if self.stop.load(Ordering::SeqCst) {
                 break;
             }
+            reap_finished(&mut handles);
             let Ok(stream) = conn else { continue };
             let service = Arc::clone(&self.service);
             let stop = Arc::clone(&self.stop);
@@ -81,8 +87,8 @@ impl Server {
                     return;
                 };
                 let reader = BufReader::new(read_half);
-                let writer = Arc::new(Mutex::new(stream));
-                if let Ok(true) = handle_connection(reader, &writer, &service) {
+                let mut writer = stream;
+                if let Ok(true) = handle_connection(reader, &mut writer, &service) {
                     stop.store(true, Ordering::SeqCst); // xtask-atomics: shutdown latch; see the load in the accept loop
                                                         // Wake the accept loop so it observes the latch.
                     let _ = UnixStream::connect(&path);
@@ -97,25 +103,26 @@ impl Server {
     }
 }
 
+/// Joins the connection threads that have finished and keeps the rest.
+fn reap_finished(handles: &mut Vec<JoinHandle<()>>) {
+    for finished in handles.extract_if(.., |handle| handle.is_finished()) {
+        let _ = finished.join();
+    }
+}
+
 /// Serves one session over stdin/stdout — the transport the CLI's
 /// `serve --stdio` flag and one-shot scripting use. Returns when the
 /// client closes stdin or sends `shutdown`.
 pub fn serve_stdio(service: &Service) -> io::Result<()> {
     let stdin = io::stdin();
-    let writer = Arc::new(Mutex::new(io::stdout()));
-    handle_connection(stdin.lock(), &writer, service).map(|_| ())
-}
-
-fn lock_writer<W>(writer: &Mutex<W>) -> std::sync::MutexGuard<'_, W> {
-    writer.lock().unwrap_or_else(PoisonError::into_inner)
+    handle_connection(stdin.lock(), &mut io::stdout(), service).map(|_| ())
 }
 
 /// Writes one line and flushes; an `Err` means the client is gone.
-fn write_line<W: Write>(writer: &Mutex<W>, line: &str) -> io::Result<()> {
-    let mut w = lock_writer(writer);
-    w.write_all(line.as_bytes())?;
-    w.write_all(b"\n")?;
-    w.flush()
+fn write_line<W: Write>(writer: &mut W, line: &str) -> io::Result<()> {
+    writer.write_all(line.as_bytes())?;
+    writer.write_all(b"\n")?;
+    writer.flush()
 }
 
 /// One read off the wire.
@@ -191,12 +198,12 @@ fn read_line_capped<R: BufRead>(reader: &mut R, cap: usize) -> io::Result<LineRe
 /// session ended with a `shutdown` request.
 pub(crate) fn handle_connection<R, W>(
     mut reader: R,
-    writer: &Arc<Mutex<W>>,
+    writer: &mut W,
     service: &Service,
 ) -> io::Result<bool>
 where
     R: BufRead,
-    W: Write + Send,
+    W: Write,
 {
     loop {
         let line = match read_line_capped(&mut reader, MAX_LINE_BYTES)? {
@@ -258,48 +265,51 @@ where
     }
 }
 
-/// Runs one request while a scoped forwarder thread streams scheduler
-/// progress events to the client, tagged with the request id. The
-/// subscription starts before the work and is drained after it, so no
-/// event emitted during the request is lost; forward-write failures are
-/// ignored (the terminal response write will surface the disconnect).
-fn serve_with_progress<W: Write + Send>(
+/// What a request's channel carries to its connection thread.
+enum Frame {
+    /// One progress event of the request's own batches.
+    Progress(ProgressEvent),
+    /// `Service::handle` has returned; no event of the request follows.
+    End,
+}
+
+/// Runs one request on a scoped thread under its own [`JobCtx`] and
+/// writes its progress events to the client as they arrive, until the
+/// request thread sends [`Frame::End`]. Progress write failures are
+/// ignored: the terminal response write surfaces the disconnect.
+fn serve_with_progress<W: Write>(
     service: &Service,
     envelope: &crate::proto::Envelope,
-    writer: &Arc<Mutex<W>>,
+    writer: &mut W,
     id: &Value,
-) -> crate::service::Handled {
-    let events = simkit::obs::subscribe();
-    let done = AtomicBool::new(false);
-    let done_ref = &done;
+) -> Handled {
+    let (frames, received) = mpsc::channel();
+    let progress = frames.clone();
+    let ctx = JobCtx::default().with_progress(move |event| {
+        let _ = progress.send(Frame::Progress(event));
+    });
     std::thread::scope(|scope| {
-        let forwarder = scope.spawn(move || {
-            loop {
-                if let Some(ev) = events.recv_timeout(PROGRESS_POLL) {
-                    let event = Event::Progress {
-                        source: ev.source,
-                        done: ev.done,
-                        total: ev.total,
-                    };
-                    let _ = write_line(writer, &event.render(id));
-                // xtask-atomics: completion flag for the poll loop; the final drain below catches any event racing the store
-                } else if done_ref.load(Ordering::Relaxed) {
-                    break;
-                }
-            }
-            for ev in events.drain() {
-                let event = Event::Progress {
-                    source: ev.source,
-                    done: ev.done,
-                    total: ev.total,
-                };
-                let _ = write_line(writer, &event.render(id));
-            }
+        let request = scope.spawn(move || {
+            let handled = ctx.enter(|| service.handle(&envelope.request));
+            let _ = frames.send(Frame::End);
+            handled
         });
-        let handled = service.handle(&envelope.request);
-        done.store(true, Ordering::Relaxed); // xtask-atomics: completion flag; see the load in the forwarder loop
-        let _ = forwarder.join();
-        handled
+        while let Ok(Frame::Progress(event)) = received.recv() {
+            let event = Event::Progress {
+                source: event.source.to_string(),
+                done: event.done,
+                total: event.total,
+            };
+            let _ = write_line(writer, &event.render(id));
+        }
+        request.join().unwrap_or_else(|payload| Handled {
+            response: Response::Error {
+                code: ErrorCode::Internal,
+                message: crate::service::panic_text(payload.as_ref()),
+                payload: None,
+            },
+            shutdown: false,
+        })
     })
 }
 
@@ -309,14 +319,13 @@ mod tests {
 
     fn served(input: &str) -> Vec<String> {
         let service = Service::new();
-        let writer = Arc::new(Mutex::new(Vec::<u8>::new()));
+        let mut bytes = Vec::<u8>::new();
         let reader = io::Cursor::new(input.as_bytes().to_vec());
-        let outcome = handle_connection(BufReader::new(reader), &writer, &service);
+        let outcome = handle_connection(BufReader::new(reader), &mut bytes, &service);
         assert!(
             outcome.is_ok(),
             "in-memory connection cannot fail: {outcome:?}"
         );
-        let bytes = lock_writer(&writer).clone();
         String::from_utf8_lossy(&bytes)
             .lines()
             .map(str::to_string)
@@ -390,6 +399,33 @@ mod tests {
                 .any(|l| l.contains("\"result\"") && l.contains("\"id\":4")),
             "unterminated final line served: {lines:?}"
         );
+    }
+
+    #[test]
+    fn reaping_joins_finished_connection_threads_and_keeps_live_ones() {
+        let (release, hold) = mpsc::channel::<()>();
+        let mut handles = vec![
+            std::thread::spawn(|| {}),
+            std::thread::spawn(move || {
+                let _ = hold.recv();
+            }),
+            std::thread::spawn(|| {}),
+        ];
+        while handles.iter().filter(|h| h.is_finished()).count() < 2 {
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        }
+        reap_finished(&mut handles);
+        assert_eq!(handles.len(), 1, "the two finished threads were joined");
+        assert!(
+            handles.iter().all(|h| !h.is_finished()),
+            "the live one stays"
+        );
+        drop(release);
+        while !handles.iter().all(JoinHandle::is_finished) {
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        }
+        reap_finished(&mut handles);
+        assert!(handles.is_empty());
     }
 
     #[test]

@@ -16,19 +16,21 @@
 //! * `fleet` builds the same batched population as `rlpm-sim fleet`,
 //!   per-lane seeds included.
 //!
-//! Every request runs under `catch_unwind`: a sweep whose cells were
-//! quarantined by the scheduler (see `experiments::sched`) becomes a
-//! typed `quarantined` error response listing the cells — the protocol
-//! twin of the CLI's exit-4 convention — and any other panic becomes an
-//! `internal` error instead of killing the connection thread.
+//! Every request runs under `catch_unwind` and under its own quarantine
+//! sink (an [`experiments::JobCtx`] opened by [`Service::handle`]): a
+//! sweep whose cells the scheduler quarantined becomes a typed
+//! `quarantined` error response listing exactly this request's cells —
+//! the protocol twin of the CLI's exit-4 convention — and any other
+//! panic becomes an `internal` error instead of killing the connection
+//! thread.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use experiments::e1_energy_per_qos::{run_e1, E1Config};
 use experiments::{
-    eval_cells_batched, run_batch, train_rl_governor, BatchLane, EvalCell, PolicyKind, RunConfig,
-    RunMetrics, TrainingProtocol,
+    eval_cells_batched, run_batch, train_rl_governor, BatchLane, EvalCell, JobCtx, PolicyKind,
+    RunConfig, RunMetrics, TrainingProtocol,
 };
 use governors::GovernorKind;
 use soc::{DeviceBatch, Soc, SocConfig};
@@ -67,15 +69,19 @@ impl Service {
 
     /// Serves one validated request to completion, converting panics and
     /// scheduler quarantine into typed error responses.
+    ///
+    /// The request runs in the caller's [`JobCtx`] (so a progress sender
+    /// the caller installed keeps receiving its events) with a quarantine
+    /// sink of its own: a `quarantined` response lists the cells of this
+    /// request's batches and no other's.
     pub fn handle(&self, request: &Request) -> Handled {
         self.requests.fetch_add(1, Ordering::Relaxed); // xtask-atomics: statistics counter surfaced by `status`; no ordering dependencies
         let shutdown = matches!(request, Request::Shutdown);
-        let quarantine_before = experiments::quarantine_report();
-        let outcome = catch_unwind(AssertUnwindSafe(|| self.run(request)));
-        let quarantined: Vec<_> = experiments::quarantine_report()
-            .into_iter()
-            .filter(|r| !quarantine_before.contains(r))
-            .collect();
+        let ctx = JobCtx::current().with_quarantine_sink();
+        let outcome = ctx
+            .clone()
+            .enter(|| catch_unwind(AssertUnwindSafe(|| self.run(request))));
+        let quarantined = ctx.quarantined();
         let response = if quarantined.is_empty() {
             match outcome {
                 Ok(response) => response,
@@ -87,7 +93,8 @@ impl Service {
             }
         } else {
             // The scheduler's summary panic (or a survived partial run)
-            // with fresh quarantine records: report the cells, typed.
+            // with this request's quarantine records: report the cells,
+            // typed.
             let records: Vec<Value> = quarantined
                 .iter()
                 .map(|r| {
@@ -419,7 +426,7 @@ fn fleet(spec: &FleetSpec) -> Result<Value, RequestError> {
     ]))
 }
 
-fn panic_text(payload: &(dyn std::any::Any + Send)) -> String {
+pub(crate) fn panic_text(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {

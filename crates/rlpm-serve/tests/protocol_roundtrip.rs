@@ -1,14 +1,14 @@
 //! End-to-end protocol round-trips against a live in-process server.
 //!
-//! One big serialized test: the result cache, quarantine report and
-//! progress seam are process-wide, so the scenarios share a single
-//! server and run in a fixed order — cold `eval` first (progress events
-//! are only guaranteed while cells actually compute), byte-identity
-//! against the library path second, error paths and shutdown last.
+//! One big serialized test: the result cache and quarantine report are
+//! process-wide, so the scenarios share a single server and run in a
+//! fixed order — cold `eval` first, byte-identity against the library
+//! path second, error paths and shutdown last.
 
 use std::io::{BufRead, BufReader, Write};
 use std::os::unix::net::UnixStream;
 use std::path::PathBuf;
+use std::time::{Duration, Instant};
 
 use rlpm_serve::client::{request_over_socket, roundtrip};
 use rlpm_serve::json::Value;
@@ -59,10 +59,16 @@ fn protocol_round_trips_against_a_live_server() {
     assert_eq!(error_code(&resp), "unsupported-version");
 
     // --- Cold eval: progress streams while the sweep computes, and the
-    // CSV matches the library path byte for byte. ---
+    // CSV matches the library path byte for byte. The connection stays
+    // open for the status polls below. ---
+    let stream = UnixStream::connect(&socket).unwrap();
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    let mut writer = stream;
     let mut events: Vec<(String, String)> = Vec::new();
-    let resp = request_over_socket(
-        &socket,
+    let mut progress_done: Vec<(u64, u64)> = Vec::new();
+    let resp = roundtrip(
+        &mut reader,
+        &mut writer,
         "{\"type\":\"eval\",\"experiment\":\"e1\",\"quick\":true,\"id\":\"cold\"}",
         |e| {
             events.push((
@@ -72,6 +78,12 @@ fn protocol_round_trips_against_a_live_server() {
                     .unwrap_or("")
                     .to_string(),
             ));
+            if response_type(e) == "progress" {
+                progress_done.push((
+                    e.get("done").and_then(Value::as_u64).unwrap(),
+                    e.get("total").and_then(Value::as_u64).unwrap(),
+                ));
+            }
         },
     )
     .unwrap();
@@ -96,6 +108,43 @@ fn protocol_round_trips_against_a_live_server() {
         events.iter().any(|(t, s)| t == "progress" && s == "e1"),
         "cold eval must stream e1 progress, got {events:?}"
     );
+    // Exactly the request's own batch: one event per cell.
+    assert!(
+        events.iter().all(|(t, s)| t != "progress" || s == "e1"),
+        "only the request's own batch reports: {events:?}"
+    );
+    let total = progress_done.first().map_or(0, |&(_, total)| total);
+    let mut done: Vec<u64> = progress_done.iter().map(|&(done, _)| done).collect();
+    done.sort_unstable();
+    assert_eq!(done, (1..=total).collect::<Vec<_>>(), "{progress_done:?}");
+
+    // --- Status polls on the same connection: no progress of the eval
+    // trails its result, and no request waits on a timer. ---
+    let started = Instant::now();
+    for i in 0..40u64 {
+        let mut trailing: Vec<Value> = Vec::new();
+        let resp = roundtrip(
+            &mut reader,
+            &mut writer,
+            &format!("{{\"type\":\"status\",\"id\":{i}}}"),
+            |e| trailing.push(e.clone()),
+        )
+        .unwrap();
+        assert_eq!(response_type(&resp), "result", "status failed: {resp:?}");
+        assert_eq!(resp.get("id").and_then(Value::as_u64), Some(i));
+        assert!(
+            matches!(trailing.as_slice(), [e] if response_type(e) == "accepted"
+                && e.get("id").and_then(Value::as_u64) == Some(i)),
+            "status {i} saw events besides its own accepted: {trailing:?}"
+        );
+    }
+    let elapsed = started.elapsed();
+    assert!(
+        elapsed < Duration::from_millis(500),
+        "40 status round trips took {elapsed:?}"
+    );
+    // Close the connection: shutdown joins every connection thread.
+    drop((reader, writer));
 
     let soc = soc::SocConfig::odroid_xu3_like().expect("preset is valid");
     let expected_csv = run_e1(&soc, &E1Config::quick())

@@ -50,12 +50,9 @@
 //! registry is observation-only, which is what keeps an instrumented run
 //! bit-identical to a bare one.
 //!
-//! Besides the feature-gated metrics, the module carries an
-//! always-compiled **progress-event seam** ([`subscribe`] /
-//! [`emit_progress`]): the experiment scheduler publishes one
-//! [`ProgressEvent`] per completed batch job, and long-running front
-//! ends (the `rlpm-serve` protocol, see `PROTOCOL.md`) stream them to
-//! clients. With no subscribers an emit is a single relaxed atomic load.
+//! Everything here is process-wide. Per-request progress is not: the
+//! experiment scheduler sends it to the submitting request's own job
+//! context (`experiments::JobCtx`), never through this registry.
 
 use std::collections::BTreeMap;
 
@@ -579,112 +576,6 @@ pub fn reset() {
     }
 }
 
-// ---------------------------------------------------------------------
-// Progress-event subscription seam
-// ---------------------------------------------------------------------
-
-/// One coarse progress observation: `done` of `total` jobs of the batch
-/// labelled `source` have finished.
-///
-/// Events are pushed by [`emit_progress`] (the experiment scheduler
-/// calls it once per completed cell) and pulled through [`subscribe`].
-/// Unlike the metrics above, the seam is **runtime-switched, not
-/// feature-switched**: a serving front end needs progress streaming even
-/// in a build whose metric recording is compiled out, and with zero
-/// subscribers an emit is a single relaxed atomic load — cheap enough
-/// for the per-cell call sites. Nothing received here may feed back into
-/// simulation state; like the registry, the seam is observation-only.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ProgressEvent {
-    /// The emitting batch's label (the experiment section, e.g. `e1`).
-    pub source: String,
-    /// Jobs of the batch completed so far (quarantined jobs count).
-    pub done: u64,
-    /// Total jobs in the batch.
-    pub total: u64,
-}
-
-/// Live subscriber channels. The count mirror lets [`emit_progress`]
-/// skip the lock entirely on the (default) zero-subscriber path.
-static PROGRESS_SUBSCRIBERS: std::sync::Mutex<Vec<std::sync::mpsc::Sender<ProgressEvent>>> =
-    std::sync::Mutex::new(Vec::new());
-static PROGRESS_SUBSCRIBER_COUNT: std::sync::atomic::AtomicUsize =
-    std::sync::atomic::AtomicUsize::new(0);
-
-/// Locks the subscriber list, recovering from poisoning (the critical
-/// sections below never panic, so the data stays coherent).
-fn lock_subscribers() -> std::sync::MutexGuard<'static, Vec<std::sync::mpsc::Sender<ProgressEvent>>>
-{
-    match PROGRESS_SUBSCRIBERS.lock() {
-        Ok(guard) => guard,
-        Err(poisoned) => poisoned.into_inner(),
-    }
-}
-
-/// The receiving end of a progress subscription.
-///
-/// Dropping it unsubscribes lazily: the next [`emit_progress`] prunes
-/// the closed channel.
-#[derive(Debug)]
-pub struct ProgressEvents {
-    rx: std::sync::mpsc::Receiver<ProgressEvent>,
-}
-
-impl ProgressEvents {
-    /// Waits up to `timeout` for the next event (`None` on timeout).
-    pub fn recv_timeout(&self, timeout: std::time::Duration) -> Option<ProgressEvent> {
-        self.rx.recv_timeout(timeout).ok()
-    }
-
-    /// Drains every event queued so far without blocking.
-    pub fn drain(&self) -> Vec<ProgressEvent> {
-        self.rx.try_iter().collect()
-    }
-}
-
-/// Registers a new progress subscriber and returns its receiving end.
-///
-/// Every subscriber sees every subsequent event (fan-out, not
-/// work-sharing). Process-wide: events from concurrently running batches
-/// interleave, distinguished by [`ProgressEvent::source`].
-///
-/// ```
-/// let events = simkit::obs::subscribe();
-/// simkit::obs::emit_progress("example", 1, 2);
-/// assert_eq!(events.drain().len(), 1);
-/// ```
-pub fn subscribe() -> ProgressEvents {
-    let (tx, rx) = std::sync::mpsc::channel();
-    let mut subs = lock_subscribers();
-    subs.push(tx);
-    // xtask-atomics: count mirror published under the subscriber lock; emit's relaxed probe may briefly see a stale zero, which only delays the first event
-    PROGRESS_SUBSCRIBER_COUNT.store(subs.len(), std::sync::atomic::Ordering::Relaxed);
-    ProgressEvents { rx }
-}
-
-/// Pushes one progress event to every live subscriber.
-///
-/// With no subscribers this is one relaxed load and an immediate
-/// return. Closed channels (dropped [`ProgressEvents`]) are pruned on
-/// the way through.
-pub fn emit_progress(source: &str, done: u64, total: u64) {
-    // xtask-atomics: advisory fast-path probe; a stale read only skips or delays one event fan-out
-    if PROGRESS_SUBSCRIBER_COUNT.load(std::sync::atomic::Ordering::Relaxed) == 0 {
-        return;
-    }
-    let mut subs = lock_subscribers();
-    subs.retain(|tx| {
-        tx.send(ProgressEvent {
-            source: source.to_owned(),
-            done,
-            total,
-        })
-        .is_ok()
-    });
-    // xtask-atomics: count mirror published under the subscriber lock; see subscribe
-    PROGRESS_SUBSCRIBER_COUNT.store(subs.len(), std::sync::atomic::Ordering::Relaxed);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -802,44 +693,6 @@ mod tests {
             // Still registered: shows up as an explicit zero.
             assert_eq!(snapshot().counters.get("test.reset_me"), Some(&0));
         }
-    }
-
-    #[test]
-    fn progress_events_fan_out_to_every_subscriber() {
-        let _guard = lock();
-        let a = subscribe();
-        let b = subscribe();
-        emit_progress("t-fanout", 3, 8);
-        assert_eq!(
-            a.drain(),
-            vec![ProgressEvent {
-                source: "t-fanout".into(),
-                done: 3,
-                total: 8,
-            }]
-        );
-        assert_eq!(b.drain().len(), 1);
-    }
-
-    #[test]
-    fn dropped_subscriber_is_pruned_and_emit_without_subscribers_is_a_noop() {
-        let _guard = lock();
-        let sub = subscribe();
-        drop(sub);
-        // Prunes the closed channel; must not panic or error.
-        emit_progress("t-pruned", 1, 1);
-        let live = subscribe();
-        emit_progress("t-pruned", 2, 2);
-        let events = live.drain();
-        assert_eq!(events.len(), 1);
-        assert_eq!(events.first().map(|e| e.done), Some(2));
-    }
-
-    #[test]
-    fn recv_timeout_times_out_without_events() {
-        let _guard = lock();
-        let sub = subscribe();
-        assert_eq!(sub.recv_timeout(std::time::Duration::from_millis(1)), None);
     }
 
     #[test]
