@@ -3,6 +3,7 @@
 
 use simkit::{SimDuration, SimTime};
 
+use crate::core_model::ExecConsts;
 use crate::{
     ClusterConfig, CompletedJob, CoreModel, IdleDepth, Job, OppLevel, PowerModel, SocError,
 };
@@ -339,8 +340,10 @@ impl Cluster {
     /// Advances all cores by one sub-step and integrates power and
     /// temperature.
     ///
-    /// This is the simulator's innermost loop: it runs once per cluster
-    /// per sub-step (50 000 times per simulated second) and must not
+    /// This is the stepped reference: the SoC runs it once per cluster per
+    /// sub-step (1 000 times per simulated second with the presets' 1 ms
+    /// sub-steps) when its fast paths are off, and the span kernels its
+    /// fast paths run are proven against it. It must not
     /// allocate — completions drain into the pooled epoch buffer, busy
     /// fractions fold into scalars, and the per-OPP power constants come
     /// from the lookup table built at construction. Bit-identical to the
@@ -428,6 +431,150 @@ impl Cluster {
     /// SoC's idle fast-forward gates on this.
     pub fn is_quiescent(&self) -> bool {
         self.cores.iter().all(CoreModel::is_quiescent)
+    }
+
+    /// Advances `steps` sub-steps of length `dt` from `start` through the
+    /// fast paths: busy sub-steps through the busy kernel, then, once the
+    /// cluster is quiescent, the rest through
+    /// [`Cluster::advance_idle_substeps`].
+    ///
+    /// Callers guarantee that no job arrives on this cluster before the
+    /// last of the `steps` sub-steps ends — the SoC's dispatch horizon.
+    /// Under that condition this is **bit-identical** to calling
+    /// [`Cluster::advance_substep`] `steps` times: a quiescent cluster
+    /// cannot wake without a dispatch, and every value the busy kernel
+    /// hoists is the expression the stepped loop evaluates, on the same
+    /// inputs (a property test pins the equivalence).
+    pub(crate) fn advance_span(&mut self, start: SimTime, dt: SimDuration, steps: u64) {
+        let busy = if self.is_quiescent() {
+            0
+        } else {
+            self.advance_busy_substeps(start, dt, steps)
+        };
+        if busy < steps {
+            self.advance_idle_substeps(dt, steps - busy);
+        }
+    }
+
+    /// The busy kernel of [`Cluster::advance_span`]: runs sub-steps from
+    /// `start` until one leaves every core quiescent or `steps` are done,
+    /// and returns how many it ran.
+    ///
+    /// Each sub-step is [`Cluster::advance_substep`] with its invariants
+    /// hoisted: the OPP's power constants and the cores'
+    /// [`ExecConsts`] are built once per span, the thermal node and the
+    /// epoch accumulators live in locals, and all of them are refreshed
+    /// only when the thermal clamp lowers the level. Leakage is evaluated
+    /// straight-line (the temperature moves every busy sub-step, so the
+    /// one-entry memo would miss).
+    fn advance_busy_substeps(&mut self, start: SimTime, dt: SimDuration, steps: u64) -> u64 {
+        let max_level = self.config.opps.max_level();
+        let mut lut = self.lut();
+        // Every core is built with the cluster's IPC (see `Cluster::new`).
+        let mut exec = ExecConsts::new(lut.freq_hz, self.config.ipc, dt);
+        let dt_s = dt.as_secs_f64();
+        let n = self.online as f64;
+        let mut thermal = self.config.thermal;
+        let mut pending_stall = self.pending_stall;
+        let mut energy_j = self.acc.energy_j;
+        let mut util_avg_sum = self.acc.util_avg_sum;
+        let mut util_max_sum = self.acc.util_max_sum;
+        let mut idle_gated_s = self.acc.idle_gated_s;
+        let mut idle_collapsed_s = self.acc.idle_collapsed_s;
+        let mut transitions = self.acc.transitions;
+        let idle_cfg = self.config.idle.as_ref();
+        let mut t = start;
+        let mut done = 0;
+        // xtask-hotpath: begin
+        while done < steps {
+            let stall = pending_stall.min(dt);
+            pending_stall = SimDuration::ZERO;
+            let leak_w = self
+                .config
+                .power
+                .leakage_w_from_base(lut.leak_base, thermal.temp_c());
+            let mut busy_sum = 0.0;
+            let mut busy_max = 0.0;
+            let mut power_w = lut.uncore_w;
+            let mut quiescent = true;
+            let (online_cores, offline_cores) = self.cores.split_at_mut(self.online);
+            for core in online_cores.iter_mut() {
+                let depth = idle_cfg
+                    .map(|idle| idle.depth(core.idle_for()))
+                    .unwrap_or(IdleDepth::Active);
+                let (dyn_scale, leak_scale) = idle_cfg
+                    .map(|idle| idle.power_scales(depth))
+                    .unwrap_or((1.0, 1.0));
+                if core.is_quiescent() {
+                    // A quiescent core next to busy ones is busy exactly
+                    // `+0.0`: its power folds to the idle term (see
+                    // `PowerModel::idle_core_w_from_parts`), and folding
+                    // `+0.0` into the non-negative utilisation sums is a
+                    // bitwise no-op — the same drop-outs as the idle
+                    // fast-forward.
+                    core.note_idle(dt);
+                    power_w += PowerModel::idle_core_w_from_parts(
+                        lut.idle_coeff,
+                        leak_w,
+                        dyn_scale,
+                        leak_scale,
+                    );
+                } else {
+                    let busy = core.advance_hoisted(t, dt, &exec, stall, &mut self.acc.completed);
+                    power_w += PowerModel::core_w_from_parts(
+                        lut.dyn_w,
+                        lut.idle_coeff,
+                        leak_w,
+                        busy,
+                        dyn_scale,
+                        leak_scale,
+                    );
+                    busy_sum += busy;
+                    busy_max = f64::max(busy_max, busy);
+                    quiescent &= core.is_quiescent();
+                }
+                match depth {
+                    IdleDepth::ClockGated => idle_gated_s += dt_s,
+                    IdleDepth::Collapsed => idle_collapsed_s += dt_s,
+                    IdleDepth::Active => {}
+                }
+            }
+            // Offline cores are parked, hence quiescent: they never hold
+            // work, so `quiescent` covers the whole cluster.
+            for core in offline_cores.iter_mut() {
+                core.note_idle(dt);
+            }
+
+            energy_j += power_w * dt_s;
+            thermal.step(power_w, dt);
+            let clamp = thermal.clamp_max_level(max_level);
+            if self.level > clamp {
+                self.level = clamp;
+                pending_stall = self.config.transition_latency;
+                energy_j += self.config.power.transition_energy_j;
+                transitions += 1;
+                lut = self.lut();
+                exec = ExecConsts::new(lut.freq_hz, self.config.ipc, dt);
+            }
+            util_avg_sum += busy_sum / n;
+            util_max_sum += busy_max;
+            t += dt;
+            done += 1;
+            if quiescent {
+                break;
+            }
+        }
+        // xtask-hotpath: end
+        self.config.thermal = thermal;
+        self.pending_stall = pending_stall;
+        self.acc.energy_j = energy_j;
+        self.acc.util_avg_sum = util_avg_sum;
+        self.acc.util_max_sum = util_max_sum;
+        self.acc.idle_gated_s = idle_gated_s;
+        self.acc.idle_collapsed_s = idle_collapsed_s;
+        self.acc.transitions = transitions;
+        self.acc.substeps += done as u32;
+        done
     }
 
     /// Advances `steps` sub-steps of length `dt` through the idle fast
@@ -713,7 +860,7 @@ impl Cluster {
 /// plus the per-OPP constants it reads, detached from the `Cluster` so
 /// many domains can advance in one interleaved loop. Produced by
 /// [`Cluster::idle_batch_begin`], consumed by [`advance_idle_batch`],
-/// written back by [`Cluster::idle_batch_finish`].
+/// written back by [`Cluster::idle_batch_restore`].
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct IdleDomain {
     /// The cluster's power model — the kernel routes leakage through

@@ -42,6 +42,49 @@ pub struct CoreReport {
     pub completed: Vec<CompletedJob>,
 }
 
+/// The execution constants of one OPP over one sub-step length, hoisted
+/// out of the sub-step loop by the cluster's busy kernel (see
+/// [`CoreModel::advance_hoisted`]). Each is the expression
+/// [`CoreModel::advance_into`] evaluates every sub-step, on the same
+/// inputs, so reading it back is bit-identical.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct ExecConsts {
+    /// The sub-step length in seconds, `dt.as_secs_f64()`.
+    dt_s: f64,
+    /// Reference instructions per second, `freq_hz · ipc`.
+    speed: f64,
+    /// The budget of an unstalled sub-step, `speed · dt_s`.
+    full_budget: f64,
+    /// The busy fraction of an unstalled sub-step that spends the whole
+    /// budget without finishing its job.
+    full_busy: f64,
+}
+
+impl ExecConsts {
+    /// The constants for a core of relative `ipc` at `freq_hz` over
+    /// sub-steps of length `dt`.
+    pub(crate) fn new(freq_hz: u64, ipc: f64, dt: SimDuration) -> Self {
+        let dt_s = dt.as_secs_f64();
+        let speed = freq_hz as f64 * ipc;
+        let full_budget = speed * dt_s;
+        // The execution loop's partial-job branch, from `busy_s = 0.0`.
+        let mut busy_s = 0.0;
+        busy_s += full_budget / speed;
+        ExecConsts {
+            dt_s,
+            speed,
+            full_budget,
+            full_busy: busy_fraction(busy_s, dt_s),
+        }
+    }
+}
+
+/// The busy fraction of a sub-step of `dt_s` seconds that executed for
+/// `busy_s` seconds.
+fn busy_fraction(busy_s: f64, dt_s: f64) -> f64 {
+    (busy_s / dt_s).clamp(0.0, 1.0)
+}
+
 impl CoreModel {
     /// Creates a core with the given relative IPC.
     ///
@@ -151,10 +194,65 @@ impl CoreModel {
 
         let exec_window = dt - stall;
         let speed = freq_hz as f64 * self.ipc; // ref-instructions per second
-        let mut budget = speed * exec_window.as_secs_f64();
-        let mut busy_s = 0.0;
-        let exec_start = start + stall;
+        let budget = speed * exec_window.as_secs_f64();
+        self.retire(
+            start + stall,
+            budget,
+            speed,
+            dt,
+            dt.as_secs_f64(),
+            completed,
+        )
+    }
 
+    /// [`CoreModel::advance_into`] with the per-sub-step constants hoisted
+    /// into `k` (built for this core's IPC, the current OPP and `dt`).
+    ///
+    /// An unstalled core whose front job outlasts the whole window spends
+    /// `k.full_budget` on it and is busy `k.full_busy`: the branch the
+    /// execution loop takes on such a sub-step, with every value computed
+    /// once per span instead of once per sub-step. Any other sub-step — a
+    /// stall, a completion, an empty queue — runs the loop itself.
+    /// Bit-identical to [`CoreModel::advance_into`] at `k`'s frequency.
+    pub(crate) fn advance_hoisted(
+        &mut self,
+        start: SimTime,
+        dt: SimDuration,
+        k: &ExecConsts,
+        stall: SimDuration,
+        completed: &mut Vec<CompletedJob>,
+    ) -> f64 {
+        let stall = (stall + std::mem::take(&mut self.wake_stall)).min(dt);
+        if !stall.is_zero() {
+            let budget = k.speed * (dt - stall).as_secs_f64();
+            return self.retire(start + stall, budget, k.speed, dt, k.dt_s, completed);
+        }
+        match self.queue.front_mut() {
+            Some(front) if front.remaining > k.full_budget => {
+                front.remaining -= k.full_budget;
+                self.retired += k.full_budget;
+                self.note_busy(k.full_busy, dt);
+                k.full_busy
+            }
+            _ => self.retire(start, k.full_budget, k.speed, dt, k.dt_s, completed),
+        }
+    }
+
+    /// The execution loop shared by [`CoreModel::advance_into`] and
+    /// [`CoreModel::advance_hoisted`]: spends `budget` reference
+    /// instructions from the queue starting at `exec_start`, at `speed`
+    /// instructions per second, and returns the busy fraction of the
+    /// `dt`-long (`dt_s` seconds) sub-step.
+    fn retire(
+        &mut self,
+        exec_start: SimTime,
+        mut budget: f64,
+        speed: f64,
+        dt: SimDuration,
+        dt_s: f64,
+        completed: &mut Vec<CompletedJob>,
+    ) -> f64 {
+        let mut busy_s = 0.0;
         while budget > 0.0 {
             let Some(front) = self.queue.front_mut() else {
                 break;
@@ -183,13 +281,19 @@ impl CoreModel {
             }
         }
 
-        let busy = (busy_s / dt.as_secs_f64()).clamp(0.0, 1.0);
+        let busy = busy_fraction(busy_s, dt_s);
+        self.note_busy(busy, dt);
+        busy
+    }
+
+    /// Advances the cpuidle residency past a sub-step with busy fraction
+    /// `busy`: any work ends the idle stretch.
+    fn note_busy(&mut self, busy: f64, dt: SimDuration) {
         if busy == 0.0 {
             self.idle_for += dt;
         } else {
             self.idle_for = SimDuration::ZERO;
         }
-        busy
     }
 
     /// Whether the core would be a no-op this sub-step: nothing queued and

@@ -120,9 +120,14 @@ impl Soc {
         })
     }
 
-    /// Enables or disables the idle fast-forward (on by default). The
-    /// fast path is bit-identical to stepped execution — this knob exists
-    /// so tests can prove that claim by running both ways.
+    /// Chooses between the fast paths (`true`, the default) and the
+    /// stepped reference (`false`). The fast paths run each cluster from
+    /// one dispatch to the next on its own, busy sub-steps through a
+    /// hoisted kernel and idle ones through the idle fast-forward, and let
+    /// a [`crate::DeviceBatch`] park idle lanes; the stepped reference
+    /// advances every cluster one sub-step at a time through
+    /// [`Cluster::advance_substep`], busy or idle. Both are bit-identical —
+    /// this knob exists so tests can prove that claim by running both ways.
     pub fn set_idle_fast_forward(&mut self, enabled: bool) {
         self.idle_fast_forward = enabled;
     }
@@ -261,52 +266,26 @@ impl Soc {
                 }
             }
 
-            // Idle fast-forward: with every core quiescent and the next
-            // arrival strictly beyond the next `ff − 1` sub-step
-            // boundaries, those boundaries would dispatch nothing and
-            // execute nothing — batch them per cluster (clusters do not
-            // interact between dispatches, so the reorder is exact).
-            if self.idle_fast_forward
-                && steps - step >= 2
-                && self.clusters.iter().all(Cluster::is_quiescent)
-            {
-                let remaining = steps - step;
-                let ff = match self.arrivals.peek_time() {
-                    None => remaining,
-                    Some(t) => {
-                        // `t > self.now` because the dispatch loop above
-                        // drained everything due by now. Sub-step `j`
-                        // (0-based from here) dispatches arrivals at
-                        // `now + j·substep`, so we may skip the checks for
-                        // j = 1..ff−1 iff t > now + (ff−1)·substep; the
-                        // largest such ff is ⌊(gap−1ns)/substep⌋ + 1.
-                        let gap = t - self.now;
-                        ((gap - SimDuration::from_nanos(1)) / substep + 1).min(remaining)
-                    }
-                };
-                if ff >= 2 {
-                    for cluster in &mut self.clusters {
-                        cluster.advance_idle_substeps(substep, ff);
-                    }
-                    self.now += substep * ff;
-                    step += ff;
-                    continue;
-                }
-            }
-
-            for cluster in &mut self.clusters {
-                // A quiescent cluster next to a busy one (the common case
-                // in light scenarios: one cluster runs the job, the other
-                // idles) takes the cheap idle path for this single
-                // sub-step — same bits, no per-core execution loop.
-                if self.idle_fast_forward && cluster.is_quiescent() {
-                    cluster.advance_idle_substeps(substep, 1);
-                } else {
+            if !self.idle_fast_forward {
+                for cluster in &mut self.clusters {
                     cluster.advance_substep(self.now, substep);
                 }
+                self.now += substep;
+                step += 1;
+                continue;
             }
-            self.now += substep;
-            step += 1;
+
+            // Dispatch horizon: the sub-steps up to the next arrival
+            // dispatch nothing, and clusters interact only at dispatch
+            // (placement reads every cluster), so each cluster runs the
+            // whole span on its own. The loop above drained everything
+            // due by now, so the span is at least one sub-step.
+            let span = self.dispatch_horizon(steps - step);
+            for cluster in &mut self.clusters {
+                cluster.advance_span(self.now, substep, span);
+            }
+            self.now += substep * span;
+            step += span;
         }
         // xtask-hotpath: end
 
@@ -362,7 +341,7 @@ impl Soc {
         EPOCH_ENERGY.record(energy_j);
     }
 
-    /// Whether the idle fast-forward is enabled (see
+    /// Whether the fast paths are enabled (see
     /// [`Soc::set_idle_fast_forward`]).
     pub fn idle_fast_forward_enabled(&self) -> bool {
         self.idle_fast_forward
@@ -390,17 +369,22 @@ impl Soc {
     /// nothing).
     pub(crate) fn arrivals_clear_of_epoch(&self) -> bool {
         let steps = self.config.substeps_per_epoch();
+        self.dispatch_horizon(steps) >= steps
+    }
+
+    /// How many sub-steps from now, at most `limit`, run before the next
+    /// dispatch: sub-step `j` (0-based from now) dispatches the arrivals
+    /// due by `now + j·substep`, so an arrival at `t > now` is first
+    /// dispatched at `j = ⌊(t − now − 1 ns) / substep⌋ + 1`. Zero when an
+    /// arrival is due now.
+    fn dispatch_horizon(&self, limit: u64) -> u64 {
         match self.arrivals.peek_time() {
-            None => true,
-            Some(t) => {
-                // Mirrors the fast-forward horizon: sub-step `j`
-                // dispatches arrivals at `now + j·substep`, so the
-                // whole epoch is skippable iff the first arrival lies
-                // strictly beyond the last boundary.
-                t > self.now
-                    && (t - self.now - SimDuration::from_nanos(1)) / self.config.substep + 1
-                        >= steps
+            None => limit,
+            Some(t) if t > self.now => {
+                let gap = t - self.now;
+                ((gap - SimDuration::from_nanos(1)) / self.config.substep + 1).min(limit)
             }
+            Some(_) => 0,
         }
     }
 
@@ -423,8 +407,8 @@ impl Soc {
     }
 
     /// Closes one parked epoch from the kernel-evolved domains: the
-    /// resident equivalent of [`Soc::finish_epoch_into`] after the
-    /// whole-epoch fast-forward arm of [`Soc::run_epoch_into`], with the
+    /// resident equivalent of [`Soc::finish_epoch_into`] after
+    /// [`Soc::run_epoch_into`] ran the whole epoch as one idle span, with the
     /// per-cluster epilogue synthesised from the domains (see
     /// [`crate::cluster::synth_parked_report`]) instead of read from the
     /// untouched `Cluster` structs. The energy fold, board-base term and
