@@ -3,14 +3,15 @@
 //!
 //! Every cacheable unit of work (a trained Q-table, an evaluated
 //! `(scenario, policy, seed)` cell, a learning-curve seed, an ablation
-//! row) is addressed by an FNV-1a-64 hash — the same primitive
-//! [`rlpm::persist`] uses for its container checksum — over a canonical
-//! encoding of everything that determines the result: scenario id,
-//! policy id, seed, `RunConfig`, SoC config and a format-version salt
-//! ([`CACHE_FORMAT_VERSION`]). The simulator is deterministic, so equal
-//! keys imply bit-identical results; cache hits are therefore
-//! byte-identical to cold computes (pinned by the `cache_identity`
-//! integration test, the same discipline as `golden_bits`).
+//! row) is addressed by an FNV-1a-64 hash ([`simkit::Fnv1a64`], the
+//! primitive [`rlpm::persist`] uses for its container checksum) over a
+//! canonical encoding of everything that determines the result:
+//! scenario id, policy id, seed, `RunConfig`, SoC config and a
+//! format-version salt ([`CACHE_FORMAT_VERSION`]). The simulator is
+//! deterministic, so equal keys imply bit-identical results; cache hits
+//! are therefore byte-identical to cold computes (pinned by the
+//! `cache_identity` integration test, the same discipline as
+//! `golden_bits`).
 //!
 //! Two layers sit behind [`get_or_compute`]:
 //!
@@ -50,6 +51,7 @@ use std::sync::{Arc, Condvar, Mutex};
 
 use rlpm::persist::fnv1a64;
 use simkit::obs::Counter;
+use simkit::Fnv1a64;
 
 use crate::sched::lock;
 use crate::RunMetrics;
@@ -207,56 +209,58 @@ pub fn clear_memo() {
 // Key derivation
 // ---------------------------------------------------------------------
 
-/// Builds a cache key from a canonical encoding of the inputs.
+/// A cache key under construction: a streaming FNV-1a-64 state over a
+/// canonical encoding of the inputs.
 ///
-/// Every component is appended length-prefixed (so `("ab", "c")` and
+/// Every component is fed length-prefixed (so `("ab", "c")` and
 /// `("a", "bc")` hash differently), starting with the format-version
 /// salt and the entry kind. Config structs contribute their `Debug`
 /// representation: Rust's float `Debug` is exact (round-trips every
 /// bit), and any newly added field changes the representation — the
 /// self-invalidation property the cache relies on.
-pub(crate) struct Key {
-    bytes: Vec<u8>,
-}
+///
+/// A key holds no buffer and is `Copy`, so the components a sweep's
+/// cells share are fed once and each cell extends its own copy (a cell
+/// sweep renders its SoC config once, not once per cell). FNV-1a is
+/// byte-serial, so the value is that of the whole encoding hashed in
+/// one piece: keys, and the entry file names derived from them, do not
+/// depend on how a key was built (pinned by the `cache_identity` test's
+/// golden entry names).
+#[derive(Clone, Copy)]
+pub(crate) struct Key(Fnv1a64);
 
 impl Key {
     /// Starts a key for one entry `kind` (a short tag like `"qtbl"`).
     pub(crate) fn new(kind: &str) -> Key {
-        let mut key = Key {
-            bytes: Vec::with_capacity(256),
-        };
-        key.push(&CACHE_FORMAT_VERSION.to_le_bytes());
-        key.push(kind.as_bytes());
-        key
+        Key(Fnv1a64::new())
+            .part(&CACHE_FORMAT_VERSION.to_le_bytes())
+            .part(kind.as_bytes())
     }
 
-    fn push(&mut self, part: &[u8]) {
-        self.bytes
-            .extend_from_slice(&(part.len() as u64).to_le_bytes());
-        self.bytes.extend_from_slice(part);
+    fn part(mut self, bytes: &[u8]) -> Key {
+        self.0.write(&(bytes.len() as u64).to_le_bytes());
+        self.0.write(bytes);
+        self
     }
 
     /// Appends an integer component (seeds, durations in nanos).
-    pub(crate) fn u64(mut self, v: u64) -> Key {
-        self.push(&v.to_le_bytes());
-        self
+    pub(crate) fn u64(self, v: u64) -> Key {
+        self.part(&v.to_le_bytes())
     }
 
     /// Appends a string component (scenario and policy names).
-    pub(crate) fn str(mut self, s: &str) -> Key {
-        self.push(s.as_bytes());
-        self
+    pub(crate) fn str(self, s: &str) -> Key {
+        self.part(s.as_bytes())
     }
 
     /// Appends a config struct via its `Debug` representation.
-    pub(crate) fn debug<T: std::fmt::Debug>(mut self, v: &T) -> Key {
-        self.push(format!("{v:?}").as_bytes());
-        self
+    pub(crate) fn debug<T: std::fmt::Debug>(self, v: &T) -> Key {
+        self.part(format!("{v:?}").as_bytes())
     }
 
     /// The FNV-1a-64 of the canonical encoding.
-    pub(crate) fn finish(&self) -> u64 {
-        fnv1a64(&self.bytes)
+    pub(crate) fn finish(self) -> u64 {
+        self.0.finish()
     }
 }
 

@@ -13,7 +13,7 @@ use soc::SocConfig;
 use workload::ScenarioKind;
 
 use crate::par::parallel_map;
-use crate::policies::eval_cell;
+use crate::policies::{cell_key_prefix, eval_cell};
 use crate::table::{fmt_f64, fmt_pct, Table};
 use crate::{PolicyKind, RunConfig, RunMetrics, TrainingProtocol};
 
@@ -110,10 +110,12 @@ pub fn run_e1(soc_config: &SocConfig, config: &E1Config) -> E1Result {
     // An invalid SoC config cannot produce measurements; its cells are
     // dropped (callers always pass configs that already built a SoC).
     // Each cell goes through the cell cache (a no-op unless a cache
-    // directory is configured).
+    // directory is configured), keyed by a copy of one shared prefix.
+    let sweep_key = cell_key_prefix(soc_config);
     let runs = parallel_map("e1", jobs, move |(scenario, policy, seed)| {
         let metrics = eval_cell(
             &soc_config_owned,
+            sweep_key,
             scenario,
             policy,
             training,

@@ -183,11 +183,13 @@ pub(crate) fn cached_frozen_policy(
 
 /// Runs one frozen evaluation cell — train (or restore) the policy,
 /// then measure `run_config` worth of the scenario on a fresh SoC —
-/// consulting the metrics cache when it is enabled. Traced runs bypass
-/// the cache (traces are bulky, figure-only output). An invalid SoC
-/// config yields `None`, cached or not.
+/// consulting the metrics cache when it is enabled. `sweep_key` is
+/// [`cell_key_prefix`] of `soc_config`, built once by the calling sweep.
+/// Traced runs bypass the cache (traces are bulky, figure-only output).
+/// An invalid SoC config yields `None`, cached or not.
 pub(crate) fn eval_cell(
     soc_config: &SocConfig,
+    sweep_key: cache::Key,
     scenario: ScenarioKind,
     policy: PolicyKind,
     training: TrainingProtocol,
@@ -197,7 +199,7 @@ pub(crate) fn eval_cell(
     if !cache::is_enabled() || run_config.record_trace {
         return eval_cell_uncached(soc_config, scenario, policy, training, seed, run_config);
     }
-    let key = cell_key(soc_config, scenario, policy, training, seed, run_config);
+    let key = cell_key(sweep_key, scenario, policy, training, seed, run_config);
     let bytes = cache::get_or_compute("cell", key, || {
         let metrics = eval_cell_uncached(soc_config, scenario, policy, training, seed, run_config)?;
         cache::encode_metrics(&metrics)
@@ -206,7 +208,16 @@ pub(crate) fn eval_cell(
         .or_else(|| eval_cell_uncached(soc_config, scenario, policy, training, seed, run_config))
 }
 
-/// The cache key of one evaluation cell.
+/// The part of every cell key that a sweep on `soc_config` shares: the
+/// entry kind and the SoC config's `Debug` rendering, which is most of
+/// the key's cost. A sweep builds it once; [`cell_key`] extends a copy
+/// per cell.
+pub(crate) fn cell_key_prefix(soc_config: &SocConfig) -> cache::Key {
+    cache::Key::new("cell").debug(soc_config)
+}
+
+/// The cache key of one evaluation cell, extending `sweep_key` (the
+/// [`cell_key_prefix`] of the sweep's SoC config).
 ///
 /// Both evaluation paths — [`eval_cell`] (looped) and
 /// [`eval_cells_batched`] — address the metrics cache through this one
@@ -218,15 +229,14 @@ pub(crate) fn eval_cell(
 /// (pinned by `golden_bits`), and it is pinned directly by the
 /// `cache_identity` integration test.
 fn cell_key(
-    soc_config: &SocConfig,
+    sweep_key: cache::Key,
     scenario: ScenarioKind,
     policy: PolicyKind,
     training: TrainingProtocol,
     seed: u64,
     run_config: RunConfig,
 ) -> u64 {
-    cache::Key::new("cell")
-        .debug(soc_config)
+    sweep_key
         .str(scenario.name())
         .str(policy.name())
         .debug(&training)
@@ -264,12 +274,13 @@ pub fn eval_cells_batched(
     run_config: RunConfig,
 ) -> Vec<Option<RunMetrics>> {
     let use_cache = cache::is_enabled() && !run_config.record_trace;
+    let sweep_key = cell_key_prefix(soc_config);
     let mut out: Vec<Option<RunMetrics>> = (0..cells.len()).map(|_| None).collect();
     let mut cold: Vec<(usize, EvalCell)> = Vec::with_capacity(cells.len());
     for ((i, &c), slot) in cells.iter().enumerate().zip(&mut out) {
         if use_cache {
             let key = cell_key(
-                soc_config, c.scenario, c.policy, training, c.seed, run_config,
+                sweep_key, c.scenario, c.policy, training, c.seed, run_config,
             );
             if let Some(bytes) = cache::lookup("cell", key) {
                 if let Some(m) = cache::decode_metrics(&bytes) {
@@ -317,7 +328,7 @@ pub fn eval_cells_batched(
         if use_cache {
             if let Some(bytes) = cache::encode_metrics(&m) {
                 let key = cell_key(
-                    soc_config, c.scenario, c.policy, training, c.seed, run_config,
+                    sweep_key, c.scenario, c.policy, training, c.seed, run_config,
                 );
                 cache::put("cell", key, bytes);
             }

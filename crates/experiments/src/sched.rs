@@ -49,8 +49,10 @@
 //! as in the process-wide report — on whichever thread ran the job. Each
 //! event is sent before its batch completes, so a submitter that has
 //! seen `scatter` return has been sent all of the batch's events. The
-//! `rlpm-serve` front door installs one context per request, so
-//! concurrent clients never see each other's events or quarantine.
+//! `rlpm-serve` front door installs one context per connection, whose
+//! progress sender carries one request at a time, and opens a
+//! quarantine sink per request, so concurrent clients never see each
+//! other's events or quarantine.
 //! Outside any context progress goes nowhere; either way the batch's
 //! results are the same bits.
 

@@ -85,6 +85,53 @@ fn e1_cold_warm_and_uncached_runs_are_byte_identical() {
     assert!(cold.contains("video"), "sanity: matrix actually ran");
 }
 
+/// Quick E1 on the `xu3` preset writes exactly these entries into an
+/// empty cache directory (`regen-tables --quick --cache-dir <dir> e1`
+/// writes the same). Keys hash a length-prefixed encoding that includes
+/// `Debug`-rendered configs, so a drift in the encoding or in a keyed
+/// config's `Debug` output would silently leave every existing cache
+/// cold; this pins both.
+#[test]
+fn quick_e1_writes_the_golden_entry_names() {
+    const GOLDEN: [&str; 16] = [
+        "cell-063c0406149ef3ed.bin",
+        "cell-0de8e2cc4747c5c9.bin",
+        "cell-34b3833064fbc1a6.bin",
+        "cell-3f533ef965b233f9.bin",
+        "cell-57aedfe0d2a4203e.bin",
+        "cell-7346c67f32aeacd7.bin",
+        "cell-799cf5c8a08296c9.bin",
+        "cell-85a3cf4aa938f87d.bin",
+        "cell-90801fbb09fae3a3.bin",
+        "cell-a555ca69ecea5351.bin",
+        "cell-a7e58071022660e2.bin",
+        "cell-c79002d06c5bffe5.bin",
+        "cell-f030de35385dfdcd.bin",
+        "cell-fc7a01ab0a0dbae2.bin",
+        "qtbl-4710a097ea64fe85.bin",
+        "qtbl-5975a224d3e37965.bin",
+    ];
+    let _guard = CACHE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let soc = SocConfig::odroid_xu3_like().expect("preset is valid");
+    let dir = scratch_dir("golden-keys");
+    cache::configure(Some(dir.clone()));
+    // An entry another test left in the memo would be answered from it
+    // and never written.
+    cache::clear_memo();
+    let _ = run_e1(&soc, &E1Config::quick());
+    cache::configure(None);
+    cache::clear_memo();
+    let mut names: Vec<String> = std::fs::read_dir(&dir)
+        .expect("the run wrote its entries")
+        .filter_map(Result::ok)
+        .filter(|entry| entry.path().is_file())
+        .map(|entry| entry.file_name().to_string_lossy().into_owned())
+        .collect();
+    names.sort();
+    let _ = std::fs::remove_dir_all(&dir);
+    assert_eq!(names, GOLDEN);
+}
+
 #[test]
 fn full_experiment_suite_is_identical_cold_and_warm() {
     let _guard = CACHE_LOCK.lock().unwrap_or_else(|e| e.into_inner());

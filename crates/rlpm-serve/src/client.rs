@@ -16,17 +16,19 @@ use crate::proto::EVENT_TYPES;
 /// Sends one request line over an established reader/writer pair and
 /// reads until the terminal response.
 ///
-/// Every event line (a `type` listed in [`EVENT_TYPES`]) is handed to
-/// `on_event`; the first non-event line is returned. Unparseable server
-/// output and premature EOF are `InvalidData` / `UnexpectedEof` errors.
+/// The line and its newline go out in one write. Every event line (a
+/// `type` listed in [`EVENT_TYPES`]) is handed to `on_event`; the first
+/// non-event line is returned. Unparseable server output and premature
+/// EOF are `InvalidData` / `UnexpectedEof` errors.
 pub fn roundtrip<R: BufRead, W: Write>(
     reader: &mut R,
     writer: &mut W,
     request_line: &str,
     mut on_event: impl FnMut(&Value),
 ) -> io::Result<Value> {
-    writer.write_all(request_line.trim_end().as_bytes())?;
-    writer.write_all(b"\n")?;
+    let mut line = request_line.trim_end().to_string();
+    line.push('\n');
+    writer.write_all(line.as_bytes())?;
     writer.flush()?;
     loop {
         let mut line = String::new();

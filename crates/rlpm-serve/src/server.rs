@@ -6,17 +6,27 @@
 //! connections run concurrently and contend only where the experiment
 //! harness itself serialises (the process-wide scheduler and cache).
 //!
-//! Each request runs on a scoped thread under its own
-//! [`experiments::JobCtx`], whose progress sender feeds a channel that
-//! only this request uses. The connection thread blocks on that channel
-//! with no timeout: it writes each `progress` event, tagged with the
-//! request's `id`, as it arrives, and writes the terminal response as
-//! soon as [`Service::handle`] returns. The scheduler sends each event
-//! before its batch completes and the request thread sends the end of
-//! the request after `handle` returns, on the same channel, so every
-//! event of a request precedes its response and no other request's
-//! events reach it. Only connection threads write to a client; the
-//! scheduler's workers never do.
+//! Each connection has two threads. The connection thread reads and
+//! validates lines and writes everything the client receives. A scoped
+//! request thread, alive as long as the connection, takes each accepted
+//! request from a channel and runs [`Service::handle`] under the
+//! connection's [`experiments::JobCtx`], whose progress sender feeds the
+//! connection's one frames channel. After `handle` returns, the request
+//! thread sends the end of the request, with its response, on the same
+//! channel. The scheduler sends each event before its batch completes,
+//! so every event of a request precedes its end, and the connection
+//! thread hands over the next request only after it has that end: no
+//! request's events reach another. A panic that escapes `handle`
+//! becomes an `internal` error and the request thread serves on. Only
+//! connection threads write to a client; the scheduler's workers never
+//! do.
+//!
+//! The connection thread blocks on the frames channel with no timeout.
+//! When a frame arrives it drains every frame already queued into one
+//! buffer and writes it at once, so a burst of progress costs one write
+//! and the terminal response joins the last burst, while no frame waits
+//! for one that has not been produced yet. Every other line goes out in
+//! one write as well.
 //!
 //! Malformed input never tears the connection down: bad JSON, unknown
 //! types, and oversized lines each get a typed `error` response and the
@@ -25,15 +35,17 @@
 
 use std::io::{self, BufRead, BufReader, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::mpsc::{self, Receiver, Sender, TryRecvError};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 
 use experiments::{JobCtx, ProgressEvent};
 
 use crate::json::{self, Value};
-use crate::proto::{ErrorCode, Event, Response, MAX_LINE_BYTES};
+use crate::proto::{ErrorCode, Event, Request, Response, MAX_LINE_BYTES};
 use crate::service::{Handled, Service};
 
 /// A bound Unix-socket server ready to accept connections.
@@ -118,11 +130,23 @@ pub fn serve_stdio(service: &Service) -> io::Result<()> {
     handle_connection(stdin.lock(), &mut io::stdout(), service).map(|_| ())
 }
 
-/// Writes one line and flushes; an `Err` means the client is gone.
-fn write_line<W: Write>(writer: &mut W, line: &str) -> io::Result<()> {
-    writer.write_all(line.as_bytes())?;
-    writer.write_all(b"\n")?;
+/// Appends `line` and its newline to a burst.
+fn push_line(burst: &mut String, line: &str) {
+    burst.push_str(line);
+    burst.push('\n');
+}
+
+/// Writes a burst of whole lines in one write and flushes; an `Err`
+/// means the client is gone.
+fn write_burst<W: Write>(writer: &mut W, burst: &str) -> io::Result<()> {
+    writer.write_all(burst.as_bytes())?;
     writer.flush()
+}
+
+/// Writes one line in one write and flushes.
+fn write_line<W: Write>(writer: &mut W, mut line: String) -> io::Result<()> {
+    line.push('\n');
+    write_burst(writer, &line)
 }
 
 /// One read off the wire.
@@ -196,10 +220,39 @@ fn read_line_capped<R: BufRead>(reader: &mut R, cap: usize) -> io::Result<LineRe
 
 /// Serves one connection to completion. Returns `Ok(true)` when the
 /// session ended with a `shutdown` request.
+///
+/// Lines are read and answered on the calling thread; the connection's
+/// request thread ([`serve_requests`]) runs each accepted request, and
+/// ends when the session does.
 pub(crate) fn handle_connection<R, W>(
-    mut reader: R,
+    reader: R,
     writer: &mut W,
     service: &Service,
+) -> io::Result<bool>
+where
+    R: BufRead,
+    W: Write,
+{
+    let (requests, pending) = mpsc::channel();
+    let (frames_in, frames) = mpsc::channel();
+    std::thread::scope(|scope| {
+        scope.spawn(move || {
+            serve_requests(|request| service.handle(request), &pending, &frames_in);
+        });
+        // `requests` is dropped when the session ends, which ends the
+        // request thread's loop; the scope then joins it.
+        serve_lines(reader, writer, requests, &frames)
+    })
+}
+
+/// The connection thread's loop: reads, validates and answers lines,
+/// handing each accepted request to the request thread and relaying its
+/// frames.
+fn serve_lines<R, W>(
+    mut reader: R,
+    writer: &mut W,
+    requests: Sender<Request>,
+    frames: &Receiver<Frame>,
 ) -> io::Result<bool>
 where
     R: BufRead,
@@ -214,7 +267,7 @@ where
                     message: format!("request line exceeds {MAX_LINE_BYTES} bytes"),
                     payload: None,
                 };
-                write_line(writer, &response.render(&Value::Null))?;
+                write_line(writer, response.render(&Value::Null))?;
                 continue;
             }
             LineRead::Line(bytes) => bytes,
@@ -225,7 +278,7 @@ where
                 message: "request line is not valid UTF-8".to_string(),
                 payload: None,
             };
-            write_line(writer, &response.render(&Value::Null))?;
+            write_line(writer, response.render(&Value::Null))?;
             continue;
         };
         if text.trim().is_empty() {
@@ -239,7 +292,7 @@ where
                     message: e.to_string(),
                     payload: None,
                 };
-                write_line(writer, &response.render(&Value::Null))?;
+                write_line(writer, response.render(&Value::Null))?;
                 continue;
             }
         };
@@ -252,65 +305,101 @@ where
                     message: e.message,
                     payload: None,
                 };
-                write_line(writer, &response.render(&id))?;
+                write_line(writer, response.render(&id))?;
                 continue;
             }
         };
-        write_line(writer, &Event::Accepted.render(&id))?;
-        let handled = serve_with_progress(service, &envelope, writer, &id);
-        write_line(writer, &handled.response.render(&id))?;
-        if handled.shutdown {
+        write_line(writer, Event::Accepted.render(&id))?;
+        // A send fails only if the request thread is gone, and then
+        // `relay` finds the frames channel closed as well.
+        let _ = requests.send(envelope.request);
+        if relay(frames, writer, &id)? {
             return Ok(true);
         }
     }
 }
 
-/// What a request's channel carries to its connection thread.
+/// What the request thread sends its connection thread.
 enum Frame {
-    /// One progress event of the request's own batches.
+    /// One progress event of the current request's own batches.
     Progress(ProgressEvent),
-    /// `Service::handle` has returned; no event of the request follows.
-    End,
+    /// `Service::handle` has returned with this outcome; no event of the
+    /// request follows.
+    End(Handled),
 }
 
-/// Runs one request on a scoped thread under its own [`JobCtx`] and
-/// writes its progress events to the client as they arrive, until the
-/// request thread sends [`Frame::End`]. Progress write failures are
-/// ignored: the terminal response write surfaces the disconnect.
-fn serve_with_progress<W: Write>(
-    service: &Service,
-    envelope: &crate::proto::Envelope,
-    writer: &mut W,
-    id: &Value,
-) -> Handled {
-    let (frames, received) = mpsc::channel();
+/// The request thread's loop: runs each request from `pending` through
+/// `handle`, under one [`JobCtx`] whose progress goes to `frames`, and
+/// sends [`Frame::End`] after each. A panic that escapes `handle` is
+/// answered as an `internal` error and the loop goes on. Returns when
+/// the connection thread drops its sender.
+fn serve_requests(
+    handle: impl Fn(&Request) -> Handled,
+    pending: &Receiver<Request>,
+    frames: &Sender<Frame>,
+) {
     let progress = frames.clone();
     let ctx = JobCtx::default().with_progress(move |event| {
         let _ = progress.send(Frame::Progress(event));
     });
-    std::thread::scope(|scope| {
-        let request = scope.spawn(move || {
-            let handled = ctx.enter(|| service.handle(&envelope.request));
-            let _ = frames.send(Frame::End);
-            handled
-        });
-        while let Ok(Frame::Progress(event)) = received.recv() {
-            let event = Event::Progress {
-                source: event.source.to_string(),
-                done: event.done,
-                total: event.total,
-            };
-            let _ = write_line(writer, &event.render(id));
+    ctx.enter(|| {
+        for request in pending {
+            let handled =
+                catch_unwind(AssertUnwindSafe(|| handle(&request))).unwrap_or_else(|payload| {
+                    Handled {
+                        response: Response::Error {
+                            code: ErrorCode::Internal,
+                            message: crate::service::panic_text(payload.as_ref()),
+                            payload: None,
+                        },
+                        shutdown: false,
+                    }
+                });
+            if frames.send(Frame::End(handled)).is_err() {
+                return;
+            }
         }
-        request.join().unwrap_or_else(|payload| Handled {
-            response: Response::Error {
-                code: ErrorCode::Internal,
-                message: crate::service::panic_text(payload.as_ref()),
-                payload: None,
-            },
-            shutdown: false,
-        })
-    })
+    });
+}
+
+/// Relays the current request's frames to the client until its
+/// [`Frame::End`], and returns whether the request was a `shutdown`.
+///
+/// Each burst is every frame already queued, written at once; the
+/// terminal response joins the last one. Progress write failures are
+/// ignored: the terminal write surfaces the disconnect.
+fn relay<W: Write>(frames: &Receiver<Frame>, writer: &mut W, id: &Value) -> io::Result<bool> {
+    // The request thread lives as long as the connection and answers
+    // every request it takes, so the channel closes only if it is gone.
+    let gone = || io::Error::other("the request thread ended without an answer");
+    let mut burst = String::new();
+    let mut frame = frames.recv().map_err(|_| gone())?;
+    loop {
+        match frame {
+            Frame::Progress(event) => {
+                let event = Event::Progress {
+                    source: event.source.to_string(),
+                    done: event.done,
+                    total: event.total,
+                };
+                push_line(&mut burst, &event.render(id));
+            }
+            Frame::End(handled) => {
+                push_line(&mut burst, &handled.response.render(id));
+                write_burst(writer, &burst)?;
+                return Ok(handled.shutdown);
+            }
+        }
+        frame = match frames.try_recv() {
+            Ok(next) => next,
+            Err(TryRecvError::Empty) => {
+                let _ = write_burst(writer, &burst);
+                burst.clear();
+                frames.recv().map_err(|_| gone())?
+            }
+            Err(TryRecvError::Disconnected) => return Err(gone()),
+        };
+    }
 }
 
 #[cfg(test)]
@@ -426,6 +515,102 @@ mod tests {
         }
         reap_finished(&mut handles);
         assert!(handles.is_empty());
+    }
+
+    #[test]
+    fn a_panic_that_escapes_handle_is_an_internal_error_and_the_thread_serves_on() {
+        let (requests, pending) = mpsc::channel();
+        let (frames_in, frames) = mpsc::channel();
+        let thread = std::thread::spawn(move || {
+            let handle = |request: &Request| {
+                if matches!(request, Request::Shutdown) {
+                    panic!("escaped handle");
+                }
+                Handled {
+                    response: Response::Result {
+                        payload: Value::Null,
+                    },
+                    shutdown: false,
+                }
+            };
+            serve_requests(handle, &pending, &frames_in);
+        });
+        for request in [Request::Shutdown, Request::Status] {
+            requests.send(request).unwrap();
+        }
+        let ends: Vec<Response> = (0..2)
+            .map(|_| match frames.recv() {
+                Ok(Frame::End(handled)) => {
+                    assert!(!handled.shutdown);
+                    handled.response
+                }
+                Ok(Frame::Progress(_)) => panic!("no batch ran"),
+                Err(_) => panic!("the request thread ended early"),
+            })
+            .collect();
+        assert_eq!(
+            ends,
+            [
+                Response::Error {
+                    code: ErrorCode::Internal,
+                    message: "escaped handle".to_string(),
+                    payload: None,
+                },
+                Response::Result {
+                    payload: Value::Null
+                },
+            ]
+        );
+        drop(requests);
+        thread.join().unwrap();
+        assert!(frames.recv().is_err(), "the thread ends with its sender");
+    }
+
+    #[test]
+    fn a_burst_of_queued_frames_goes_out_in_one_write() {
+        /// Records each `write` call.
+        #[derive(Default)]
+        struct Writes(Vec<String>);
+        impl Write for Writes {
+            fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+                self.0.push(String::from_utf8_lossy(buf).into_owned());
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> io::Result<()> {
+                Ok(())
+            }
+        }
+        let (frames_in, frames) = mpsc::channel();
+        for done in 1..=3 {
+            frames_in
+                .send(Frame::Progress(ProgressEvent {
+                    source: "e1",
+                    done,
+                    total: 3,
+                }))
+                .unwrap();
+        }
+        frames_in
+            .send(Frame::End(Handled {
+                response: Response::Result {
+                    payload: Value::Null,
+                },
+                shutdown: true,
+            }))
+            .unwrap();
+        let mut writes = Writes::default();
+        let shutdown = relay(&frames, &mut writes, &Value::num_u64(9)).unwrap();
+        assert!(shutdown);
+        let [burst] = writes.0.as_slice() else {
+            panic!("one write expected: {:?}", writes.0);
+        };
+        let lines: Vec<&str> = burst.lines().collect();
+        assert_eq!(lines.len(), 4, "{burst}");
+        assert!(lines[..3]
+            .iter()
+            .all(|l| l.contains("\"progress\"") && l.contains("\"id\":9")));
+        assert!(lines[3].contains("\"result\""), "{burst}");
+        assert!(burst.ends_with('\n'));
     }
 
     #[test]

@@ -13,16 +13,22 @@
 //! * `eval` runs the E1 sweep exactly as `regen-tables` does (same SoC
 //!   preset, same quick config), so the returned CSV is byte-identical
 //!   to `results/e1_energy_per_qos.csv` — pinned by an integration test.
+//!   Warm, the sweep costs one render of the SoC config for its cell
+//!   cache keys (built once per sweep, not per cell), one memo lookup
+//!   per cell, and the table.
 //! * `fleet` builds the same batched population as `rlpm-sim fleet`,
 //!   per-lane seeds included.
 //!
-//! Every request runs under `catch_unwind` and under its own quarantine
-//! sink (an [`experiments::JobCtx`] opened by [`Service::handle`]): a
-//! sweep whose cells the scheduler quarantined becomes a typed
-//! `quarantined` error response listing exactly this request's cells —
-//! the protocol twin of the CLI's exit-4 convention — and any other
-//! panic becomes an `internal` error instead of killing the connection
-//! thread.
+//! The server calls [`Service::handle`] on each connection's request
+//! thread, under the connection's [`experiments::JobCtx`]. Every request
+//! runs under `catch_unwind` and under its own quarantine sink (a
+//! context `handle` opens inside the caller's): a sweep whose cells the
+//! scheduler quarantined becomes a typed `quarantined` error response
+//! listing exactly this request's cells — the protocol twin of the
+//! CLI's exit-4 convention — and any other panic becomes an `internal`
+//! error instead of ending the request thread. Artifact fingerprints
+//! use [`rlpm::persist::fnv1a64`], the checksum of the artifact's own
+//! container format.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -334,7 +340,7 @@ fn train(spec: &TrainSpec) -> Result<Value, RequestError> {
         ("artifact-bytes".into(), Value::num_u64(bytes.len() as u64)),
         (
             "artifact-fnv".into(),
-            Value::str(format!("{:016x}", fnv1a64(&bytes))),
+            Value::str(format!("{:016x}", rlpm::persist::fnv1a64(&bytes))),
         ),
     ]))
 }
@@ -434,16 +440,6 @@ pub(crate) fn panic_text(payload: &(dyn std::any::Any + Send)) -> String {
     } else {
         "non-string panic payload".to_string()
     }
-}
-
-/// FNV-1a-64 over a byte slice (artifact fingerprints in responses).
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 #[cfg(test)]

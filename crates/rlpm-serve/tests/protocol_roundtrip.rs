@@ -118,6 +118,56 @@ fn protocol_round_trips_against_a_live_server() {
     done.sort_unstable();
     assert_eq!(done, (1..=total).collect::<Vec<_>>(), "{progress_done:?}");
 
+    // --- Warm eval on the same connection: the same request thread runs
+    // it, and it sees exactly its own accepted, one progress event per
+    // cell of the quick matrix, and its result; nothing of the cold
+    // request arrives. ---
+    let mut warm_events: Vec<Value> = Vec::new();
+    let resp = roundtrip(
+        &mut reader,
+        &mut writer,
+        "{\"type\":\"eval\",\"experiment\":\"e1\",\"quick\":true,\"id\":\"warm\"}",
+        |e| warm_events.push(e.clone()),
+    )
+    .unwrap();
+    assert_eq!(response_type(&resp), "result", "warm eval failed: {resp:?}");
+    assert_eq!(resp.get("id").and_then(Value::as_str), Some("warm"));
+    assert_eq!(
+        resp.get("payload")
+            .and_then(|p| p.get("csv"))
+            .and_then(Value::as_str),
+        Some(served_csv.as_str()),
+        "warm answer equals the cold one"
+    );
+    let ids: Vec<Option<&str>> = warm_events
+        .iter()
+        .map(|e| e.get("id").and_then(Value::as_str))
+        .collect();
+    assert!(
+        ids.iter().all(|&id| id == Some("warm")),
+        "only the warm request's events: {warm_events:?}"
+    );
+    assert_eq!(
+        warm_events.first().map(response_type),
+        Some("accepted"),
+        "{warm_events:?}"
+    );
+    let quick = E1Config::quick();
+    let cells = quick.scenarios.len() * quick.policies.len() * quick.seeds.len();
+    let mut warm_done = Vec::new();
+    for e in warm_events.iter().skip(1) {
+        assert_eq!(response_type(e), "progress", "{warm_events:?}");
+        assert_eq!(e.get("source").and_then(Value::as_str), Some("e1"));
+        assert_eq!(
+            e.get("total").and_then(Value::as_u64),
+            Some(cells as u64),
+            "{e:?}"
+        );
+        warm_done.push(e.get("done").and_then(Value::as_u64).unwrap_or(0));
+    }
+    warm_done.sort_unstable();
+    assert_eq!(warm_done, (1..=cells as u64).collect::<Vec<_>>());
+
     // --- Status polls on the same connection: no progress of the eval
     // trails its result, and no request waits on a timer. ---
     let started = Instant::now();
@@ -247,6 +297,39 @@ fn protocol_round_trips_against_a_live_server() {
         "result",
         "server must survive an abrupt disconnect"
     );
+
+    // --- A quarantined request on a persistent connection: a typed
+    // error, and the connection's request thread serves on. ---
+    {
+        simkit::failpoint::configure(Some(
+            simkit::FailpointPlan::parse("sched/job=@0:panic").expect("valid plan"),
+        ));
+        let stream = UnixStream::connect(&socket).unwrap();
+        let mut reader = BufReader::new(stream.try_clone().unwrap());
+        let mut writer = stream;
+        let resp = roundtrip(
+            &mut reader,
+            &mut writer,
+            "{\"type\":\"eval\",\"experiment\":\"e1\",\"quick\":true}",
+            |_| {},
+        );
+        let status = roundtrip(&mut reader, &mut writer, "{\"type\":\"status\"}", |_| {});
+        simkit::failpoint::configure(None);
+        let resp = resp.unwrap();
+        assert_eq!(error_code(&resp), "quarantined", "{resp:?}");
+        assert_eq!(
+            resp.get("payload")
+                .and_then(|p| p.get("cells"))
+                .and_then(Value::as_u64),
+            Some(1),
+            "{resp:?}"
+        );
+        assert_eq!(
+            response_type(&status.unwrap()),
+            "result",
+            "the connection serves on after a quarantined request"
+        );
+    }
 
     // --- Graceful shutdown: acknowledged, then the listener stops and
     // the socket file is removed. ---

@@ -85,15 +85,11 @@ impl fmt::Display for PersistError {
 
 impl Error for PersistError {}
 
-/// FNV-1a 64-bit hash — the checksum primitive of this container, also
-/// used by `experiments::cache` to derive content-addressed cache keys.
+/// FNV-1a 64-bit hash ([`simkit::Fnv1a64`]) of one byte slice — the
+/// checksum primitive of this container, also used by
+/// `experiments::cache` for its entry envelopes and by the sweep journal.
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
+    simkit::Fnv1a64::hash(bytes)
 }
 
 /// Serialises a policy's mean action-value table.

@@ -292,10 +292,7 @@ fn splitmix64(seed: u64) -> u64 {
 /// folded with the seed and key through two SplitMix64 rounds, top 53
 /// bits scaled. Stateless, so firing decisions are order-independent.
 fn unit_hash(seed: u64, site: &str, key: u64) -> f64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for byte in site.bytes() {
-        h = (h ^ u64::from(byte)).wrapping_mul(0x100_0000_01b3);
-    }
+    let h = crate::Fnv1a64::hash(site.as_bytes());
     let mixed = splitmix64(splitmix64(seed ^ h).wrapping_add(key));
     (mixed >> 11) as f64 / (1u64 << 53) as f64
 }

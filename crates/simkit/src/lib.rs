@@ -12,6 +12,8 @@
 //! * [`faults`] — deterministic, seeded fault-injection schedules
 //!   (telemetry noise/dropout/staleness, thermal throttle, core hotplug,
 //!   decision overruns, Q-table SEUs) consumed by the experiment runner;
+//! * [`Fnv1a64`] — the workspace's one FNV-1a-64 hash (checksums, cache
+//!   keys, failpoint sites, RNG stream labels);
 //! * [`failpoint`] — deterministic failpoints for the *harness itself*
 //!   (seeded per-site error/panic/delay/abort injection consumed by the
 //!   experiment scheduler and cache to exercise retry, quarantine and
@@ -43,6 +45,7 @@
 #![forbid(unsafe_code)]
 
 mod event;
+mod hash;
 mod rng;
 mod time;
 
@@ -55,5 +58,6 @@ pub mod trace;
 pub use event::{EventQueue, ScheduledEvent};
 pub use failpoint::{FailpointAction, FailpointPlan};
 pub use faults::{ClusterFaults, FaultCounts, FaultPlan, FaultRates};
+pub use hash::Fnv1a64;
 pub use rng::SimRng;
 pub use time::{SimDuration, SimTime};

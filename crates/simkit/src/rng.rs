@@ -56,12 +56,7 @@ impl SimRng {
     /// label, so the same label split at different points yields different
     /// streams, while identical histories yield identical children.
     pub fn split(&mut self, stream: &str) -> SimRng {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325; // FNV-1a offset basis
-        for b in stream.as_bytes() {
-            h ^= u64::from(*b);
-            h = h.wrapping_mul(0x100_0000_01b3);
-        }
-        SimRng::seed_from(self.next_u64() ^ h)
+        SimRng::seed_from(self.next_u64() ^ crate::Fnv1a64::hash(stream.as_bytes()))
     }
 
     fn next_raw(&mut self) -> u64 {
