@@ -12,9 +12,13 @@
 //! recomputed whenever both sections exist. Every run also refreshes the
 //! `device_seconds_per_wall_second` section: batched fleet simulation
 //! (`--lanes` devices, default 256) against the looped single-device
-//! equivalent. `--min-batch-speedup X` exits non-zero when the standby
-//! fleet's batched-over-looped speedup lands below `X` — the CI smoke
-//! gate. See DESIGN.md § Performance for how to read the file.
+//! equivalent, both on one thread (the batched side at one shard), so
+//! the ratio measures the batched engine rather than the core count.
+//! The sharded rate at the process's `RLPM_THREADS` budget is printed
+//! beside it, not written or gated. `--min-batch-speedup X` exits
+//! non-zero when the standby fleet's batched-over-looped speedup lands
+//! below `X` — the CI smoke gate. See DESIGN.md § Performance for how to
+//! read the file.
 
 use std::path::PathBuf;
 
@@ -120,11 +124,13 @@ fn main() {
     );
     for fleet in &batch.fleets {
         eprintln!(
-            "  {}: looped {:.0} dev-s/s, batched {:.0} dev-s/s ({:.2}x)",
+            "  {}: looped {:.0} dev-s/s, batched {:.0} dev-s/s ({:.2}x, one thread each); \
+             sharded {:.0} dev-s/s (ungated)",
             fleet.name,
             fleet.looped,
             fleet.batched,
-            fleet.speedup()
+            fleet.speedup(),
+            fleet.sharded.unwrap_or(f64::NAN),
         );
     }
     report.batch = Some(batch);

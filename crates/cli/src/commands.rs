@@ -184,14 +184,16 @@ pub fn cmd_run(inv: &Invocation) -> CmdResult {
 /// `fleet <scenario> <policy> [--lanes N] [--secs N] [--seed N] [--soc P] [--cache-dir DIR] [--no-cache] [--metrics-out FILE]`
 ///
 /// Simulates a whole population of identical devices in one batched
-/// engine ([`soc::DeviceBatch`]): every lane runs the same scenario
-/// kind and policy but its own arrival stream (per-lane seeds), and
-/// fully-idle lanes are parked and fast-forwarded together. RL variants
-/// train once (the fleet ships one policy); per-lane results are
-/// bit-identical to running each device alone.
+/// engine ([`soc::DeviceBatch`]) built by [`experiments::build_fleet`]:
+/// every lane runs the same scenario kind and policy but its own arrival
+/// stream (per-lane seeds), and fully-idle lanes are parked and
+/// fast-forwarded together. RL variants train once and every lane gets
+/// a clone (the fleet ships one policy). [`experiments::run_batch`]
+/// splits the lanes into one shard per `RLPM_THREADS` worker; per-lane
+/// results are bit-identical to running each device alone, at any
+/// thread count.
 pub fn cmd_fleet(inv: &Invocation) -> CmdResult {
-    use experiments::{run_batch, BatchLane};
-    use soc::DeviceBatch;
+    use experiments::run_batch;
 
     inv.allow_flags(&[
         "lanes",
@@ -229,18 +231,14 @@ pub fn cmd_fleet(inv: &Invocation) -> CmdResult {
     let kind = scenario_kind(scenario_name)?;
     let policy = policy_kind(policy_name)?;
     eprintln!("building {lanes_n} x {policy_name} (RL variants train first) ...");
-    let mut batch = DeviceBatch::new(
-        (0..lanes_n)
-            .map(|_| Soc::new(soc_cfg.clone()))
-            .collect::<Result<Vec<_>, _>>()?,
+    let (mut batch, mut lanes) = experiments::build_fleet(
+        &soc_cfg,
+        kind,
+        policy,
+        TrainingProtocol::default(),
+        lanes_n,
+        seed,
     )?;
-    let mut lanes: Vec<BatchLane> = (0..lanes_n as u64)
-        .map(|i| BatchLane {
-            scenario: kind.build(seed.wrapping_mul(0x9E37_79B9).wrapping_add(i)),
-            governor: policy.build_trained(&soc_cfg, kind, TrainingProtocol::default(), seed),
-            faults: None,
-        })
-        .collect();
 
     let start = std::time::Instant::now();
     let metrics = run_batch(&mut batch, &mut lanes, RunConfig::seconds(secs));

@@ -20,9 +20,12 @@
 //!
 //! The building blocks are [`run`] (one closed-loop simulation),
 //! [`run_with_faults`] (the same loop under a seeded fault schedule, see
-//! [`resilience`]), [`PolicyKind`] (every policy under test, including
-//! the pre-trained RL policy), and [`table::Table`] (markdown/CSV
-//! rendering used by the `regen-tables` binary and the benches).
+//! [`resilience`]), [`run_batch`] (many devices in one
+//! [`soc::DeviceBatch`], sharded across the worker threads, and
+//! [`build_fleet`] to build one), [`PolicyKind`] (every policy under
+//! test, including the pre-trained RL policy), and [`table::Table`]
+//! (markdown/CSV rendering used by the `regen-tables` binary and the
+//! benches).
 //!
 //! ## Harness fault tolerance
 //!
@@ -59,7 +62,10 @@ mod runner;
 mod sched;
 
 pub use cache::CacheDegraded;
-pub use policies::{eval_cells_batched, train_rl_governor, EvalCell, PolicyKind, TrainingProtocol};
+pub use policies::{
+    build_fleet, eval_cells_batched, fleet_lane_seed, train_rl_governor, EvalCell, PolicyKind,
+    TrainingProtocol,
+};
 pub use resilience::{FaultHarness, Watchdog};
 pub use runner::{
     ensure_fleet_faults_supported, run, run_batch, run_with_faults, BatchLane,

@@ -3,7 +3,7 @@
 use governors::{Governor, GovernorKind};
 use rlpm::{persist, RlConfig, RlGovernor};
 use rlpm_hw::{HwConfig, HwPolicyDriver};
-use soc::{DeviceBatch, Soc, SocConfig};
+use soc::{DeviceBatch, Soc, SocConfig, SocError};
 use workload::ScenarioKind;
 
 use crate::runner::{BatchLane, RunMetrics};
@@ -81,58 +81,106 @@ impl PolicyKind {
     ) -> Box<dyn Governor> {
         match self {
             PolicyKind::Baseline(kind) => kind.build(soc_config),
-            PolicyKind::Rl => {
-                // `Rl` and `RlHw` share one cached table per
-                // (soc, config, scenario, protocol, seed): training is by
-                // far the most expensive cacheable unit, and a frozen
-                // policy's behavior depends only on its merged table bits.
-                if cache::is_enabled() {
-                    let rl_config = RlConfig::for_soc(soc_config);
-                    if let Some(policy) = cached_frozen_policy(
-                        soc_config,
-                        &rl_config,
-                        scenario,
-                        protocol,
-                        seed,
-                        || train_rl_governor(soc_config, scenario, protocol, seed),
-                    ) {
-                        return Box::new(policy);
-                    }
-                }
-                let mut policy = train_rl_governor(soc_config, scenario, protocol, seed);
-                policy.set_frozen(true);
-                policy.reset();
-                Box::new(policy)
-            }
-            PolicyKind::RlHw => {
-                // Train in software, then load the table into the engine —
-                // the deployment flow the paper describes.
-                let sw = if cache::is_enabled() {
-                    let rl_config = RlConfig::for_soc(soc_config);
-                    cached_frozen_policy(soc_config, &rl_config, scenario, protocol, seed, || {
-                        train_rl_governor(soc_config, scenario, protocol, seed)
-                    })
-                } else {
-                    None
-                };
-                let mut sw = sw.unwrap_or_else(|| {
-                    let mut trained = train_rl_governor(soc_config, scenario, protocol, seed);
-                    trained.set_frozen(true);
-                    trained
-                });
-                sw.set_frozen(true);
-                let rl_config = sw.config().clone();
-                let mut driver = HwPolicyDriver::new(HwConfig::default(), &rl_config);
-                let loaded = driver.load_table(&sw.agent().merged_table());
-                debug_assert!(
-                    loaded.is_ok(),
-                    "engine geometry is derived from the same RlConfig: {loaded:?}"
-                );
-                driver.set_training(false);
-                Box::new(driver)
-            }
+            PolicyKind::Rl => Box::new(frozen_rl(soc_config, scenario, protocol, seed)),
+            PolicyKind::RlHw => Box::new(deploy_to_hw(&frozen_rl(
+                soc_config, scenario, protocol, seed,
+            ))),
         }
     }
+}
+
+/// The RL policy trained on `scenario` with `protocol`, frozen for
+/// evaluation.
+///
+/// `Rl` and `RlHw` share one cached table per (soc, config, scenario,
+/// protocol, seed): training is by far the most expensive cacheable
+/// unit, and a frozen policy's behavior depends only on its merged table
+/// bits.
+fn frozen_rl(
+    soc_config: &SocConfig,
+    scenario: ScenarioKind,
+    protocol: TrainingProtocol,
+    seed: u64,
+) -> RlGovernor {
+    if cache::is_enabled() {
+        let rl_config = RlConfig::for_soc(soc_config);
+        if let Some(policy) =
+            cached_frozen_policy(soc_config, &rl_config, scenario, protocol, seed, || {
+                train_rl_governor(soc_config, scenario, protocol, seed)
+            })
+        {
+            return policy;
+        }
+    }
+    let mut policy = train_rl_governor(soc_config, scenario, protocol, seed);
+    policy.set_frozen(true);
+    policy.reset();
+    policy
+}
+
+/// Loads a frozen software policy's table into the hardware engine —
+/// the deployment flow the paper describes.
+fn deploy_to_hw(sw: &RlGovernor) -> HwPolicyDriver {
+    let mut hw = HwPolicyDriver::new(HwConfig::default(), sw.config());
+    let loaded = hw.load_table(&sw.agent().merged_table());
+    debug_assert!(
+        loaded.is_ok(),
+        "engine geometry is derived from the same RlConfig: {loaded:?}"
+    );
+    hw.set_training(false);
+    hw
+}
+
+/// The arrival-stream seed of lane `lane` in a fleet seeded `seed`.
+pub fn fleet_lane_seed(seed: u64, lane: u64) -> u64 {
+    seed.wrapping_mul(0x9E37_79B9).wrapping_add(lane)
+}
+
+/// Builds a fleet of `lanes` identical `soc_config` devices for
+/// [`run_batch`]: lane `i` runs `scenario` on its own arrival stream,
+/// seeded [`fleet_lane_seed`]`(seed, i)`, under `policy`.
+///
+/// The fleet ships one policy. An RL variant trains (or is restored
+/// from the cache) once, with `training` and `seed`, and every lane gets
+/// a clone; clones of the frozen software policy share one Q-table.
+/// Each lane is bit-identical to one built alone by
+/// [`PolicyKind::build_trained`], since those inputs are the same for
+/// every lane.
+///
+/// # Errors
+///
+/// Returns the [`SocError`] of an invalid `soc_config`.
+pub fn build_fleet(
+    soc_config: &SocConfig,
+    scenario: ScenarioKind,
+    policy: PolicyKind,
+    training: TrainingProtocol,
+    lanes: usize,
+    seed: u64,
+) -> Result<(DeviceBatch, Vec<BatchLane>), SocError> {
+    let socs = (0..lanes)
+        .map(|_| Soc::new(soc_config.clone()))
+        .collect::<Result<Vec<_>, _>>()?;
+    let batch = DeviceBatch::new(socs)?;
+    let governor: Box<dyn Fn() -> Box<dyn Governor> + '_> = match policy {
+        PolicyKind::Baseline(kind) => Box::new(move || kind.build(soc_config)),
+        PolicyKind::Rl => {
+            let rl = frozen_rl(soc_config, scenario, training, seed);
+            Box::new(move || Box::new(rl.clone()))
+        }
+        PolicyKind::RlHw => {
+            let hw = deploy_to_hw(&frozen_rl(soc_config, scenario, training, seed));
+            Box::new(move || Box::new(hw.clone()))
+        }
+    };
+    let lanes = (0..lanes as u64)
+        .map(|i| BatchLane {
+            scenario: scenario.build(fleet_lane_seed(seed, i)),
+            governor: governor(),
+            faults: None,
+        })
+        .collect();
+    Ok((batch, lanes))
 }
 
 /// Trains a frozen policy through the content-addressed cache: on a hit
@@ -426,6 +474,32 @@ mod tests {
         let g =
             PolicyKind::Rl.build_trained(&cfg, ScenarioKind::Audio, TrainingProtocol::quick(), 2);
         assert_eq!(g.name(), "rlpm");
+    }
+
+    #[test]
+    fn fleet_lanes_match_lanes_built_alone() {
+        let cfg = SocConfig::odroid_xu3_like().unwrap();
+        let (training, seed, config) = (TrainingProtocol::quick(), 9, RunConfig::seconds(2));
+        for policy in [
+            PolicyKind::Rl,
+            PolicyKind::RlHw,
+            PolicyKind::Baseline(GovernorKind::Ondemand),
+        ] {
+            let (mut batch, mut lanes) =
+                build_fleet(&cfg, ScenarioKind::Video, policy, training, 3, seed).unwrap();
+            let fleet = run_batch(&mut batch, &mut lanes, config);
+            for (i, lane) in fleet.iter().enumerate() {
+                let mut soc = Soc::new(cfg.clone()).unwrap();
+                let mut governor = policy.build_trained(&cfg, ScenarioKind::Video, training, seed);
+                let mut scenario = ScenarioKind::Video.build(fleet_lane_seed(seed, i as u64));
+                let alone = run(&mut soc, scenario.as_mut(), governor.as_mut(), config);
+                assert_eq!(
+                    format!("{lane:?}"),
+                    format!("{alone:?}"),
+                    "{policy} lane {i}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -10,8 +10,6 @@ use crate::resilience::FaultHarness;
 
 /// Closed-loop runs completed in this process.
 static RUNS: obs::Counter = obs::Counter::new("runner.runs");
-/// Headline metric of the most recent completed run (J per QoS unit).
-static LAST_ENERGY_PER_QOS: obs::Gauge = obs::Gauge::new("runner.last_energy_per_qos");
 
 /// Parameters of one closed-loop run.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -25,9 +23,11 @@ pub struct RunConfig {
 
 impl RunConfig {
     /// A run of the given number of simulated seconds, without tracing.
+    /// A count past the nanosecond range (about 584 years) saturates to
+    /// it rather than panicking.
     pub fn seconds(secs: u64) -> Self {
         RunConfig {
-            duration: SimDuration::from_secs(secs),
+            duration: SimDuration::from_nanos(secs.saturating_mul(1_000_000_000)),
             record_trace: false,
         }
     }
@@ -247,7 +247,6 @@ pub fn run_with_faults(
         None => (0, FaultCounts::default()),
     };
     RUNS.inc();
-    LAST_ENERGY_PER_QOS.set(qos.energy_per_qos(energy_j));
 
     RunMetrics {
         energy_j,
@@ -361,7 +360,7 @@ struct LaneState {
 }
 
 /// Runs every lane of `batch` for `config.duration` in lockstep,
-/// returning one [`RunMetrics`] per lane.
+/// returning one [`RunMetrics`] per lane, in lane order.
 ///
 /// Each lane executes exactly the control loop of
 /// [`run_with_faults`] — same arrival windows, same epoch sequence, same
@@ -371,13 +370,28 @@ struct LaneState {
 /// devices collapse into one interleaved kernel dispatch
 /// (see [`DeviceBatch`]); `golden_bits` pins the equivalence end-to-end.
 ///
+/// The lanes are split into `min(threads, lanes)` contiguous shards,
+/// `threads` being `RLPM_THREADS` or, unset, the machine's available
+/// parallelism ([`DeviceBatch::split_off`]; the lanes move, nothing is
+/// copied). The calling thread runs shard 0 and one scoped thread runs
+/// each other shard, every shard to the horizon on its own, so a call
+/// joins once. Lanes never read each other's state, so the bits are the
+/// same at any thread count; with one thread no thread is spawned.
+/// Scoped threads rather than the scheduler pool: a shard borrows
+/// the caller's lanes, and must never be re-run after partial progress
+/// as the pool's supervisor re-runs a failed job. On return `batch`
+/// holds every lane again, in order.
+///
 /// A lane whose epoch is rejected (an out-of-range level request) stops
 /// early with metrics covering its completed epochs, exactly as [`run`]
 /// breaks; the other lanes keep going.
 ///
 /// # Panics
 ///
-/// Panics if `lanes` and `batch` disagree on lane count.
+/// Panics if `lanes` and `batch` disagree on lane count. A panic in any
+/// shard (a governor or scenario that panics) resumes on the calling
+/// thread with its own payload once every shard has stopped; `batch`
+/// and `lanes` are then left part-way.
 pub fn run_batch(
     batch: &mut DeviceBatch,
     lanes: &mut [BatchLane],
@@ -391,6 +405,59 @@ pub fn run_batch(
         n,
         lanes.len()
     );
+    let shards = crate::sched::thread_count().min(n);
+    if shards <= 1 {
+        return run_shard(batch, lanes, config);
+    }
+    // Shard k holds lanes [k·n/shards, (k+1)·n/shards). Split from the
+    // back so each split moves only its own lanes.
+    let mut tails: Vec<DeviceBatch> = (1..shards)
+        .rev()
+        .map(|k| batch.split_off(k * n / shards))
+        .collect();
+    tails.reverse();
+    let (head, mut rest) = lanes.split_at_mut(batch.len());
+    let metrics = std::thread::scope(|scope| {
+        let handles: Vec<_> = tails
+            .iter_mut()
+            .map(|tail| {
+                let (shard, after) = std::mem::take(&mut rest).split_at_mut(tail.len());
+                rest = after;
+                scope.spawn(move || run_shard(tail, shard, config))
+            })
+            .collect();
+        // A panic here resumes once the scope has joined every shard.
+        let mut metrics = run_shard(batch, head, config);
+        let mut panicked = None;
+        for handle in handles {
+            match handle.join() {
+                Ok(shard) => metrics.extend(shard),
+                Err(payload) => {
+                    panicked.get_or_insert(payload);
+                }
+            }
+        }
+        if let Some(payload) = panicked {
+            std::panic::resume_unwind(payload);
+        }
+        metrics
+    });
+    for tail in &mut tails {
+        // The shards were split off this batch, so they share its grid.
+        let rejoined = batch.append(tail);
+        debug_assert!(rejoined.is_ok(), "shard grid changed: {rejoined:?}");
+    }
+    metrics
+}
+
+/// One shard of [`run_batch`]: every lane of `batch` in lockstep on the
+/// calling thread.
+fn run_shard(
+    batch: &mut DeviceBatch,
+    lanes: &mut [BatchLane],
+    config: RunConfig,
+) -> Vec<RunMetrics> {
+    let n = batch.len();
     if n == 0 {
         return Vec::new();
     }
@@ -595,7 +662,6 @@ pub fn run_batch(
                 None => (0, FaultCounts::default()),
             };
             RUNS.inc();
-            LAST_ENERGY_PER_QOS.set(qos.energy_per_qos(energy_j));
             RunMetrics {
                 energy_j,
                 energy_per_qos: qos.energy_per_qos(energy_j),
@@ -829,6 +895,89 @@ mod tests {
         }];
         let batched = run_batch(&mut batch, &mut lanes, config);
         assert_eq!(batched[0], looped);
+    }
+
+    /// Delegates to `inner` and counts each decision of lane `lane` in
+    /// `decisions`; panics with `"lane {lane} failed"` instead of making
+    /// decision number `panic_at`.
+    struct Counted {
+        inner: Box<dyn Governor>,
+        lane: usize,
+        panic_at: Option<u64>,
+        decisions: std::sync::Arc<std::sync::Mutex<Vec<u64>>>,
+    }
+
+    impl Governor for Counted {
+        fn name(&self) -> &str {
+            "counted"
+        }
+
+        fn decide(&mut self, state: &SystemState) -> LevelRequest {
+            let mut request = LevelRequest::new(Vec::new());
+            self.decide_into(state, &mut request);
+            request
+        }
+
+        fn decide_into(&mut self, state: &SystemState, request: &mut LevelRequest) {
+            let mut decisions = self.decisions.lock().unwrap();
+            if Some(decisions[self.lane] + 1) == self.panic_at {
+                drop(decisions);
+                panic!("lane {} failed", self.lane);
+            }
+            decisions[self.lane] += 1;
+            self.inner.decide_into(state, request);
+        }
+
+        fn reset(&mut self) {
+            self.inner.reset();
+        }
+    }
+
+    #[test]
+    fn a_panic_in_the_last_shard_resumes_on_the_caller_after_every_shard_joins() {
+        let _env = crate::sched::lock(&crate::sched::ENV_LOCK);
+        // Three shards: lanes [0, 2), [2, 4) and [4, 6).
+        std::env::set_var("RLPM_THREADS", "3");
+        let n = 6;
+        let decisions = std::sync::Arc::new(std::sync::Mutex::new(vec![0u64; n]));
+        let mut batch = DeviceBatch::new((0..n).map(|_| soc()).collect()).unwrap();
+        let mut lanes: Vec<BatchLane> = (0..n)
+            .map(|lane| BatchLane {
+                scenario: ScenarioKind::Video.build(lane as u64),
+                governor: Box::new(Counted {
+                    inner: GovernorKind::Ondemand.build(batch.lane(0).config()),
+                    lane,
+                    panic_at: (lane == n - 1).then_some(10),
+                    decisions: std::sync::Arc::clone(&decisions),
+                }),
+                faults: None,
+            })
+            .collect();
+        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            run_batch(&mut batch, &mut lanes, RunConfig::seconds(1))
+        }));
+        std::env::remove_var("RLPM_THREADS");
+
+        let payload = outcome.expect_err("the lane's panic reaches the caller");
+        assert_eq!(
+            payload.downcast_ref::<String>().map(String::as_str),
+            Some("lane 5 failed"),
+            "the shard's own payload is resumed"
+        );
+        // The other shards ran to the horizon (50 epochs of 20 ms) before
+        // the panic resumed; lane 4 shares the failing shard and stopped
+        // with it, one decision ahead of lane 5.
+        let decisions = decisions.lock().unwrap();
+        assert_eq!(*decisions, [50, 50, 50, 50, 10, 9]);
+    }
+
+    #[test]
+    fn run_seconds_saturate_instead_of_overflowing() {
+        assert_eq!(RunConfig::seconds(60).duration, SimDuration::from_secs(60));
+        assert_eq!(
+            RunConfig::seconds(u64::MAX).duration,
+            SimDuration::from_nanos(u64::MAX)
+        );
     }
 
     #[test]

@@ -92,6 +92,11 @@ pub(crate) fn thread_count() -> usize {
     }
 }
 
+/// `RLPM_THREADS` is process-wide; the unit tests that set it serialise
+/// on this lock.
+#[cfg(test)]
+pub(crate) static ENV_LOCK: Mutex<()> = Mutex::new(());
+
 /// Default retry budget: a failing job runs at most `1 + 2` times.
 pub const DEFAULT_MAX_RETRIES: u32 = 2;
 /// First backoff step; doubles per retry up to [`BACKOFF_CAP_MS`].
@@ -729,10 +734,6 @@ mod tests {
         assert_eq!(lock(&attempts).get(&3), Some(&2), "cell 3 ran twice");
         assert!(retry_count() > before, "the retry was counted");
     }
-
-    /// `RLPM_THREADS` is process-wide; the tests that set it serialise
-    /// on this lock.
-    static ENV_LOCK: Mutex<()> = Mutex::new(());
 
     /// What one context saw of its batch: progress events and sink.
     struct Seen {

@@ -16,8 +16,9 @@
 //!   Warm, the sweep costs one render of the SoC config for its cell
 //!   cache keys (built once per sweep, not per cell), one memo lookup
 //!   per cell, and the table.
-//! * `fleet` builds the same batched population as `rlpm-sim fleet`,
-//!   per-lane seeds included.
+//! * `fleet` builds the same batched population as `rlpm-sim fleet`
+//!   through [`experiments::build_fleet`]: per-lane seeds, one policy
+//!   for every lane, and one shard per worker thread.
 //!
 //! The server calls [`Service::handle`] on each connection's request
 //! thread, under the connection's [`experiments::JobCtx`]. Every request
@@ -35,11 +36,11 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use experiments::e1_energy_per_qos::{run_e1, E1Config};
 use experiments::{
-    eval_cells_batched, run_batch, train_rl_governor, BatchLane, EvalCell, JobCtx, PolicyKind,
+    build_fleet, eval_cells_batched, run_batch, train_rl_governor, EvalCell, JobCtx, PolicyKind,
     RunConfig, RunMetrics, TrainingProtocol,
 };
 use governors::GovernorKind;
-use soc::{DeviceBatch, Soc, SocConfig};
+use soc::SocConfig;
 use workload::ScenarioKind;
 
 use crate::json::Value;
@@ -384,29 +385,19 @@ fn fleet(spec: &FleetSpec) -> Result<Value, RequestError> {
     let soc_cfg = resolve_soc(&spec.soc)?;
     let scenario = resolve_scenario(&spec.scenario)?;
     let policy = resolve_policy(&spec.policy)?;
-    let lanes_n = spec.lanes as usize;
-    let socs: Result<Vec<_>, _> = (0..lanes_n).map(|_| Soc::new(soc_cfg.clone())).collect();
-    let socs = socs.map_err(|e| RequestError {
+    // Built by the same call as `rlpm-sim fleet`, so the lanes are the same.
+    let (mut batch, mut lanes) = build_fleet(
+        &soc_cfg,
+        scenario,
+        policy,
+        TrainingProtocol::default(),
+        spec.lanes as usize,
+        spec.seed,
+    )
+    .map_err(|e| RequestError {
         code: ErrorCode::Internal,
-        message: format!("SoC construction failed: {e}"),
+        message: format!("fleet construction failed: {e}"),
     })?;
-    let mut batch = DeviceBatch::new(socs).map_err(|e| RequestError {
-        code: ErrorCode::Internal,
-        message: format!("batch construction failed: {e}"),
-    })?;
-    // Per-lane seed derivation matches `rlpm-sim fleet` exactly.
-    let mut lanes: Vec<BatchLane> = (0..spec.lanes)
-        .map(|i| BatchLane {
-            scenario: scenario.build(spec.seed.wrapping_mul(0x9E37_79B9).wrapping_add(i)),
-            governor: policy.build_trained(
-                &soc_cfg,
-                scenario,
-                TrainingProtocol::default(),
-                spec.seed,
-            ),
-            faults: None,
-        })
-        .collect();
     let metrics = run_batch(&mut batch, &mut lanes, RunConfig::seconds(spec.secs));
 
     let total_energy: f64 = metrics.iter().map(|m| m.energy_j).sum();

@@ -147,6 +147,7 @@ impl QLearningAgent {
     }
 
     /// Loads one trained table into both estimators (deployment restore).
+    /// The estimators share one copy until either learns.
     ///
     /// # Panics
     ///
@@ -154,7 +155,7 @@ impl QLearningAgent {
     pub fn load_merged(&mut self, values: &[f64]) {
         self.table_a.load(values);
         if let Some(b) = &mut self.table_b {
-            b.load(values);
+            *b = self.table_a.clone();
         }
     }
 
@@ -472,6 +473,19 @@ mod tests {
         a.set_frozen(true);
         // Acting value = 2x the loaded value everywhere.
         assert!((a.acting_value(1, 1) - 2.0 * values[a.table().num_actions() + 1]).abs() < 1e-12);
+    }
+
+    #[test]
+    fn restored_estimators_share_one_copy_until_one_is_written() {
+        let mut a = double_agent();
+        let n = a.table().values().len();
+        let values: Vec<f64> = (0..n).map(|i| i as f64 / n as f64).collect();
+        a.load_merged(&values);
+        let b_ptr = |a: &QLearningAgent| a.table_b.as_ref().map(|b| b.values().as_ptr());
+        assert_eq!(b_ptr(&a), Some(a.table().values().as_ptr()), "one copy");
+        a.table_mut().set(0, 0, 42.0);
+        assert_eq!(a.table().get(0, 0), 42.0);
+        assert_eq!(a.table_b.as_ref().map(|b| b.get(0, 0)), Some(values[0]));
     }
 
     #[test]

@@ -5,14 +5,21 @@
 //! lowest-index argmax tie-break matches the hardware comparator tree,
 //! which is what makes software/hardware parity checks exact.
 
+use std::sync::Arc;
+
 use crate::{Action, StateIndex};
 
 /// A dense `states × actions` table of action values.
+///
+/// Clones share one value buffer until either side writes, which then
+/// copies it ([`Arc::make_mut`]). So the lanes of a fleet that clone one
+/// frozen policy hold one table between them, and a learning table pays
+/// one uncontended ownership check per write.
 #[derive(Debug, Clone, PartialEq)]
 pub struct QTable {
     num_states: usize,
     num_actions: usize,
-    values: Vec<f64>,
+    values: Arc<[f64]>,
 }
 
 impl QTable {
@@ -30,7 +37,7 @@ impl QTable {
         QTable {
             num_states,
             num_actions,
-            values: vec![init; num_states * num_actions],
+            values: std::iter::repeat_n(init, num_states * num_actions).collect(),
         }
     }
 
@@ -64,7 +71,7 @@ impl QTable {
     pub fn set(&mut self, s: StateIndex, a: Action, value: f64) {
         assert!(value.is_finite(), "Q value must be finite");
         let i = self.idx(s, a);
-        self.values[i] = value;
+        Arc::make_mut(&mut self.values)[i] = value;
     }
 
     /// The row of action values for `s`.
@@ -134,7 +141,10 @@ impl QTable {
             values.iter().all(|v| v.is_finite()),
             "Q values must be finite"
         );
-        self.values.copy_from_slice(values);
+        match Arc::get_mut(&mut self.values) {
+            Some(own) => own.copy_from_slice(values),
+            None => self.values = values.into(),
+        }
     }
 
     /// Number of entries that have moved away from `init` (coverage
@@ -209,6 +219,25 @@ mod tests {
         t.load(&[1.0, 2.0, 3.0, 4.0]);
         assert_eq!(t.get(0, 1), 2.0);
         assert_eq!(t.get(1, 0), 3.0);
+    }
+
+    #[test]
+    fn clones_share_values_until_one_writes() {
+        let mut t = QTable::new(2, 2, 0.0);
+        t.load(&[1.0, 2.0, 3.0, 4.0]);
+        let mut c = t.clone();
+        assert_eq!(c.values().as_ptr(), t.values().as_ptr(), "one buffer");
+        c.set(0, 1, 9.0);
+        assert_ne!(c.values().as_ptr(), t.values().as_ptr(), "copied on write");
+        assert_eq!(t.values(), &[1.0, 2.0, 3.0, 4.0]);
+        assert_eq!(c.values(), &[1.0, 9.0, 3.0, 4.0]);
+        let mut d = t.clone();
+        d.load(&[5.0; 4]);
+        assert_eq!(
+            t.values(),
+            &[1.0, 2.0, 3.0, 4.0],
+            "a load leaves clones alone"
+        );
     }
 
     #[test]

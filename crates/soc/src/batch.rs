@@ -90,6 +90,23 @@ pub struct DeviceBatch {
     errors: Vec<Option<SocError>>,
 }
 
+/// Checks that `lane` (batch index `i`) shares `first`'s epoch and
+/// sub-step, the lockstep grid every lane of a batch must share.
+fn check_grid(first: &Soc, lane: &Soc, i: usize) -> Result<(), SocError> {
+    let (epoch, substep) = (first.config().epoch, first.config().substep);
+    let c = lane.config();
+    if c.epoch != epoch || c.substep != substep {
+        return Err(SocError::InvalidSocConfig {
+            reason: format!(
+                "lane {i} has epoch {}/sub-step {}, lane 0 has {epoch}/{substep}: \
+                 batched lanes must share the lockstep grid",
+                c.epoch, c.substep
+            ),
+        });
+    }
+    Ok(())
+}
+
 impl DeviceBatch {
     /// Builds a batch over the given lanes.
     ///
@@ -99,18 +116,8 @@ impl DeviceBatch {
     /// epoch or sub-step duration — the lockstep grid must be shared.
     pub fn new(lanes: Vec<Soc>) -> Result<Self, SocError> {
         if let Some(first) = lanes.first() {
-            let (epoch, substep) = (first.config().epoch, first.config().substep);
             for (i, lane) in lanes.iter().enumerate() {
-                let c = lane.config();
-                if c.epoch != epoch || c.substep != substep {
-                    return Err(SocError::InvalidSocConfig {
-                        reason: format!(
-                            "lane {i} has epoch {}/sub-step {}, lane 0 has {epoch}/{substep}: \
-                             batched lanes must share the lockstep grid",
-                            c.epoch, c.substep
-                        ),
-                    });
-                }
+                check_grid(first, lane, i)?;
             }
         }
         let n = lanes.len();
@@ -235,6 +242,45 @@ impl DeviceBatch {
     pub fn into_lanes(mut self) -> Vec<Soc> {
         self.unpark_all();
         self.lanes
+    }
+
+    /// Splits the batch in two at `at`, like [`Vec::split_off`]: `self`
+    /// keeps lanes `[0, at)` and the returned batch holds `[at, len)`.
+    /// Every lane is unparked first, and the lanes move rather than being
+    /// copied. Both halves inherit the lockstep grid, so this cannot fail.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `at > len`.
+    pub fn split_off(&mut self, at: usize) -> DeviceBatch {
+        self.unpark_all();
+        DeviceBatch {
+            lanes: self.lanes.split_off(at),
+            domains: Vec::new(),
+            order: Vec::new(),
+            meta: self.meta.split_off(at),
+            errors: self.errors.split_off(at),
+        }
+    }
+
+    /// Moves every lane of `other` onto the end of this batch, leaving
+    /// `other` empty, like [`Vec::append`]: the inverse of
+    /// [`DeviceBatch::split_off`]. The moved lanes arrive unparked, with
+    /// their [`DeviceBatch::lane_errors`] entries.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SocError::InvalidSocConfig`], and moves nothing, if the
+    /// two batches do not share one lockstep grid.
+    pub fn append(&mut self, other: &mut DeviceBatch) -> Result<(), SocError> {
+        if let (Some(first), Some(theirs)) = (self.lanes.first(), other.lanes.first()) {
+            check_grid(first, theirs, self.lanes.len())?;
+        }
+        other.unpark_all();
+        self.lanes.append(&mut other.lanes);
+        self.meta.append(&mut other.meta);
+        self.errors.append(&mut other.errors);
+        Ok(())
     }
 
     /// Per-lane outcome of the most recent [`DeviceBatch::run_epoch_into`]
@@ -728,6 +774,63 @@ mod tests {
         b.substep = SimDuration::from_millis(2);
         let err = DeviceBatch::new(vec![lane(a), lane(b)]);
         assert!(matches!(err, Err(SocError::InvalidSocConfig { .. })));
+    }
+
+    #[test]
+    fn split_halves_step_on_and_rejoin_bit_identically() {
+        let preset = SocConfig::odroid_xu3_like().unwrap();
+        let request = LevelRequest::min(&preset);
+        // One epoch of lanes `first..` of the fleet: the shared job
+        // schedule at the lowest level, so quiet lanes park.
+        let step = |batch: &mut DeviceBatch, first: usize, e: u64| {
+            let n = batch.len();
+            for i in 0..n {
+                if let Some((at, job)) = epoch_job(batch.lane(i).now(), (first + i) as u64, e) {
+                    batch.schedule_job(i, at, job);
+                }
+            }
+            let mut reports: Vec<EpochReport> = (0..n).map(|_| empty_report()).collect();
+            batch
+                .run_epoch_into(&vec![true; n], &vec![request.clone(); n], &mut reports)
+                .unwrap();
+        };
+        let mut batch = DeviceBatch::new((0..5).map(|_| lane(preset.clone())).collect()).unwrap();
+        for e in 0..20 {
+            step(&mut batch, 0, e);
+        }
+        assert!(batch.parked_lanes() > 0, "lanes are parked at the split");
+        let mut tail = batch.split_off(2);
+        assert_eq!((batch.len(), tail.len()), (2, 3));
+        for e in 20..40 {
+            step(&mut batch, 0, e);
+            step(&mut tail, 2, e);
+        }
+        batch.append(&mut tail).unwrap();
+        assert!(tail.is_empty());
+        batch.unpark_all();
+        for (i, batched) in batch.lanes().iter().enumerate() {
+            let mut looped = lane(preset.clone());
+            let mut report = empty_report();
+            for e in 0..40 {
+                if let Some((at, job)) = epoch_job(looped.now(), i as u64, e) {
+                    looped.schedule_job(at, job);
+                }
+                looped.run_epoch_into(&request, &mut report).unwrap();
+            }
+            assert_lanes_identical(batched, &looped);
+        }
+    }
+
+    #[test]
+    fn appending_a_batch_on_another_grid_is_rejected() {
+        let a = SocConfig::odroid_xu3_like().unwrap();
+        let mut b = a.clone();
+        b.substep = SimDuration::from_millis(2);
+        let mut batch = DeviceBatch::new(vec![lane(a)]).unwrap();
+        let mut other = DeviceBatch::new(vec![lane(b)]).unwrap();
+        let err = batch.append(&mut other);
+        assert!(matches!(err, Err(SocError::InvalidSocConfig { .. })));
+        assert_eq!((batch.len(), other.len()), (1, 1), "nothing moved");
     }
 
     #[test]
