@@ -3,9 +3,9 @@
 use std::error::Error;
 
 use experiments::table::{fmt_f64, Table};
-use experiments::{run, PolicyKind, RunConfig, RunMetrics, TrainingProtocol};
-use governors::GovernorKind;
+use experiments::{eval_cell, run, PolicyKind, RunConfig, RunMetrics, TrainingProtocol};
 use rlpm::{persist, RlConfig, RlGovernor};
+use rlpm_serve::service::{resolve_policy, resolve_scenario, resolve_soc};
 use simkit::SimDuration;
 use soc::{Soc, SocConfig};
 use workload::{RecordedTrace, ScenarioKind};
@@ -14,59 +14,22 @@ use crate::args::{Invocation, ParseArgsError};
 
 type CmdResult = Result<(), Box<dyn Error>>;
 
+// Names resolve through the service's catalogues, so a command line and
+// a request accept the same names for the same cell.
+
 /// Resolves a SoC preset name.
 fn soc_config(name: &str) -> Result<SocConfig, Box<dyn Error>> {
-    Ok(match name {
-        "xu3" => SocConfig::odroid_xu3_like()?,
-        "xu3-cstates" => SocConfig::odroid_xu3_like_cstates()?,
-        "symmetric" => SocConfig::symmetric_quad()?,
-        other => {
-            return Err(ParseArgsError(format!(
-                "unknown SoC preset {other:?} (xu3 | xu3-cstates | symmetric)"
-            ))
-            .into())
-        }
-    })
+    resolve_soc(name).map_err(|e| ParseArgsError(e.message).into())
 }
 
-/// Resolves a scenario name: the catalog plus `standby` (which sits
-/// outside [`ScenarioKind::ALL`] because it delivers no QoS units).
+/// Resolves a scenario name: the catalog plus `standby`.
 fn scenario_kind(name: &str) -> Result<ScenarioKind, Box<dyn Error>> {
-    if name == ScenarioKind::Standby.name() {
-        return Ok(ScenarioKind::Standby);
-    }
-    ScenarioKind::ALL
-        .into_iter()
-        .find(|k| k.name() == name)
-        .ok_or_else(|| {
-            let mut names: Vec<&str> = ScenarioKind::ALL.iter().map(|k| k.name()).collect();
-            names.push(ScenarioKind::Standby.name());
-            ParseArgsError(format!(
-                "unknown scenario {name:?} (one of: {})",
-                names.join(", ")
-            ))
-            .into()
-        })
+    resolve_scenario(name).map_err(|e| ParseArgsError(e.message).into())
 }
 
 /// Resolves a policy name.
 fn policy_kind(name: &str) -> Result<PolicyKind, Box<dyn Error>> {
-    if name == "rlpm" {
-        return Ok(PolicyKind::Rl);
-    }
-    if name == "rlpm-hw" {
-        return Ok(PolicyKind::RlHw);
-    }
-    GovernorKind::SIX_BASELINES
-        .into_iter()
-        .find(|k| k.name() == name)
-        .map(PolicyKind::Baseline)
-        .ok_or_else(|| {
-            ParseArgsError(format!(
-                "unknown policy {name:?} (performance | powersave | ondemand | conservative | interactive | schedutil | rlpm | rlpm-hw)"
-            ))
-            .into()
-        })
+    resolve_policy(name).map_err(|e| ParseArgsError(e.message).into())
 }
 
 /// Applies the `--cache-dir DIR` / `--no-cache` flags. Commands that
@@ -138,7 +101,11 @@ fn print_metrics(label: &str, m: &RunMetrics) {
 }
 
 /// `run <scenario> <policy> [--secs N] [--seed N] [--soc P] [--trace] [--cache-dir DIR] [--no-cache] [--metrics-out FILE]`
-pub fn cmd_run(inv: &Invocation) -> CmdResult {
+///
+/// Evaluates one cell through [`experiments::eval_cell`], the path E1
+/// and the service's `simulate` take, prints it and returns the metrics
+/// it printed.
+pub fn cmd_run(inv: &Invocation) -> Result<RunMetrics, Box<dyn Error>> {
     inv.allow_flags(&[
         "secs",
         "seed",
@@ -149,12 +116,8 @@ pub fn cmd_run(inv: &Invocation) -> CmdResult {
         "metrics-out",
     ])?;
     configure_cache(inv);
-    let scenario_name = inv
-        .positional
-        .first()
-        .map(String::as_str)
-        .unwrap_or("video");
-    let policy_name = inv.positional.get(1).map(String::as_str).unwrap_or("rlpm");
+    let scenario_name = inv.positional.first().map_or("video", String::as_str);
+    let policy_name = inv.positional.get(1).map_or("rlpm", String::as_str);
     let secs: u64 = inv.flag_or("secs", 30)?;
     let seed: u64 = inv.flag_or("seed", 42)?;
     let soc_name: String = inv.flag_or("soc", "xu3".to_owned())?;
@@ -162,15 +125,20 @@ pub fn cmd_run(inv: &Invocation) -> CmdResult {
     let soc_cfg = soc_config(&soc_name)?;
     let kind = scenario_kind(scenario_name)?;
     let policy = policy_kind(policy_name)?;
-    eprintln!("building {policy_name} (RL variants train first) ...");
-    let mut governor = policy.build_trained(&soc_cfg, kind, TrainingProtocol::default(), seed);
-    let mut soc = Soc::new(soc_cfg)?;
-    let mut scenario = kind.build(seed.wrapping_add(1));
     let mut config = RunConfig::seconds(secs);
     if inv.has("trace") {
         config = config.with_trace();
     }
-    let metrics = run(&mut soc, scenario.as_mut(), governor.as_mut(), config);
+    eprintln!("building {policy_name} (RL variants train first) ...");
+    let metrics = eval_cell(
+        &soc_cfg,
+        kind,
+        policy,
+        TrainingProtocol::default(),
+        seed,
+        config,
+    )
+    .ok_or("the simulation failed to run")?;
     if let Some(trace) = &metrics.trace {
         print!("{}", trace.to_csv());
     }
@@ -178,7 +146,8 @@ pub fn cmd_run(inv: &Invocation) -> CmdResult {
         &format!("{scenario_name} / {policy_name} for {secs}s"),
         &metrics,
     );
-    write_metrics_out(inv)
+    write_metrics_out(inv)?;
+    Ok(metrics)
 }
 
 /// `fleet <scenario> <policy> [--lanes N] [--secs N] [--seed N] [--soc P] [--cache-dir DIR] [--no-cache] [--metrics-out FILE]`
@@ -200,7 +169,6 @@ pub fn cmd_fleet(inv: &Invocation) -> CmdResult {
         "secs",
         "seed",
         "soc",
-        "fault-scale",
         "max-retries",
         "fail-on-quarantine",
         "cache-dir",
@@ -222,10 +190,6 @@ pub fn cmd_fleet(inv: &Invocation) -> CmdResult {
     if lanes_n == 0 {
         return Err(ParseArgsError("--lanes must be at least 1".into()).into());
     }
-    // The fleet path wires no per-lane fault harness, so a fault request
-    // must fail loudly instead of silently simulating fault-free; scale
-    // 0 is accepted and bit-identical to omitting the flag.
-    experiments::ensure_fleet_faults_supported(inv.flag_or("fault-scale", 0.0)?)?;
 
     let soc_cfg = soc_config(&soc_name)?;
     let kind = scenario_kind(scenario_name)?;
@@ -372,15 +336,15 @@ pub fn cmd_compare(inv: &Invocation) -> CmdResult {
     );
     for policy in PolicyKind::evaluation_set() {
         eprint!("{policy} ... ");
-        let mut governor = policy.build_trained(&soc_cfg, kind, TrainingProtocol::default(), seed);
-        let mut soc = Soc::new(soc_cfg.clone())?;
-        let mut scenario = kind.build(seed.wrapping_add(1));
-        let m = run(
-            &mut soc,
-            scenario.as_mut(),
-            governor.as_mut(),
+        let m = eval_cell(
+            &soc_cfg,
+            kind,
+            policy,
+            TrainingProtocol::default(),
+            seed,
             RunConfig::seconds(secs),
-        );
+        )
+        .ok_or_else(|| format!("{policy} failed to run"))?;
         eprintln!("done");
         table.push([
             policy.name().to_owned(),
@@ -724,7 +688,7 @@ pub fn cmd_help() -> CmdResult {
 
 USAGE:
   rlpm-sim run      <scenario> <policy> [--secs N] [--seed N] [--soc P] [--trace]
-  rlpm-sim fleet    <scenario> <policy> [--lanes N] [--secs N] [--seed N] [--soc P] [--fault-scale F]
+  rlpm-sim fleet    <scenario> <policy> [--lanes N] [--secs N] [--seed N] [--soc P]
   rlpm-sim compare  <scenario> [--secs N] [--seed N] [--soc P]
                     (run/fleet/compare/e9 also take [--cache-dir DIR] [--no-cache];
                      fleet/compare/e9 also take [--max-retries N] [--fail-on-quarantine])
@@ -754,13 +718,14 @@ observability snapshot (counters, gauges, spans, histograms) as CSV.
 run/compare/e9 reuse trained policies and evaluated cells from a
 content-addressed cache (default target/rlpm-cache); cached results are
 byte-identical to recomputed ones. --no-cache disables it, --cache-dir
-moves it.
+moves it. run and compare evaluate each cell as E1 and serve's simulate
+do, so the same scenario, policy, SoC, seconds and seed give the same
+numbers on every path.
 
 Experiment sweeps are supervised: a panicking cell is retried
 (--max-retries N, default 2) and then quarantined; a quarantined run
-prints a report and exits 4 (2 with --fail-on-quarantine). fleet has no
-per-lane fault harness, so --fault-scale must be 0; use e9 for fault
-studies.
+prints a report and exits 4 (2 with --fail-on-quarantine). fleet runs
+fault-free; use e9 for fault studies.
 
 serve starts the persistent JSON-lines service (wire format in
 PROTOCOL.md; default socket <tmp>/rlpm-serve.sock) and client
@@ -772,7 +737,7 @@ stdout, or the payload's csv field to --out FILE."
 
 fn run_command(inv: &Invocation) -> CmdResult {
     match inv.command.as_str() {
-        "run" => cmd_run(inv),
+        "run" => cmd_run(inv).map(drop),
         "fleet" => cmd_fleet(inv),
         "train" => cmd_train(inv),
         "eval" => cmd_eval(inv),
@@ -910,6 +875,72 @@ mod tests {
         // Lane count must be validated before any simulation starts.
         let inv = parse(["fleet", "idle", "ondemand", "--lanes", "0"]).unwrap();
         assert!(dispatch(&inv).unwrap_err().to_string().contains("--lanes"));
+    }
+
+    #[test]
+    fn fleet_refuses_a_fault_scale() {
+        // fleet has no fault flag: a fault request is an unknown-flag
+        // error, never a silent fault-free run.
+        let inv = parse(["fleet", "idle", "ondemand", "--fault-scale", "1"]).unwrap();
+        let err = dispatch(&inv).unwrap_err();
+        assert!(err.to_string().contains("--fault-scale"), "{err}");
+    }
+
+    /// `run` and the service's `simulate` evaluate a cell through one
+    /// path, so they report the same bits for the same arguments.
+    #[test]
+    fn run_reports_the_metrics_serve_simulate_returns() {
+        use rlpm_serve::json::Value;
+        use rlpm_serve::proto::{Request, Response, SimulateSpec};
+
+        let inv = parse([
+            "run",
+            "video",
+            "ondemand",
+            "--secs",
+            "10",
+            "--seed",
+            "42",
+            "--no-cache",
+        ])
+        .unwrap();
+        let m = cmd_run(&inv).expect("run");
+        let handled = rlpm_serve::Service::new().handle(&Request::Simulate(SimulateSpec {
+            scenario: "video".into(),
+            policy: "ondemand".into(),
+            soc: "xu3".into(),
+            secs: 10,
+            seed: 42,
+        }));
+        let Response::Result { payload } = handled.response else {
+            panic!("simulate failed: {:?}", handled.response);
+        };
+        let served = payload.get("metrics").expect("metrics object");
+        for (field, value) in [
+            ("energy-j", m.energy_j),
+            ("avg-power-w", m.avg_power_w),
+            ("energy-per-qos", m.energy_per_qos),
+            ("qos-ratio", m.qos.qos_ratio()),
+        ] {
+            assert_eq!(
+                served.get(field).and_then(Value::as_f64).map(f64::to_bits),
+                Some(value.to_bits()),
+                "{field}"
+            );
+        }
+        for (field, value) in [
+            ("violations", m.qos.violations),
+            ("on-time", m.qos.on_time),
+            ("completed", m.qos.completed),
+            ("transitions", m.transitions),
+            ("epochs", m.epochs),
+        ] {
+            assert_eq!(
+                served.get(field).and_then(Value::as_u64),
+                Some(value),
+                "{field}"
+            );
+        }
     }
 
     #[test]

@@ -9,6 +9,7 @@ use soc::{Soc, SocConfig};
 use workload::ScenarioKind;
 
 use crate::par::parallel_map;
+use crate::policies::train_episodes;
 use crate::table::{fmt_f64, Table};
 use crate::{cache, run, RunConfig, TrainingProtocol};
 
@@ -119,17 +120,13 @@ fn evaluate_variant_uncached(
     let mut policy = RlGovernor::new(rl, config.seed);
     let mut soc = Soc::new(soc_config.clone()).ok()?;
     let mut scenario = config.scenario.build(config.seed.wrapping_add(0xab));
-    for _ in 0..config.training.episodes {
-        run(
-            &mut soc,
-            scenario.as_mut(),
-            &mut policy,
-            RunConfig::seconds(config.training.episode_secs),
-        );
-        soc.reset();
-        scenario.reset();
-        policy.reset();
-    }
+    train_episodes(
+        &mut soc,
+        scenario.as_mut(),
+        &mut policy,
+        config.training,
+        &mut |_, _| {},
+    );
     policy.set_frozen(true);
     policy.reset();
     let metrics = run(

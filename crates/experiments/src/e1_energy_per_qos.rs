@@ -13,7 +13,7 @@ use soc::SocConfig;
 use workload::ScenarioKind;
 
 use crate::par::parallel_map;
-use crate::policies::{cell_key_prefix, eval_cell};
+use crate::policies::{cell_key_prefix, eval_cell_keyed};
 use crate::table::{fmt_f64, fmt_pct, Table};
 use crate::{PolicyKind, RunConfig, RunMetrics, TrainingProtocol};
 
@@ -113,7 +113,7 @@ pub fn run_e1(soc_config: &SocConfig, config: &E1Config) -> E1Result {
     // directory is configured), keyed by a copy of one shared prefix.
     let sweep_key = cell_key_prefix(soc_config);
     let runs = parallel_map("e1", jobs, move |(scenario, policy, seed)| {
-        let metrics = eval_cell(
+        let metrics = eval_cell_keyed(
             &soc_config_owned,
             sweep_key,
             scenario,

@@ -2,14 +2,15 @@
 //! episode, the figure behind "learns power management controls to adapt
 //! to the system's variations".
 
-use governors::{Governor, GovernorKind};
+use governors::GovernorKind;
 use rlpm::{RlConfig, RlGovernor};
 use soc::{Soc, SocConfig};
 use workload::ScenarioKind;
 
 use crate::par::parallel_map;
+use crate::policies::train_episodes;
 use crate::table::{fmt_f64, Table};
-use crate::{cache, run, RunConfig};
+use crate::{cache, run, RunConfig, TrainingProtocol};
 
 /// Learning-curve configuration.
 #[derive(Debug, Clone)]
@@ -139,19 +140,20 @@ fn run_curve_seed_uncached(
     let mut scenario = config.scenario.build(seed.wrapping_add(0xE2));
     let mut curve = Vec::with_capacity(config.episodes as usize);
     let mut epsilon = Vec::with_capacity(config.episodes as usize);
-    for _ in 0..config.episodes {
-        let metrics = run(
-            &mut soc,
-            scenario.as_mut(),
-            &mut policy,
-            RunConfig::seconds(config.episode_secs),
-        );
-        curve.push(metrics.energy_per_qos);
-        epsilon.push(policy.agent().epsilon());
-        soc.reset();
-        scenario.reset();
-        policy.reset();
-    }
+    let protocol = TrainingProtocol {
+        episodes: config.episodes,
+        episode_secs: config.episode_secs,
+    };
+    train_episodes(
+        &mut soc,
+        scenario.as_mut(),
+        &mut policy,
+        protocol,
+        &mut |metrics, policy| {
+            curve.push(metrics.energy_per_qos);
+            epsilon.push(policy.agent().epsilon());
+        },
+    );
     // Reference baseline under the same seed stream.
     let mut soc = Soc::new(soc_config.clone()).ok()?;
     let mut scenario = config.scenario.build(seed.wrapping_add(0xE2));

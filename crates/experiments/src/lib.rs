@@ -23,9 +23,18 @@
 //! [`resilience`]), [`run_batch`] (many devices in one
 //! [`soc::DeviceBatch`], sharded across the worker threads, and
 //! [`build_fleet`] to build one), [`PolicyKind`] (every policy under
-//! test, including the pre-trained RL policy), and [`table::Table`]
-//! (markdown/CSV rendering used by the `regen-tables` binary and the
-//! benches).
+//! test, including the pre-trained RL policy), [`eval_cell`] (one
+//! trained-then-measured evaluation cell, through the cache), and
+//! [`table::Table`] (markdown/CSV rendering used by the `regen-tables`
+//! binary and the benches).
+//!
+//! The closed loop is written once: [`run_with_faults`] and
+//! [`run_batch`] are two steppers, one over a single `Soc` and one over
+//! a batch's lanes, around the same per-device bookkeeping, so a batched
+//! lane is bit-identical to the same device run alone. Every one-cell
+//! evaluation (E1's cells, `rlpm-sim run` and `compare`, the service's
+//! `simulate`) goes through [`eval_cell`], so one cell reports the same
+//! bits on every path.
 //!
 //! ## Harness fault tolerance
 //!
@@ -63,14 +72,10 @@ mod sched;
 
 pub use cache::CacheDegraded;
 pub use policies::{
-    build_fleet, eval_cells_batched, fleet_lane_seed, train_rl_governor, EvalCell, PolicyKind,
-    TrainingProtocol,
+    build_fleet, eval_cell, fleet_lane_seed, train_rl_governor, PolicyKind, TrainingProtocol,
 };
 pub use resilience::{FaultHarness, Watchdog};
-pub use runner::{
-    ensure_fleet_faults_supported, run, run_batch, run_with_faults, BatchLane,
-    FleetFaultsUnsupported, RunConfig, RunMetrics,
-};
+pub use runner::{run, run_batch, run_with_faults, BatchLane, RunConfig, RunMetrics};
 pub use sched::{
     clear_quarantine, max_retries, quarantine_report, retry_count, set_max_retries, JobCtx,
     ProgressEvent, QuarantineError, QuarantineRecord, DEFAULT_MAX_RETRIES,

@@ -4,10 +4,10 @@ use governors::{Governor, GovernorKind};
 use rlpm::{persist, RlConfig, RlGovernor};
 use rlpm_hw::{HwConfig, HwPolicyDriver};
 use soc::{DeviceBatch, Soc, SocConfig, SocError};
-use workload::ScenarioKind;
+use workload::{Scenario, ScenarioKind};
 
 use crate::runner::{BatchLane, RunMetrics};
-use crate::{cache, run, run_batch, RunConfig};
+use crate::{cache, run, RunConfig};
 
 /// How the RL policy is trained before a frozen evaluation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -137,7 +137,7 @@ pub fn fleet_lane_seed(seed: u64, lane: u64) -> u64 {
 }
 
 /// Builds a fleet of `lanes` identical `soc_config` devices for
-/// [`run_batch`]: lane `i` runs `scenario` on its own arrival stream,
+/// [`crate::run_batch`]: lane `i` runs `scenario` on its own arrival stream,
 /// seeded [`fleet_lane_seed`]`(seed, i)`, under `policy`.
 ///
 /// The fleet ships one policy. An RL variant trains (or is restored
@@ -229,13 +229,39 @@ pub(crate) fn cached_frozen_policy(
     Some(policy)
 }
 
-/// Runs one frozen evaluation cell — train (or restore) the policy,
-/// then measure `run_config` worth of the scenario on a fresh SoC —
-/// consulting the metrics cache when it is enabled. `sweep_key` is
-/// [`cell_key_prefix`] of `soc_config`, built once by the calling sweep.
-/// Traced runs bypass the cache (traces are bulky, figure-only output).
-/// An invalid SoC config yields `None`, cached or not.
-pub(crate) fn eval_cell(
+/// Evaluates one frozen cell: trains (or restores) `policy` on
+/// `scenario`, then measures `run_config` worth of the scenario on a
+/// fresh SoC. Every one-cell evaluation goes through here: E1's sweep,
+/// `rlpm-sim run` and `compare`, and the service's `simulate`. So a
+/// given (SoC, scenario, policy, training, seed, duration) cell reports
+/// the same bits on every path, and a warm entry written by one path
+/// answers the others.
+///
+/// The evaluation's arrivals come from the scenario seeded
+/// `seed·0x9E3779B9 + 1`, a different stream from training's. The
+/// metrics cache is consulted when it is enabled; concurrent callers of
+/// one cold cell coalesce on the cache's in-flight entry, so the cell
+/// is computed once. Traced runs bypass the cache (traces are bulky,
+/// figure-only output). An invalid SoC config yields `None`, cached or
+/// not.
+pub fn eval_cell(
+    soc_config: &SocConfig,
+    scenario: ScenarioKind,
+    policy: PolicyKind,
+    training: TrainingProtocol,
+    seed: u64,
+    run_config: RunConfig,
+) -> Option<RunMetrics> {
+    let sweep_key = cell_key_prefix(soc_config);
+    eval_cell_keyed(
+        soc_config, sweep_key, scenario, policy, training, seed, run_config,
+    )
+}
+
+/// [`eval_cell`] for a sweep on one SoC config: `sweep_key` is
+/// [`cell_key_prefix`] of `soc_config`, built once by the calling sweep
+/// rather than once per cell.
+pub(crate) fn eval_cell_keyed(
     soc_config: &SocConfig,
     sweep_key: cache::Key,
     scenario: ScenarioKind,
@@ -244,168 +270,38 @@ pub(crate) fn eval_cell(
     seed: u64,
     run_config: RunConfig,
 ) -> Option<RunMetrics> {
+    let uncached = || {
+        let mut soc = Soc::new(soc_config.clone()).ok()?;
+        let mut governor = policy.build_trained(soc_config, scenario, training, seed);
+        let mut arrivals = scenario.build(seed.wrapping_mul(0x9E37_79B9).wrapping_add(1));
+        Some(run(
+            &mut soc,
+            arrivals.as_mut(),
+            governor.as_mut(),
+            run_config,
+        ))
+    };
     if !cache::is_enabled() || run_config.record_trace {
-        return eval_cell_uncached(soc_config, scenario, policy, training, seed, run_config);
+        return uncached();
     }
-    let key = cell_key(sweep_key, scenario, policy, training, seed, run_config);
-    let bytes = cache::get_or_compute("cell", key, || {
-        let metrics = eval_cell_uncached(soc_config, scenario, policy, training, seed, run_config)?;
-        cache::encode_metrics(&metrics)
-    })?;
-    cache::decode_metrics(&bytes)
-        .or_else(|| eval_cell_uncached(soc_config, scenario, policy, training, seed, run_config))
-}
-
-/// The part of every cell key that a sweep on `soc_config` shares: the
-/// entry kind and the SoC config's `Debug` rendering, which is most of
-/// the key's cost. A sweep builds it once; [`cell_key`] extends a copy
-/// per cell.
-pub(crate) fn cell_key_prefix(soc_config: &SocConfig) -> cache::Key {
-    cache::Key::new("cell").debug(soc_config)
-}
-
-/// The cache key of one evaluation cell, extending `sweep_key` (the
-/// [`cell_key_prefix`] of the sweep's SoC config).
-///
-/// Both evaluation paths — [`eval_cell`] (looped) and
-/// [`eval_cells_batched`] — address the metrics cache through this one
-/// function, so the key is determined by the *cell* alone: scenario,
-/// policy, seed, configs, duration. How many lanes a sweep happened to
-/// batch together (or whether it batched at all) never enters the key;
-/// a warm entry written by either path satisfies the other. This is
-/// sound because `run_batch` is bit-identical to looped `run` calls
-/// (pinned by `golden_bits`), and it is pinned directly by the
-/// `cache_identity` integration test.
-fn cell_key(
-    sweep_key: cache::Key,
-    scenario: ScenarioKind,
-    policy: PolicyKind,
-    training: TrainingProtocol,
-    seed: u64,
-    run_config: RunConfig,
-) -> u64 {
-    sweep_key
+    let key = sweep_key
         .str(scenario.name())
         .str(policy.name())
         .debug(&training)
         .u64(seed)
         .u64(run_config.duration.as_nanos())
-        .finish()
+        .finish();
+    let bytes = cache::get_or_compute("cell", key, || cache::encode_metrics(&uncached()?))?;
+    cache::decode_metrics(&bytes).or_else(uncached)
 }
 
-/// One `(scenario, policy, seed)` cell of a batched evaluation sweep.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct EvalCell {
-    /// Workload the cell measures.
-    pub scenario: ScenarioKind,
-    /// Policy driving the cell.
-    pub policy: PolicyKind,
-    /// Seed for training and the evaluation streams.
-    pub seed: u64,
-}
-
-/// Evaluates a sweep of cells on one SoC configuration, stepping every
-/// cold cell in a single [`DeviceBatch`] instead of looping the
-/// single-cell evaluation path.
-///
-/// Semantics are exactly `cells.iter().map(|c| eval_cell(..))`: the
-/// same cache keys (both paths share one private key helper, so the
-/// batch shape can never enter a key), the same bit-exact metrics
-/// (`run_batch` equivalence), the same `None` for cells that cannot run.
-/// Warm cells are answered from the cache without joining the batch, so
-/// a sweep whose cells were already evaluated one at a time — or the
-/// other way around — computes nothing.
-pub fn eval_cells_batched(
-    soc_config: &SocConfig,
-    cells: &[EvalCell],
-    training: TrainingProtocol,
-    run_config: RunConfig,
-) -> Vec<Option<RunMetrics>> {
-    let use_cache = cache::is_enabled() && !run_config.record_trace;
-    let sweep_key = cell_key_prefix(soc_config);
-    let mut out: Vec<Option<RunMetrics>> = (0..cells.len()).map(|_| None).collect();
-    let mut cold: Vec<(usize, EvalCell)> = Vec::with_capacity(cells.len());
-    for ((i, &c), slot) in cells.iter().enumerate().zip(&mut out) {
-        if use_cache {
-            let key = cell_key(
-                sweep_key, c.scenario, c.policy, training, c.seed, run_config,
-            );
-            if let Some(bytes) = cache::lookup("cell", key) {
-                if let Some(m) = cache::decode_metrics(&bytes) {
-                    *slot = Some(m);
-                    continue;
-                }
-            }
-        }
-        cold.push((i, c));
-    }
-    if cold.is_empty() {
-        return out;
-    }
-
-    let mut socs = Vec::with_capacity(cold.len());
-    for _ in &cold {
-        // An invalid config fails every cell identically; keep the warm
-        // answers and leave the cold cells `None`, as `eval_cell` would.
-        let Ok(soc) = Soc::new(soc_config.clone()) else {
-            return out;
-        };
-        socs.push(soc);
-    }
-    let Ok(mut batch) = DeviceBatch::new(socs) else {
-        return out;
-    };
-    let mut lanes: Vec<BatchLane> = cold
-        .iter()
-        .map(|&(_, c)| {
-            BatchLane {
-                // Evaluation uses a different seed stream than training
-                // (the same derivation as `eval_cell_uncached`).
-                scenario: c
-                    .scenario
-                    .build(c.seed.wrapping_mul(0x9E37_79B9).wrapping_add(1)),
-                governor: c
-                    .policy
-                    .build_trained(soc_config, c.scenario, training, c.seed),
-                faults: None,
-            }
-        })
-        .collect();
-    let metrics = run_batch(&mut batch, &mut lanes, run_config);
-    for (&(i, c), m) in cold.iter().zip(metrics) {
-        if use_cache {
-            if let Some(bytes) = cache::encode_metrics(&m) {
-                let key = cell_key(
-                    sweep_key, c.scenario, c.policy, training, c.seed, run_config,
-                );
-                cache::put("cell", key, bytes);
-            }
-        }
-        if let Some(slot) = out.get_mut(i) {
-            *slot = Some(m);
-        }
-    }
-    out
-}
-
-fn eval_cell_uncached(
-    soc_config: &SocConfig,
-    scenario: ScenarioKind,
-    policy: PolicyKind,
-    training: TrainingProtocol,
-    seed: u64,
-    run_config: RunConfig,
-) -> Option<RunMetrics> {
-    let mut soc = Soc::new(soc_config.clone()).ok()?;
-    let mut governor = policy.build_trained(soc_config, scenario, training, seed);
-    // Evaluation uses a different seed stream than training.
-    let mut scenario_inst = scenario.build(seed.wrapping_mul(0x9E37_79B9).wrapping_add(1));
-    Some(run(
-        &mut soc,
-        scenario_inst.as_mut(),
-        governor.as_mut(),
-        run_config,
-    ))
+/// The part of every cell key that a sweep on `soc_config` shares: the
+/// entry kind and the SoC config's `Debug` rendering, which is most of
+/// the key's cost. A sweep builds it once; [`eval_cell_keyed`] extends a
+/// copy per cell with the cell's scenario, policy, training, seed and
+/// duration. Nothing else enters the key.
+pub(crate) fn cell_key_prefix(soc_config: &SocConfig) -> cache::Key {
+    cache::Key::new("cell").debug(soc_config)
 }
 
 impl std::fmt::Display for PolicyKind {
@@ -430,23 +326,46 @@ pub fn train_rl_governor(
         return policy;
     };
     let mut scenario = scenario.build(seed.wrapping_add(0x5eed));
+    train_episodes(
+        &mut soc,
+        scenario.as_mut(),
+        &mut policy,
+        protocol,
+        &mut |_, _| {},
+    );
+    policy
+}
+
+/// The training loop every trainer shares: `protocol.episodes` runs of
+/// `protocol.episode_secs` each, resetting `soc`, `scenario` and the
+/// policy's episode state (but not its Q-table) after each one.
+/// `episode` sees each episode's metrics and the policy before those
+/// resets.
+pub(crate) fn train_episodes(
+    soc: &mut Soc,
+    scenario: &mut dyn Scenario,
+    policy: &mut RlGovernor,
+    protocol: TrainingProtocol,
+    episode: &mut dyn FnMut(&RunMetrics, &RlGovernor),
+) {
     for _ in 0..protocol.episodes {
-        run(
-            &mut soc,
-            scenario.as_mut(),
-            &mut policy,
+        let metrics = run(
+            soc,
+            scenario,
+            policy,
             RunConfig::seconds(protocol.episode_secs),
         );
+        episode(&metrics, policy);
         soc.reset();
         scenario.reset();
         policy.reset();
     }
-    policy
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::run_batch;
 
     #[test]
     fn evaluation_set_is_six_plus_one() {

@@ -1,9 +1,19 @@
 //! The closed control loop: scenario → SoC → QoS accounting → governor.
+//!
+//! The loop's per-device bookkeeping is written once, in `LaneLoop`: the
+//! QoS deltas, the per-cluster tallies, the trace row, the decision
+//! dispatch and the final [`RunMetrics`]. Two thin steppers drive it.
+//! [`run_with_faults`] (and so [`run`]) steps one [`Soc`]; [`run_batch`]
+//! steps the lanes of a [`DeviceBatch`], sharded across the worker
+//! threads, so that idle lanes share one kernel dispatch. Both make the
+//! same calls in the same order for every device, which is why a
+//! batched lane's metrics are bit-identical to the same device run
+//! alone.
 
 use governors::{Governor, QosFeedback, SystemState};
 use simkit::trace::Trace;
 use simkit::{obs, FaultCounts, SimDuration, SimTime};
-use soc::{DeviceBatch, LevelRequest, Soc};
+use soc::{DeviceBatch, EpochObservation, EpochReport, LevelRequest, Soc};
 use workload::{QosReport, QosTracker, Scenario};
 
 use crate::resilience::FaultHarness;
@@ -36,6 +46,14 @@ impl RunConfig {
     pub fn with_trace(mut self) -> Self {
         self.record_trace = true;
         self
+    }
+
+    /// The number of `epoch`-long epochs the run steps. A duration
+    /// shorter than one epoch saturates to a single epoch: the control
+    /// loop's unit of progress is the epoch, so the shortest meaningful
+    /// run is one of them.
+    fn epochs(self, epoch: SimDuration) -> u64 {
+        (self.duration / epoch).max(1)
     }
 }
 
@@ -77,6 +95,213 @@ pub struct RunMetrics {
     pub trace: Option<Trace>,
 }
 
+/// One device's side of the closed loop, everything but the stepping:
+/// the QoS tracker and its per-epoch deltas, the per-cluster tallies,
+/// the optional trace, the governor's input state and the decision
+/// dispatch.
+///
+/// A stepper opens one per device with [`LaneLoop::new`]. Each epoch it
+/// feeds the arrivals, steps the device into the report, writes the
+/// observation into `state.soc`, and calls [`LaneLoop::finish_epoch`]
+/// then [`LaneLoop::decide`]. After the last epoch,
+/// [`LaneLoop::finalize`] reads the metrics off the device.
+struct LaneLoop {
+    tracker: QosTracker,
+    prev_snapshot: QosReport,
+    /// The governor's input. The stepper writes the observation half,
+    /// [`LaneLoop::finish_epoch`] the QoS half.
+    state: SystemState,
+    transitions: u64,
+    level_frac_sum: Vec<f64>,
+    /// Per-cluster `opps.max_level().max(1)`, cached so the per-epoch
+    /// fold does not walk the SoC config.
+    max_levels: Vec<usize>,
+    idle_gated_core_s: f64,
+    idle_collapsed_core_s: f64,
+    /// Epoch length in seconds, the trace's energy-to-power divisor.
+    epoch_s: f64,
+    started_at: SimTime,
+    start_energy: f64,
+    start_jobs: u64,
+    epochs_done: u64,
+    trace: Option<Trace>,
+}
+
+impl LaneLoop {
+    /// Opens the loop on `soc` from its current state, with the request
+    /// and report buffers the stepper steps it with. The request holds
+    /// the SoC's current levels, so the first epoch runs at them (the
+    /// lowest OPP on a fresh or reset SoC).
+    fn new(
+        soc: &Soc,
+        scenario: &dyn Scenario,
+        config: RunConfig,
+    ) -> (LaneLoop, LevelRequest, EpochReport) {
+        let clusters = &soc.config().clusters;
+        let tracker = QosTracker::new(scenario.qos_spec());
+        let lane = LaneLoop {
+            prev_snapshot: tracker.snapshot(),
+            tracker,
+            state: SystemState::new(
+                EpochObservation {
+                    at: soc.now(),
+                    clusters: Vec::new(),
+                    energy_j: 0.0,
+                },
+                QosFeedback::default(),
+            ),
+            transitions: 0,
+            level_frac_sum: vec![0.0; clusters.len()],
+            max_levels: clusters.iter().map(|c| c.opps.max_level().max(1)).collect(),
+            idle_gated_core_s: 0.0,
+            idle_collapsed_core_s: 0.0,
+            epoch_s: soc.config().epoch.as_secs_f64(),
+            started_at: soc.now(),
+            start_energy: soc.total_energy_j(),
+            start_jobs: soc.jobs_submitted(),
+            epochs_done: 0,
+            trace: config.record_trace.then(|| {
+                let n = clusters.len();
+                let columns = (0..n)
+                    .map(|c| format!("level_{c}"))
+                    .chain((0..n).map(|c| format!("util_{c}")))
+                    .chain(["power_w".to_owned(), "qos_units".to_owned()]);
+                Trace::new("run", columns)
+            }),
+        };
+        // The report's per-cluster slots (and their completed-job pools)
+        // and the observation's cluster buffer are reused across epochs
+        // and keep their capacity, so the steady-state loop does not
+        // allocate.
+        let request = LevelRequest::new(soc.clusters().iter().map(|c| c.level()).collect());
+        let report = EpochReport {
+            started_at: soc.now(),
+            ended_at: soc.now(),
+            clusters: Vec::new(),
+            energy_j: 0.0,
+        };
+        (lane, request, report)
+    }
+
+    /// Accounts the epoch `report` describes and sets the QoS half of
+    /// the next decision's input; `pending_jobs` is the device's queue
+    /// after the epoch.
+    ///
+    /// `parked` marks an epoch the batch's idle kernel stepped. Such an
+    /// epoch completes no jobs, so the tracker would not move: every
+    /// snapshot delta is exactly zero (`x - x` is `+0.0` for finite
+    /// totals) and the ratio takes its no-demand branch. Skipping the
+    /// snapshot round-trip is therefore bit-identical to the live path.
+    fn finish_epoch(&mut self, report: &EpochReport, parked: bool, pending_jobs: usize) {
+        self.epochs_done += 1;
+        let (units, violations, qos_ratio) = if parked {
+            (0.0, 0, 1.0)
+        } else {
+            self.tracker.observe_all(report.completed());
+            let snapshot = self.tracker.snapshot();
+            let units = snapshot.units - self.prev_snapshot.units;
+            let max_units = snapshot.max_units - self.prev_snapshot.max_units;
+            let violations = snapshot.violations - self.prev_snapshot.violations;
+            self.prev_snapshot = snapshot;
+            // Per-epoch QoS ratio: a cumulative ratio would let one bad
+            // epoch poison the state signal for the rest of the episode.
+            let ratio = if max_units > 0.0 {
+                (units / max_units).clamp(0.0, 1.0)
+            } else {
+                1.0
+            };
+            (units, violations, ratio)
+        };
+
+        for ((r, &max_level), frac) in report
+            .clusters
+            .iter()
+            .zip(&self.max_levels)
+            .zip(self.level_frac_sum.iter_mut())
+        {
+            self.transitions += u64::from(r.transitions);
+            *frac += r.level as f64 / max_level as f64;
+            self.idle_gated_core_s += r.idle_gated_s;
+            self.idle_collapsed_core_s += r.idle_collapsed_s;
+        }
+
+        self.state.qos = QosFeedback {
+            qos_ratio,
+            units,
+            violations,
+            pending_jobs,
+        };
+        if let Some(trace) = self.trace.as_mut() {
+            let levels = report.clusters.iter().map(|r| r.level as f64);
+            let utils = report.clusters.iter().map(|r| r.util_max);
+            let power_w = report.energy_j / self.epoch_s;
+            trace.record(report.ended_at, levels.chain(utils).chain([power_w, units]));
+        }
+    }
+
+    /// Lets `governor` set `request` for the next epoch, through the
+    /// fault harness (watchdog, corrupted telemetry, SEUs) when the
+    /// device has one.
+    fn decide(
+        &mut self,
+        governor: &mut dyn Governor,
+        faults: Option<&mut FaultHarness>,
+        request: &mut LevelRequest,
+    ) {
+        // The guard drops on return, so the span times exactly the
+        // dispatch below.
+        let _decide_span = obs::span!("runner.decide");
+        // xtask-hotpath: begin (per-epoch decision dispatch, no allocation)
+        match faults {
+            Some(harness) => {
+                harness.decide(governor, &mut self.state, request);
+            }
+            None => governor.decide_into(&self.state, request),
+        }
+        // xtask-hotpath: end
+    }
+
+    /// The run's metrics, read off `soc` after its last epoch.
+    fn finalize(
+        self,
+        soc: &Soc,
+        governor: &dyn Governor,
+        faults: Option<&FaultHarness>,
+    ) -> RunMetrics {
+        let energy_j = soc.total_energy_j() - self.start_energy;
+        let unfinished = soc.queued_jobs() + soc.pending_arrivals();
+        let qos = self.tracker.finalize(unfinished);
+        let wall = (soc.now() - self.started_at).as_secs_f64();
+        let (seus_detected, table_reloads) = governor.seu_recovery_counts();
+        let (watchdog_engagements, fault_counts) = match faults {
+            Some(harness) => (harness.watchdog_engagements(), *harness.counts()),
+            None => (0, FaultCounts::default()),
+        };
+        RUNS.inc();
+        RunMetrics {
+            energy_j,
+            energy_per_qos: qos.energy_per_qos(energy_j),
+            qos,
+            avg_power_w: if wall > 0.0 { energy_j / wall } else { 0.0 },
+            transitions: self.transitions,
+            epochs: self.epochs_done,
+            jobs_submitted: soc.jobs_submitted() - self.start_jobs,
+            mean_level_frac: self
+                .level_frac_sum
+                .iter()
+                .map(|s| s / self.epochs_done.max(1) as f64)
+                .collect(),
+            idle_gated_core_s: self.idle_gated_core_s,
+            idle_collapsed_core_s: self.idle_collapsed_core_s,
+            watchdog_engagements,
+            fault_counts,
+            seus_detected,
+            table_reloads,
+            trace: self.trace,
+        }
+    }
+}
+
 /// Runs `governor` on `scenario` for `config.duration`, starting from the
 /// SoC's current state (callers reset the SoC for independent runs; the
 /// training loop deliberately does not).
@@ -101,6 +326,11 @@ pub fn run(
 /// the output is bit-identical to the fault-free path. A harness whose
 /// rates are all zero also reproduces the fault-free run bit-for-bit
 /// (its plan draws nothing — see [`simkit::FaultPlan`]).
+///
+/// This is the single-device stepper over the loop [`run_batch`] runs
+/// per lane. It steps the `Soc` directly rather than as a one-lane
+/// batch, which would pad the lone lane to the batch's 32-wide idle
+/// block.
 pub fn run_with_faults(
     soc: &mut Soc,
     scenario: &mut dyn Scenario,
@@ -109,55 +339,9 @@ pub fn run_with_faults(
     mut faults: Option<&mut FaultHarness>,
 ) -> RunMetrics {
     let epoch = soc.config().epoch;
-    // A duration shorter than one epoch saturates to a single epoch: the
-    // control loop's unit of progress is the epoch, so the shortest
-    // meaningful run is one of them.
-    let epochs = (config.duration / epoch).max(1);
-    let num_clusters = soc.config().clusters.len();
-
-    let mut tracker = QosTracker::new(scenario.qos_spec());
-    let mut request = LevelRequest::new(soc.clusters().iter().map(|c| c.level()).collect());
-    let mut transitions = 0u64;
-    let mut level_frac_sum = vec![0.0f64; num_clusters];
-    let mut idle_gated_core_s = 0.0f64;
-    let mut idle_collapsed_core_s = 0.0f64;
-    let started_at = soc.now();
-    let start_energy = soc.total_energy_j();
-    let start_jobs = soc.jobs_submitted();
-    let mut trace = config.record_trace.then(|| {
-        let mut columns: Vec<String> = Vec::new();
-        for c in 0..num_clusters {
-            columns.push(format!("level_{c}"));
-        }
-        for c in 0..num_clusters {
-            columns.push(format!("util_{c}"));
-        }
-        columns.push("power_w".into());
-        columns.push("qos_units".into());
-        Trace::new("run", columns)
-    });
-
-    let mut prev_snapshot = tracker.snapshot();
-    // Reused across epochs: the report's per-cluster slots (and their
-    // completed-job pools) and the observation's cluster buffer keep
-    // their capacity, so the steady-state loop does not allocate.
-    let mut report = soc::EpochReport {
-        started_at: soc.now(),
-        ended_at: soc.now(),
-        clusters: Vec::new(),
-        energy_j: 0.0,
-    };
-    let mut state = SystemState::new(
-        soc::EpochObservation {
-            at: soc.now(),
-            clusters: Vec::new(),
-            energy_j: 0.0,
-        },
-        QosFeedback::default(),
-    );
-    let mut epochs_done = 0u64;
+    let (mut lane, mut request, mut report) = LaneLoop::new(soc, scenario, config);
     let _run_span = obs::span!("runner.run");
-    for _ in 0..epochs {
+    for _ in 0..config.epochs(epoch) {
         // xtask-hotpath: begin (per-epoch fault application, no allocation)
         if let Some(harness) = faults.as_deref_mut() {
             harness.begin_epoch(soc, &mut request);
@@ -166,8 +350,7 @@ pub fn run_with_faults(
 
         // Feed the next epoch's arrivals before running it.
         let from = soc.now();
-        let to = from + epoch;
-        for (at, job) in scenario.arrivals(from, to) {
+        for (at, job) in scenario.arrivals(from, from + epoch) {
             soc.schedule_job(at, job);
         }
 
@@ -177,141 +360,11 @@ pub fn run_with_faults(
         let Ok(()) = soc.run_epoch_into(&request, &mut report) else {
             break;
         };
-        epochs_done += 1;
-        tracker.observe_all(report.completed());
-        let snapshot = tracker.snapshot();
-        let epoch_units = snapshot.units - prev_snapshot.units;
-        let epoch_max_units = snapshot.max_units - prev_snapshot.max_units;
-        let epoch_violations = snapshot.violations - prev_snapshot.violations;
-        prev_snapshot = snapshot;
-        // Per-epoch QoS ratio: a cumulative ratio would let one bad epoch
-        // poison the state signal for the rest of the episode.
-        let epoch_qos_ratio = if epoch_max_units > 0.0 {
-            (epoch_units / epoch_max_units).clamp(0.0, 1.0)
-        } else {
-            1.0
-        };
-
-        for ((r, cluster), frac) in report
-            .clusters
-            .iter()
-            .zip(&soc.config().clusters)
-            .zip(level_frac_sum.iter_mut())
-        {
-            transitions += u64::from(r.transitions);
-            let max_level = cluster.opps.max_level().max(1);
-            *frac += r.level as f64 / max_level as f64;
-            idle_gated_core_s += r.idle_gated_s;
-            idle_collapsed_core_s += r.idle_collapsed_s;
-        }
-
-        soc.observe_into(&report, &mut state.soc);
-        state.qos = QosFeedback {
-            qos_ratio: epoch_qos_ratio,
-            units: epoch_units,
-            violations: epoch_violations,
-            pending_jobs: soc.queued_jobs(),
-        };
-        if let Some(trace) = trace.as_mut() {
-            let mut row: Vec<f64> = Vec::with_capacity(2 * num_clusters + 2);
-            for r in &report.clusters {
-                row.push(r.level as f64);
-            }
-            for r in &report.clusters {
-                row.push(r.util_max);
-            }
-            row.push(report.energy_j / epoch.as_secs_f64());
-            row.push(epoch_units);
-            trace.record(report.ended_at, row);
-        }
-        // The guard drops at the end of the loop body, so the span times
-        // exactly the governor dispatch below.
-        let _decide_span = obs::span!("runner.decide");
-        // xtask-hotpath: begin (per-epoch decision dispatch, no allocation)
-        match faults.as_deref_mut() {
-            Some(harness) => {
-                harness.decide(governor, &mut state, &mut request);
-            }
-            None => governor.decide_into(&state, &mut request),
-        }
-        // xtask-hotpath: end
+        soc.observe_into(&report, &mut lane.state.soc);
+        lane.finish_epoch(&report, false, soc.queued_jobs());
+        lane.decide(governor, faults.as_deref_mut(), &mut request);
     }
-
-    let energy_j = soc.total_energy_j() - start_energy;
-    let unfinished = soc.queued_jobs() + soc.pending_arrivals();
-    let qos = tracker.finalize(unfinished);
-    let wall = (soc.now() - started_at).as_secs_f64();
-    let (seus_detected, table_reloads) = governor.seu_recovery_counts();
-    let (watchdog_engagements, fault_counts) = match faults {
-        Some(harness) => (harness.watchdog_engagements(), *harness.counts()),
-        None => (0, FaultCounts::default()),
-    };
-    RUNS.inc();
-
-    RunMetrics {
-        energy_j,
-        energy_per_qos: qos.energy_per_qos(energy_j),
-        qos,
-        avg_power_w: if wall > 0.0 { energy_j / wall } else { 0.0 },
-        transitions,
-        epochs: epochs_done,
-        jobs_submitted: soc.jobs_submitted() - start_jobs,
-        mean_level_frac: level_frac_sum
-            .iter()
-            .map(|s| s / epochs_done.max(1) as f64)
-            .collect(),
-        idle_gated_core_s,
-        idle_collapsed_core_s,
-        watchdog_engagements,
-        fault_counts,
-        seus_detected,
-        table_reloads,
-        trace,
-    }
-}
-
-/// Typed rejection of a fleet-wide fault request (see
-/// [`ensure_fleet_faults_supported`]).
-#[derive(Debug, Clone, PartialEq)]
-pub struct FleetFaultsUnsupported {
-    /// The requested fleet-wide fault-rate scale.
-    pub scale: f64,
-}
-
-impl std::fmt::Display for FleetFaultsUnsupported {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "fleet-wide fault injection (fault scale {}) is not supported: \
-             the fleet path shares one scenario stream across lanes and has \
-             no per-lane fault harness or watchdog; a faulted lane would \
-             also disable idle parking and void the fleet-rate accounting. \
-             Use `e9` for fault studies, or fault scale 0 (bit-identical \
-             to the fault-free fleet).",
-            self.scale
-        )
-    }
-}
-
-impl std::error::Error for FleetFaultsUnsupported {}
-
-/// Validates a fleet-wide fault-rate scale for the batched fleet path.
-///
-/// The fleet path deliberately wires [`BatchLane::faults`] to `None`,
-/// so a non-zero request must fail loudly instead of silently
-/// simulating fault-free: anything other than exactly `0.0` returns a
-/// typed [`FleetFaultsUnsupported`] error.
-///
-/// # Errors
-///
-/// Returns [`FleetFaultsUnsupported`] for any non-zero (or non-finite)
-/// `scale`.
-pub fn ensure_fleet_faults_supported(scale: f64) -> Result<(), FleetFaultsUnsupported> {
-    if scale == 0.0 && scale.is_sign_positive() {
-        Ok(())
-    } else {
-        Err(FleetFaultsUnsupported { scale })
-    }
+    lane.finalize(soc, governor, faults.as_deref())
 }
 
 /// One device lane of a batched run: the workload feeding it, the policy
@@ -337,26 +390,6 @@ impl std::fmt::Debug for BatchLane {
             .field("faults", &self.faults.is_some())
             .finish()
     }
-}
-
-/// Per-lane bookkeeping for [`run_batch`]: the locals of one [`run`]
-/// call, boxed up so N of them can advance in lockstep.
-struct LaneState {
-    tracker: QosTracker,
-    prev_snapshot: QosReport,
-    state: SystemState,
-    transitions: u64,
-    level_frac_sum: Vec<f64>,
-    /// Per-cluster `opps.max_level().max(1)`, cached so the per-epoch
-    /// fold does not walk the SoC config.
-    max_levels: Vec<usize>,
-    idle_gated_core_s: f64,
-    idle_collapsed_core_s: f64,
-    started_at: SimTime,
-    start_energy: f64,
-    start_jobs: u64,
-    epochs_done: u64,
-    trace: Option<Trace>,
 }
 
 /// Runs every lane of `batch` for `config.duration` in lockstep,
@@ -451,78 +484,29 @@ pub fn run_batch(
 }
 
 /// One shard of [`run_batch`]: every lane of `batch` in lockstep on the
-/// calling thread.
+/// calling thread, one [`LaneLoop`] per lane.
 fn run_shard(
     batch: &mut DeviceBatch,
     lanes: &mut [BatchLane],
     config: RunConfig,
 ) -> Vec<RunMetrics> {
-    let n = batch.len();
-    if n == 0 {
+    let Some(epoch) = batch.lanes().first().map(|soc| soc.config().epoch) else {
         return Vec::new();
-    }
-    let epoch = batch.lane(0).config().epoch;
-    let epochs = (config.duration / epoch).max(1);
-
+    };
+    let n = batch.len();
     let mut active = vec![true; n];
+    let mut loops: Vec<LaneLoop> = Vec::with_capacity(n);
     let mut requests: Vec<LevelRequest> = Vec::with_capacity(n);
-    let mut reports: Vec<soc::EpochReport> = Vec::with_capacity(n);
-    let mut states: Vec<LaneState> = Vec::with_capacity(n);
-    for (i, lane) in lanes.iter().enumerate() {
-        let soc = batch.lane(i);
-        let num_clusters = soc.config().clusters.len();
-        let tracker = QosTracker::new(lane.scenario.qos_spec());
-        requests.push(LevelRequest::new(
-            soc.clusters().iter().map(|c| c.level()).collect(),
-        ));
-        reports.push(soc::EpochReport {
-            started_at: soc.now(),
-            ended_at: soc.now(),
-            clusters: Vec::new(),
-            energy_j: 0.0,
-        });
-        states.push(LaneState {
-            prev_snapshot: tracker.snapshot(),
-            tracker,
-            state: SystemState::new(
-                soc::EpochObservation {
-                    at: soc.now(),
-                    clusters: Vec::new(),
-                    energy_j: 0.0,
-                },
-                QosFeedback::default(),
-            ),
-            transitions: 0,
-            level_frac_sum: vec![0.0; num_clusters],
-            max_levels: soc
-                .config()
-                .clusters
-                .iter()
-                .map(|c| c.opps.max_level().max(1))
-                .collect(),
-            idle_gated_core_s: 0.0,
-            idle_collapsed_core_s: 0.0,
-            started_at: soc.now(),
-            start_energy: soc.total_energy_j(),
-            start_jobs: soc.jobs_submitted(),
-            epochs_done: 0,
-            trace: config.record_trace.then(|| {
-                let mut columns: Vec<String> = Vec::new();
-                for c in 0..num_clusters {
-                    columns.push(format!("level_{c}"));
-                }
-                for c in 0..num_clusters {
-                    columns.push(format!("util_{c}"));
-                }
-                columns.push("power_w".into());
-                columns.push("qos_units".into());
-                Trace::new("run", columns)
-            }),
-        });
+    let mut reports: Vec<EpochReport> = Vec::with_capacity(n);
+    for (soc, lane) in batch.lanes().iter().zip(lanes.iter()) {
+        let (lane_loop, request, report) = LaneLoop::new(soc, lane.scenario.as_ref(), config);
+        loops.push(lane_loop);
+        requests.push(request);
+        reports.push(report);
     }
 
     let _run_span = obs::span!("runner.run_batch");
-    for _ in 0..epochs {
+    for _ in 0..config.epochs(epoch) {
         // Pre-step pass: per-lane fault application and arrival feeding,
         // in lane order. Each lane sees the identical call sequence a
         // standalone run would make.
@@ -538,8 +522,7 @@ fn run_shard(
                 harness.begin_epoch(batch.lane_mut(i), request);
             }
             let from = batch.lane(i).now();
-            let to = from + epoch;
-            for (at, job) in lane.scenario.arrivals(from, to) {
+            for (at, job) in lane.scenario.arrivals(from, from + epoch) {
                 // Feeds the arrival queue without unparking the lane; the
                 // batch re-checks parkability against it next step.
                 batch.schedule_job(i, at, job);
@@ -557,15 +540,15 @@ fn run_shard(
             break;
         }
 
-        // Post-step pass: QoS accounting, observation and the next
-        // decision, in lane order. All batch calls below are `&self`,
-        // so the error slice can stay borrowed across the loop.
+        // Post-step pass: the loop's epoch accounting and the next
+        // decision, in lane order. All batch calls below are `&self`, so
+        // the error slice can stay borrowed across the loop.
         let errors = batch.lane_errors();
-        for (i, ((((lane, request), is_active), ls), (report, error))) in lanes
+        for (i, ((((lane, request), is_active), lane_loop), (report, error))) in lanes
             .iter_mut()
             .zip(&mut requests)
             .zip(active.iter_mut())
-            .zip(states.iter_mut())
+            .zip(loops.iter_mut())
             .zip(reports.iter().zip(errors))
             .enumerate()
         {
@@ -576,113 +559,20 @@ fn run_shard(
                 *is_active = false;
                 continue;
             }
-            ls.epochs_done += 1;
-            // A parked (kernel-path) epoch completes no jobs, so the
-            // tracker would not move: every snapshot delta is exactly
-            // zero (`x - x` is `+0.0` for finite totals) and the ratio
-            // takes its no-demand branch. Skipping the snapshot
-            // round-trip is therefore bit-identical to the live path.
-            let (epoch_units, epoch_violations, epoch_qos_ratio) = if batch.lane_parked(i) {
-                (0.0, 0, 1.0)
-            } else {
-                ls.tracker.observe_all(report.completed());
-                let snapshot = ls.tracker.snapshot();
-                let units = snapshot.units - ls.prev_snapshot.units;
-                let max_units = snapshot.max_units - ls.prev_snapshot.max_units;
-                let violations = snapshot.violations - ls.prev_snapshot.violations;
-                ls.prev_snapshot = snapshot;
-                let ratio = if max_units > 0.0 {
-                    (units / max_units).clamp(0.0, 1.0)
-                } else {
-                    1.0
-                };
-                (units, violations, ratio)
-            };
-
-            for ((r, &max_level), frac) in report
-                .clusters
-                .iter()
-                .zip(&ls.max_levels)
-                .zip(ls.level_frac_sum.iter_mut())
-            {
-                ls.transitions += u64::from(r.transitions);
-                *frac += r.level as f64 / max_level as f64;
-                ls.idle_gated_core_s += r.idle_gated_s;
-                ls.idle_collapsed_core_s += r.idle_collapsed_s;
-            }
-
-            batch.observe_lane_into(i, report, &mut ls.state.soc);
-            ls.state.qos = QosFeedback {
-                qos_ratio: epoch_qos_ratio,
-                units: epoch_units,
-                violations: epoch_violations,
-                pending_jobs: batch.lane_queued_jobs(i),
-            };
-            if let Some(trace) = ls.trace.as_mut() {
-                let num_clusters = report.clusters.len();
-                let mut row: Vec<f64> = Vec::with_capacity(2 * num_clusters + 2);
-                for r in &report.clusters {
-                    row.push(r.level as f64);
-                }
-                for r in &report.clusters {
-                    row.push(r.util_max);
-                }
-                row.push(report.energy_j / epoch.as_secs_f64());
-                row.push(epoch_units);
-                trace.record(report.ended_at, row);
-            }
-            let _decide_span = obs::span!("runner.decide");
-            // xtask-hotpath: begin (per-epoch decision dispatch, no allocation)
-            match lane.faults.as_mut() {
-                Some(harness) => {
-                    harness.decide(lane.governor.as_mut(), &mut ls.state, request);
-                }
-                None => lane.governor.decide_into(&ls.state, request),
-            }
-            // xtask-hotpath: end
+            batch.observe_lane_into(i, report, &mut lane_loop.state.soc);
+            lane_loop.finish_epoch(report, batch.lane_parked(i), batch.lane_queued_jobs(i));
+            lane_loop.decide(lane.governor.as_mut(), lane.faults.as_mut(), request);
         }
     }
 
     // Write resident domain state back so final energy/queue/time reads
     // see live lanes.
     batch.unpark_all();
-    states
+    loops
         .into_iter()
-        .zip(lanes.iter())
-        .enumerate()
-        .map(|(i, (ls, lane))| {
-            let soc = batch.lane(i);
-            let energy_j = soc.total_energy_j() - ls.start_energy;
-            let unfinished = soc.queued_jobs() + soc.pending_arrivals();
-            let qos = ls.tracker.finalize(unfinished);
-            let wall = (soc.now() - ls.started_at).as_secs_f64();
-            let (seus_detected, table_reloads) = lane.governor.seu_recovery_counts();
-            let (watchdog_engagements, fault_counts) = match &lane.faults {
-                Some(harness) => (harness.watchdog_engagements(), *harness.counts()),
-                None => (0, FaultCounts::default()),
-            };
-            RUNS.inc();
-            RunMetrics {
-                energy_j,
-                energy_per_qos: qos.energy_per_qos(energy_j),
-                qos,
-                avg_power_w: if wall > 0.0 { energy_j / wall } else { 0.0 },
-                transitions: ls.transitions,
-                epochs: ls.epochs_done,
-                jobs_submitted: soc.jobs_submitted() - ls.start_jobs,
-                mean_level_frac: ls
-                    .level_frac_sum
-                    .iter()
-                    .map(|s| s / ls.epochs_done.max(1) as f64)
-                    .collect(),
-                idle_gated_core_s: ls.idle_gated_core_s,
-                idle_collapsed_core_s: ls.idle_collapsed_core_s,
-                watchdog_engagements,
-                fault_counts,
-                seus_detected,
-                table_reloads,
-                trace: ls.trace,
-            }
+        .zip(batch.lanes().iter().zip(lanes.iter()))
+        .map(|(lane_loop, (soc, lane))| {
+            lane_loop.finalize(soc, lane.governor.as_ref(), lane.faults.as_ref())
         })
         .collect()
 }
@@ -805,6 +695,55 @@ mod tests {
         let trace = m.trace.expect("trace requested");
         assert_eq!(trace.len(), 100);
         assert_eq!(trace.columns().len(), 6);
+    }
+
+    /// The trace's level and utilisation columns are each epoch's
+    /// report: the level and the busiest core's utilisation (`util_max`,
+    /// what the governors act on), checked against a twin SoC stepped by
+    /// hand at the level powersave holds.
+    #[test]
+    fn trace_columns_record_each_epochs_level_and_util_max() {
+        let mut soc = soc();
+        let mut scenario = ScenarioKind::Gaming.build(6);
+        let mut governor = GovernorKind::Powersave.build(soc.config());
+        let config = RunConfig::seconds(1).with_trace();
+        let m = run(&mut soc, scenario.as_mut(), governor.as_mut(), config);
+        let trace = m.trace.expect("trace requested");
+
+        let mut twin = self::soc();
+        let mut scenario = ScenarioKind::Gaming.build(6);
+        let request = LevelRequest::min(twin.config());
+        let epoch = twin.config().epoch;
+        let mut reports = Vec::new();
+        for _ in 0..trace.len() {
+            let from = twin.now();
+            for (at, job) in scenario.arrivals(from, from + epoch) {
+                twin.schedule_job(at, job);
+            }
+            reports.push(twin.run_epoch(&request).unwrap());
+        }
+        for c in 0..2 {
+            let level: Vec<f64> = trace
+                .series(&format!("level_{c}"))
+                .iter()
+                .map(|p| p.1)
+                .collect();
+            let util: Vec<f64> = trace
+                .series(&format!("util_{c}"))
+                .iter()
+                .map(|p| p.1)
+                .collect();
+            let want_level: Vec<f64> = reports.iter().map(|r| r.clusters[c].level as f64).collect();
+            let want_util: Vec<f64> = reports.iter().map(|r| r.clusters[c].util_max).collect();
+            assert_eq!(level, want_level, "level_{c}");
+            assert_eq!(util, want_util, "util_{c}");
+        }
+        assert!(
+            reports
+                .iter()
+                .any(|r| r.clusters.iter().any(|c| c.util_max != c.util_avg)),
+            "the scenario must tell util_max from util_avg"
+        );
     }
 
     #[test]

@@ -166,96 +166,6 @@ fn full_experiment_suite_is_identical_cold_and_warm() {
     assert!(cold == warm, "suite cold vs warm differ");
 }
 
-/// A looped E1 sweep and a batched sweep of the same cells address the
-/// cache through identical keys: batch-lane shape is not a key
-/// component, so entries written by one path must satisfy the other,
-/// bit for bit, in both directions.
-#[test]
-fn looped_warm_entries_satisfy_batched_requests_and_vice_versa() {
-    let _guard = CACHE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let soc = SocConfig::odroid_xu3_like().expect("preset is valid");
-    let e1 = E1Config::quick();
-    let run_config = experiments::RunConfig::seconds(e1.eval_secs);
-    // The E1 quick matrix, flattened in its own (scenario, policy, seed)
-    // iteration order.
-    let mut cells = Vec::new();
-    for &scenario in &e1.scenarios {
-        for &policy in &e1.policies {
-            for &seed in &e1.seeds {
-                cells.push(experiments::EvalCell {
-                    scenario,
-                    policy,
-                    seed,
-                });
-            }
-        }
-    }
-
-    // Cold *looped* pass: `run_e1` evaluates every cell one at a time
-    // through `eval_cell`, filling the cache.
-    let dir = scratch_dir("batchcells");
-    cache::configure(Some(dir.clone()));
-    cache::reset_stats();
-    let looped = run_e1(&soc, &e1);
-    assert!(cache::stats().misses > 0, "cold pass must compute");
-    assert_eq!(looped.runs.len(), cells.len());
-
-    // Warm *batched* pass, disk only: every cell must be served from the
-    // entries the looped pass wrote, and the metrics must match the
-    // looped results exactly.
-    cache::clear_memo();
-    cache::reset_stats();
-    let batched = experiments::eval_cells_batched(&soc, &cells, e1.training, run_config);
-    let warm_stats = cache::stats();
-    assert_eq!(
-        warm_stats.misses, 0,
-        "looped entries must satisfy the batch"
-    );
-    assert_eq!(warm_stats.hits, cells.len() as u64);
-    for (cell, (b, l)) in cells.iter().zip(batched.iter().zip(&looped.runs)) {
-        let b = b.as_ref().expect("valid preset evaluates");
-        assert_eq!(
-            (cell.scenario, cell.policy, cell.seed),
-            (l.scenario, l.policy, l.seed)
-        );
-        assert_eq!(
-            b.energy_j.to_bits(),
-            l.metrics.energy_j.to_bits(),
-            "{}/{}/{} diverged between cached paths",
-            cell.scenario.name(),
-            cell.policy.name(),
-            cell.seed
-        );
-        assert_eq!(b, &l.metrics);
-    }
-
-    // And the mirror image: a fresh cache filled by a cold *batched*
-    // pass must satisfy a warm looped `run_e1` without recomputing.
-    let dir2 = scratch_dir("batchcells2");
-    cache::configure(Some(dir2.clone()));
-    cache::clear_memo();
-    cache::reset_stats();
-    let cold_batched = experiments::eval_cells_batched(&soc, &cells, e1.training, run_config);
-    assert!(cache::stats().misses > 0);
-    cache::clear_memo();
-    cache::reset_stats();
-    let warm_looped = run_e1(&soc, &e1);
-    let stats = cache::stats();
-    assert_eq!(
-        stats.misses, 0,
-        "batched entries must satisfy looped requests"
-    );
-    for (b, l) in cold_batched.iter().zip(&warm_looped.runs) {
-        let b = b.as_ref().expect("valid preset evaluates");
-        assert_eq!(b, &l.metrics);
-    }
-
-    cache::configure(None);
-    cache::clear_memo();
-    let _ = std::fs::remove_dir_all(&dir);
-    let _ = std::fs::remove_dir_all(&dir2);
-}
-
 #[test]
 fn restored_policy_reproduces_direct_training_bitwise() {
     let _guard = CACHE_LOCK.lock().unwrap_or_else(|e| e.into_inner());

@@ -18,9 +18,14 @@
 
 use std::fmt::Write as _;
 use std::path::PathBuf;
+use std::sync::OnceLock;
 
-use experiments::{run, run_batch, BatchLane, PolicyKind, RunConfig, RunMetrics, TrainingProtocol};
-use governors::GovernorKind;
+use experiments::e9_fault_resilience::default_base_rates;
+use experiments::{
+    run, run_batch, run_with_faults, train_rl_governor, BatchLane, FaultHarness, PolicyKind,
+    RunConfig, RunMetrics, TrainingProtocol,
+};
+use governors::{Governor, GovernorKind};
 use proptest::prelude::*;
 use soc::{DeviceBatch, Soc, SocConfig};
 use workload::ScenarioKind;
@@ -303,6 +308,124 @@ proptest! {
                 "slot {} (fleet lane {}) diverged under permutation",
                 slot,
                 src
+            );
+        }
+    }
+}
+
+// Random lane mixes. The fleets above pin chosen lane shapes; the
+// property below draws them: any scenario (standby included), a random
+// baseline or a clone of one shared frozen RL policy, either SoC preset,
+// about a quarter of lanes under a fault harness, and some traced runs.
+
+/// One frozen RL policy per SoC preset (`cstates` picks which), trained
+/// once per test process; lanes that draw RL get clones of it.
+fn shared_rl(cfg: &SocConfig, cstates: bool) -> rlpm::RlGovernor {
+    static POLICIES: [OnceLock<rlpm::RlGovernor>; 2] = [OnceLock::new(), OnceLock::new()];
+    POLICIES[usize::from(cstates)]
+        .get_or_init(|| {
+            let mut policy =
+                train_rl_governor(cfg, ScenarioKind::Mixed, TrainingProtocol::quick(), 5);
+            policy.set_frozen(true);
+            policy.reset();
+            policy
+        })
+        .clone()
+}
+
+/// One drawn lane, kept so the same lane can be built twice: once for
+/// the batch and once to run alone.
+#[derive(Debug, Clone, Copy)]
+struct MixLane {
+    scenario: ScenarioKind,
+    /// The lane's baseline; `None` is the shared RL policy.
+    baseline: Option<GovernorKind>,
+    seed: u64,
+    fault_seed: Option<u64>,
+}
+
+impl MixLane {
+    fn draw(rng: &mut simkit::SimRng) -> MixLane {
+        let scenarios = ScenarioKind::ALL.len();
+        let baselines = GovernorKind::SIX_BASELINES.len();
+        let scenario = rng.uniform_usize(scenarios + 1);
+        let policy = rng.uniform_usize(baselines + 1);
+        MixLane {
+            scenario: ScenarioKind::ALL
+                .get(scenario)
+                .copied()
+                .unwrap_or(ScenarioKind::Standby),
+            baseline: GovernorKind::SIX_BASELINES.get(policy).copied(),
+            seed: rng.next_u64(),
+            fault_seed: rng.chance(0.25).then(|| rng.next_u64()),
+        }
+    }
+
+    fn build(&self, cfg: &SocConfig, rl: &rlpm::RlGovernor) -> BatchLane {
+        BatchLane {
+            scenario: self.scenario.build(self.seed),
+            governor: match self.baseline {
+                Some(kind) => kind.build(cfg),
+                None => Box::new(rl.clone()),
+            },
+            faults: self.fault_seed.map(|seed| {
+                FaultHarness::new(cfg, seed, default_base_rates()).expect("default rates are valid")
+            }),
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// A batch of randomly mixed lanes reports, lane for lane, exactly
+    /// what each lane run alone through `run_with_faults` reports, trace
+    /// included (compared as `Debug` renderings, which print every float
+    /// by its exact bits).
+    #[test]
+    fn prop_random_lane_mixes_match_looped_runs(case_seed in any::<u64>()) {
+        let mut rng = simkit::SimRng::seed_from(case_seed);
+        let cstates = rng.chance(0.5);
+        let cfg = if cstates {
+            SocConfig::odroid_xu3_like_cstates()
+        } else {
+            SocConfig::odroid_xu3_like()
+        }
+        .expect("preset is valid");
+        let rl = shared_rl(&cfg, cstates);
+        let mut config = RunConfig::seconds(1 + rng.uniform_usize(2) as u64);
+        if rng.chance(0.3) {
+            config = config.with_trace();
+        }
+        let mix: Vec<MixLane> = (0..1 + rng.uniform_usize(12))
+            .map(|_| MixLane::draw(&mut rng))
+            .collect();
+
+        let socs: Vec<Soc> = mix.iter().map(|_| Soc::new(cfg.clone()).expect("valid")).collect();
+        let mut batch = DeviceBatch::new(socs).expect("uniform fleet");
+        let mut lanes: Vec<BatchLane> = mix.iter().map(|lane| lane.build(&cfg, &rl)).collect();
+        let batched = run_batch(&mut batch, &mut lanes, config);
+
+        prop_assert_eq!(batched.len(), mix.len());
+        for (i, (lane, b)) in mix.iter().zip(&batched).enumerate() {
+            let mut alone = lane.build(&cfg, &rl);
+            let mut soc = Soc::new(cfg.clone()).expect("valid");
+            let looped = run_with_faults(
+                &mut soc,
+                alone.scenario.as_mut(),
+                alone.governor.as_mut(),
+                config,
+                alone.faults.as_mut(),
+            );
+            prop_assert_eq!(
+                format!("{b:?}"),
+                format!("{looped:?}"),
+                "lane {} ({:?}) of a {}-lane mix, cstates {}, {:?}",
+                i,
+                lane,
+                mix.len(),
+                cstates,
+                config
             );
         }
     }

@@ -2,6 +2,8 @@
 //! talking to the policy engine over the register interface — the
 //! closed-loop form of the paper's hardware-implemented policy.
 
+use std::sync::Arc;
+
 use governors::{Governor, SystemState};
 use simkit::stats::Running;
 use simkit::{obs, SimDuration};
@@ -92,8 +94,9 @@ pub struct HwPolicyDriver {
     engine_clock_hz: u64,
     /// Golden copy of the last successfully loaded table (raw Q16.16
     /// bits), replayed over the bus on SEU recovery. Empty until
-    /// [`HwPolicyDriver::load_table`] succeeds.
-    golden: Vec<u32>,
+    /// [`HwPolicyDriver::load_table`] succeeds. Clones of a driver share
+    /// it: a load replaces it whole and nothing writes it in place.
+    golden: Arc<[u32]>,
     seus_detected: u64,
     table_reloads: u64,
 }
@@ -114,7 +117,7 @@ impl HwPolicyDriver {
             training: true,
             latency: Running::new(),
             engine_clock_hz,
-            golden: Vec::new(),
+            golden: Arc::default(),
             seus_detected: 0,
             table_reloads: 0,
         }
@@ -194,7 +197,7 @@ impl HwPolicyDriver {
         {
             return Err(TableLoadError::ParityMismatch { addr });
         }
-        self.golden = golden;
+        self.golden = golden.into();
         Ok(spent)
     }
 
@@ -210,7 +213,7 @@ impl HwPolicyDriver {
             self.table_reloads += 1;
             HW_RELOADS.inc();
             spent += self.bus.write(regs::QADDR, 0);
-            for &bits in &self.golden {
+            for &bits in self.golden.iter() {
                 spent += self.bus.write(regs::QDATA, bits);
             }
         }

@@ -1,6 +1,8 @@
 //! Fixed-point Q-table and agent: the functional specification the RTL
 //! model must match bit-for-bit.
 
+use std::sync::Arc;
+
 use rlpm::fixed::Fx;
 use rlpm::{Action, QTable, StateIndex};
 
@@ -13,12 +15,18 @@ use rlpm::{Action, QTable, StateIndex};
 /// [`FxQTable::corrupt_bit`] models a single-event upset by flipping a
 /// data bit *without* updating the parity, which is exactly what the
 /// parity checkers then detect.
+///
+/// Clones share the value and parity buffers until either side writes,
+/// which then copies them ([`Arc::make_mut`]), as [`QTable`] does. So
+/// the lanes of a fleet that clone one deployed engine hold one table
+/// between them, and only a lane whose table an SEU or a reload writes
+/// gets its own copy.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FxQTable {
     num_states: usize,
     num_actions: usize,
-    values: Vec<Fx>,
-    parity: Vec<u8>,
+    values: Arc<[Fx]>,
+    parity: Arc<[u8]>,
 }
 
 impl FxQTable {
@@ -35,8 +43,8 @@ impl FxQTable {
         FxQTable {
             num_states,
             num_actions,
-            values: vec![init; num_states * num_actions],
-            parity: vec![Self::parity_of(init); num_states * num_actions],
+            values: vec![init; num_states * num_actions].into(),
+            parity: vec![Self::parity_of(init); num_states * num_actions].into(),
         }
     }
 
@@ -51,7 +59,7 @@ impl FxQTable {
         FxQTable {
             num_states: table.num_states(),
             num_actions: table.num_actions(),
-            values,
+            values: values.into(),
             parity,
         }
     }
@@ -81,10 +89,7 @@ impl FxQTable {
     /// in `idx`) are dropped, mirroring a write past the BRAM decoder.
     pub fn set(&mut self, s: StateIndex, a: Action, v: Fx) {
         let i = self.idx(s, a);
-        if let (Some(slot), Some(p)) = (self.values.get_mut(i), self.parity.get_mut(i)) {
-            *slot = v;
-            *p = Self::parity_of(v);
-        }
+        self.set_linear(i, v);
     }
 
     /// The action row for `s`.
@@ -120,7 +125,12 @@ impl FxQTable {
 
     /// Linear write; returns false if the address is out of range.
     pub fn set_linear(&mut self, addr: usize, v: Fx) -> bool {
-        match (self.values.get_mut(addr), self.parity.get_mut(addr)) {
+        if addr >= self.values.len() {
+            return false;
+        }
+        let values = Arc::make_mut(&mut self.values);
+        let parity = Arc::make_mut(&mut self.parity);
+        match (values.get_mut(addr), parity.get_mut(addr)) {
             (Some(slot), Some(p)) => {
                 *slot = v;
                 *p = Self::parity_of(v);
@@ -145,7 +155,10 @@ impl FxQTable {
     /// at linear address `addr` *without* updating the stored parity.
     /// Returns false (no flip) if `addr` is out of range.
     pub fn corrupt_bit(&mut self, addr: usize, bit: u32) -> bool {
-        if let Some(slot) = self.values.get_mut(addr) {
+        if addr >= self.values.len() {
+            return false;
+        }
+        if let Some(slot) = Arc::make_mut(&mut self.values).get_mut(addr) {
             let flipped = (slot.to_bits() as u32) ^ (1u32 << (bit % 32));
             *slot = Fx::from_bits(flipped as i32);
             true
@@ -184,7 +197,7 @@ impl FxQTable {
     pub fn first_parity_error(&self) -> Option<usize> {
         self.values
             .iter()
-            .zip(&self.parity)
+            .zip(self.parity.iter())
             .position(|(&v, &p)| Self::parity_of(v) != p)
     }
 
@@ -303,6 +316,30 @@ mod tests {
         // A functional rewrite of the entry restores consistency.
         fx.set(3, 2, Fx::from_f64(0.5));
         assert!(fx.all_parity_ok());
+    }
+
+    #[test]
+    fn clones_share_the_table_until_one_writes() {
+        let shares = |a: &FxQTable, b: &FxQTable| {
+            Arc::ptr_eq(&a.values, &b.values) && Arc::ptr_eq(&a.parity, &b.parity)
+        };
+        let original = table();
+        let mut upset = original.clone();
+        let mut reloaded = original.clone();
+        assert!(shares(&original, &upset) && shares(&original, &reloaded));
+        // Reads and rejected writes copy nothing.
+        assert_eq!(upset.argmax(3), original.argmax(3));
+        assert!(!upset.set_linear(8 * 5, Fx::ZERO));
+        assert!(!upset.corrupt_bit(8 * 5, 0));
+        assert!(shares(&original, &upset));
+        // An SEU and a reload write each give their lane its own copy.
+        assert!(upset.corrupt_bit(7, 3));
+        assert!(reloaded.set_linear(7, Fx::from_f64(1.5)));
+        assert!(!shares(&original, &upset) && !shares(&original, &reloaded));
+        assert!(original.all_parity_ok(), "the shared table is untouched");
+        assert_eq!(original, table());
+        assert!(!upset.entry_parity_ok(7));
+        assert_eq!(reloaded.get_linear(7), Some(Fx::from_f64(1.5)));
     }
 
     #[test]

@@ -3,10 +3,12 @@
 //!
 //! The mapping is deliberately thin and mirrors the CLI paths:
 //!
-//! * `simulate` runs one evaluation cell through
-//!   [`experiments::eval_cells_batched`], so identical concurrent
-//!   requests coalesce in the content-addressed cache's memo layer and
-//!   repeat requests are answered from disk.
+//! * `simulate` evaluates one cell through [`experiments::eval_cell`],
+//!   the path E1 and `rlpm-sim run` take, so it reports the metrics
+//!   `rlpm-sim run` prints for the same arguments. Identical concurrent
+//!   requests coalesce on the cache memo's in-flight entry (one
+//!   computes, the others wait for its bytes), and repeat requests are
+//!   answered from the memo or from disk.
 //! * `train` calls [`experiments::train_rl_governor`] with the same
 //!   arguments `rlpm-sim train` passes, so the returned artifact
 //!   checksum matches a CLI-trained file byte for byte.
@@ -36,8 +38,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use experiments::e1_energy_per_qos::{run_e1, E1Config};
 use experiments::{
-    build_fleet, eval_cells_batched, run_batch, train_rl_governor, EvalCell, JobCtx, PolicyKind,
-    RunConfig, RunMetrics, TrainingProtocol,
+    build_fleet, eval_cell, run_batch, train_rl_governor, JobCtx, PolicyKind, RunConfig,
+    RunMetrics, TrainingProtocol,
 };
 use governors::GovernorKind;
 use soc::SocConfig;
@@ -204,8 +206,9 @@ impl Service {
     }
 }
 
-/// Resolves a SoC preset name (same catalogue as the CLI `--soc` flag).
-fn resolve_soc(name: &str) -> Result<SocConfig, RequestError> {
+/// Resolves a SoC preset name: `xu3`, `xu3-cstates` or `symmetric`.
+/// The CLI's `--soc` flag resolves through here too.
+pub fn resolve_soc(name: &str) -> Result<SocConfig, RequestError> {
     let config = match name {
         "xu3" => SocConfig::odroid_xu3_like(),
         "xu3-cstates" => SocConfig::odroid_xu3_like_cstates(),
@@ -223,8 +226,10 @@ fn resolve_soc(name: &str) -> Result<SocConfig, RequestError> {
     })
 }
 
-/// Resolves a scenario name: the catalog plus `standby`.
-fn resolve_scenario(name: &str) -> Result<ScenarioKind, RequestError> {
+/// Resolves a scenario name: the catalog plus `standby` (which sits
+/// outside [`ScenarioKind::ALL`] because it delivers no QoS units). The
+/// CLI's scenario arguments resolve through here too.
+pub fn resolve_scenario(name: &str) -> Result<ScenarioKind, RequestError> {
     if name == ScenarioKind::Standby.name() {
         return Ok(ScenarioKind::Standby);
     }
@@ -241,8 +246,9 @@ fn resolve_scenario(name: &str) -> Result<ScenarioKind, RequestError> {
         })
 }
 
-/// Resolves a policy name (six baselines plus the RL variants).
-fn resolve_policy(name: &str) -> Result<PolicyKind, RequestError> {
+/// Resolves a policy name (six baselines plus the RL variants). The
+/// CLI's policy arguments resolve through here too.
+pub fn resolve_policy(name: &str) -> Result<PolicyKind, RequestError> {
     if name == "rlpm" {
         return Ok(PolicyKind::Rl);
     }
@@ -287,18 +293,14 @@ fn simulate(spec: &SimulateSpec) -> Result<Value, RequestError> {
     let soc_cfg = resolve_soc(&spec.soc)?;
     let scenario = resolve_scenario(&spec.scenario)?;
     let policy = resolve_policy(&spec.policy)?;
-    let cell = EvalCell {
+    let Some(m) = eval_cell(
+        &soc_cfg,
         scenario,
         policy,
-        seed: spec.seed,
-    };
-    let metrics = eval_cells_batched(
-        &soc_cfg,
-        &[cell],
         TrainingProtocol::default(),
+        spec.seed,
         RunConfig::seconds(spec.secs),
-    );
-    let Some(Some(m)) = metrics.into_iter().next() else {
+    ) else {
         return Err(RequestError {
             code: ErrorCode::Internal,
             message: "simulation failed to run".into(),
