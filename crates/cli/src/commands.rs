@@ -169,14 +169,11 @@ pub fn cmd_fleet(inv: &Invocation) -> CmdResult {
         "secs",
         "seed",
         "soc",
-        "max-retries",
-        "fail-on-quarantine",
         "cache-dir",
         "no-cache",
         "metrics-out",
     ])?;
     configure_cache(inv);
-    configure_supervision(inv)?;
     let scenario_name = inv.positional.first().map(String::as_str).unwrap_or("idle");
     let policy_name = inv
         .positional
@@ -311,14 +308,11 @@ pub fn cmd_compare(inv: &Invocation) -> CmdResult {
         "secs",
         "seed",
         "soc",
-        "max-retries",
-        "fail-on-quarantine",
         "cache-dir",
         "no-cache",
         "metrics-out",
     ])?;
     configure_cache(inv);
-    configure_supervision(inv)?;
     let scenario_name = inv
         .positional
         .first()
@@ -691,7 +685,7 @@ USAGE:
   rlpm-sim fleet    <scenario> <policy> [--lanes N] [--secs N] [--seed N] [--soc P]
   rlpm-sim compare  <scenario> [--secs N] [--seed N] [--soc P]
                     (run/fleet/compare/e9 also take [--cache-dir DIR] [--no-cache];
-                     fleet/compare/e9 also take [--max-retries N] [--fail-on-quarantine])
+                     e9 also takes [--max-retries N] [--fail-on-quarantine])
   rlpm-sim train    <scenario> --out FILE [--episodes N] [--episode-secs N] [--seed N] [--soc P]
   rlpm-sim eval     <scenario> --policy-file FILE [--secs N] [--seed N] [--soc P]
   rlpm-sim record   <scenario> --out FILE [--secs N] [--seed N]
@@ -878,12 +872,34 @@ mod tests {
     }
 
     #[test]
-    fn fleet_refuses_a_fault_scale() {
-        // fleet has no fault flag: a fault request is an unknown-flag
-        // error, never a silent fault-free run.
-        let inv = parse(["fleet", "idle", "ondemand", "--fault-scale", "1"]).unwrap();
-        let err = dispatch(&inv).unwrap_err();
-        assert!(err.to_string().contains("--fault-scale"), "{err}");
+    fn fleet_and_compare_refuse_flags_they_would_ignore() {
+        // fleet has no fault flag, and neither command runs under the
+        // supervised scheduler: a fault or supervision request is an
+        // unknown-flag error, never a silently ignored knob.
+        for (args, flag) in [
+            (
+                &["fleet", "idle", "ondemand", "--fault-scale", "1"][..],
+                "--fault-scale",
+            ),
+            (
+                &["fleet", "idle", "ondemand", "--max-retries", "3"],
+                "--max-retries",
+            ),
+            (
+                &["fleet", "idle", "ondemand", "--fail-on-quarantine"],
+                "--fail-on-quarantine",
+            ),
+            (&["compare", "video", "--max-retries", "3"], "--max-retries"),
+            (
+                &["compare", "video", "--fail-on-quarantine"],
+                "--fail-on-quarantine",
+            ),
+        ] {
+            let inv = parse(args.iter().copied()).unwrap();
+            let err = dispatch(&inv).unwrap_err();
+            let unknown = format!("unknown flag {flag} for `{}`", args[0]);
+            assert!(err.to_string().contains(&unknown), "{args:?}: {err}");
+        }
     }
 
     /// `run` and the service's `simulate` evaluate a cell through one

@@ -4,35 +4,37 @@
 //! A fleet sweep (many devices × scenarios × seeds) re-runs the same
 //! single-device epoch loop thousands of times, and most of those lanes
 //! spend most epochs fully idle. [`DeviceBatch`] exploits that with a
-//! structure-of-arrays **parked** mode: a lane whose clusters are all
-//! quiescent (no cpuidle table, no arrival due within the epoch) detaches
-//! its per-cluster hot state — frequency level, temperature, energy
-//! accumulator, throttle flag, power constants — into a flat
-//! [`crate::cluster::IdleDomain`] vector, and *stays* detached across
-//! epochs. Each epoch, one interleaved kernel
-//! ([`crate::cluster::advance_idle_batch`]) advances every parked domain
-//! in lockstep, and the per-lane epoch report and governor observation
-//! are synthesised straight from the domain records without touching the
-//! parked `Cluster`/core structures at all. Lanes with queued work,
+//! **parked** mode: a lane whose clusters are all quiescent (no cpuidle
+//! table, no arrival due within the epoch) detaches its per-cluster hot
+//! state — thermal node, frequency level, epoch accumulator, power
+//! constants — into a dense [`crate::cluster::IdleDomain`] vector, and
+//! *stays* detached across epochs. Each epoch, one interleaved
+//! structure-of-arrays kernel ([`crate::cluster::advance_idle_batch`])
+//! advances every parked domain in lockstep, and the per-lane epoch
+//! report and governor observation are synthesised straight from the
+//! domain records without touching the parked `Cluster`/core structures
+//! at all. Lanes with queued work,
 //! imminent arrivals, cpuidle tables, or a level-change request unpark
 //! (the domain state is written back) and run the unmodified
 //! [`Soc::run_epoch_into`].
 //!
 //! Two effects make this fast. The interleaved kernel fills the FP
-//! pipeline: a single lane's idle fast-forward is one serial
-//! floating-point recurrence (each sub-step's temperature feeds the
-//! next), but across lanes the recurrences are independent. And resident
+//! pipeline: a single cluster's idle span is one serial floating-point
+//! recurrence (each sub-step's temperature feeds the next), but across
+//! lanes the recurrences are independent. And resident
 //! parking removes the per-epoch scatter/gather: a parked lane's epoch
 //! touches a few dense cache lines of domain state instead of its whole
 //! simulator object graph.
 //!
 //! Batching is a pure scheduling optimisation: every lane produces
 //! **bit-identical** state, reports and metrics to running it alone. The
-//! parked path replays the exact instruction sequence of the whole-epoch
-//! idle fast-forward (and of the epoch epilogue, whose idle-epoch inputs
-//! are all exactly `+0.0`/empty), and the scalar path *is* the
-//! single-device path. The equivalence is pinned per-epoch by unit tests
-//! here and end-to-end by the `golden_bits` batch-vs-looped cases.
+//! parked path runs the very kernel a lone [`Soc`] runs each idle span
+//! through (one lane wide there), and closes each epoch through the same
+//! fold as the scalar epilogue (whose idle-epoch inputs are all exactly
+//! `+0.0`/empty); the scalar path *is* the single-device path. The
+//! equivalence is pinned per-epoch by unit tests here, end-to-end by the
+//! `golden_bits` batch-vs-looped cases, and against golden bits with the
+//! thermal clamp firing inside the kernel by `tests/thermal_clamp.rs`.
 
 use simkit::{obs, SimTime};
 

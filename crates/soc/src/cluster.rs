@@ -1,11 +1,22 @@
 //! A DVFS cluster: a group of identical cores sharing one frequency /
 //! voltage domain, a power model and a thermal node.
+//!
+//! Each sub-step update is written once. [`StepState::close`] ends a
+//! sub-step — energy, thermal step, throttle clamp and its transition
+//! charge — and `cpuidle_scales` is the per-core cpuidle term; the stepped
+//! reference [`Cluster::advance_substep`] and the busy kernel both call
+//! them. Every quiescent span of a cluster without cpuidle states runs
+//! through the batched idle kernel ([`advance_idle_batch`]): a lone
+//! cluster's as one lane, a parked fleet's as many. The kernel and
+//! [`crate::ThermalModel::step`] share the thermal relax and hysteresis.
 
 use simkit::{SimDuration, SimTime};
 
 use crate::core_model::ExecConsts;
+use crate::thermal::{hysteresis, relax};
 use crate::{
-    ClusterConfig, CompletedJob, CoreModel, IdleDepth, Job, OppLevel, PowerModel, SocError,
+    ClusterConfig, CompletedJob, CoreModel, IdleDepth, IdleStates, Job, OppLevel, PowerModel,
+    SocError, ThermalModel,
 };
 
 /// Per-epoch aggregate report for one cluster.
@@ -58,7 +69,7 @@ pub struct ClusterObservation {
 }
 
 /// A group of cores sharing a DVFS domain.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Cluster {
     config: ClusterConfig,
     cores: Vec<CoreModel>,
@@ -66,40 +77,21 @@ pub struct Cluster {
     /// power; the tail `[online, len)` is hotplugged out (fully
     /// power-collapsed, zero dynamic and leakage power, queues drained).
     online: usize,
-    level: OppLevel,
-    /// Stall applied to the next sub-step because of an in-flight
-    /// transition.
-    pending_stall: SimDuration,
-    /// Accumulators for the epoch in progress.
-    acc: EpochAcc,
+    /// Level, pending stall, thermal node and epoch sums.
+    st: StepState,
+    /// Jobs completed this epoch: the pooled buffer
+    /// [`Cluster::end_epoch_into`] swaps into the report.
+    completed: Vec<CompletedJob>,
     /// Per-OPP power constants hoisted out of the sub-step loop, indexed
     /// by level. Pure function of `config`; built once in
     /// [`Cluster::new`].
     power_lut: Vec<OppPowerLut>,
-    /// One-entry leakage memo keyed on `(level, temp bits)`. Within a
-    /// sub-step every core shares the pair, and across idle sub-steps the
-    /// temperature often converges exactly; a hit returns the very bits
-    /// the cold path would compute. Pure cache — excluded from
-    /// `PartialEq`.
-    leak_cache: (OppLevel, u64, f64),
-}
-
-/// Equality over semantic state only; the memo fields are transparent.
-impl PartialEq for Cluster {
-    fn eq(&self, other: &Self) -> bool {
-        self.config == other.config
-            && self.cores == other.cores
-            && self.online == other.online
-            && self.level == other.level
-            && self.pending_stall == other.pending_stall
-            && self.acc == other.acc
-    }
 }
 
 /// Power-model constants for one OPP, precomputed with exactly the
 /// expressions [`PowerModel`] uses so reading them back is bit-identical
 /// to evaluating per sub-step.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 struct OppPowerLut {
     /// Frequency of the OPP (Hz).
     freq_hz: u64,
@@ -113,16 +105,113 @@ struct OppPowerLut {
     leak_base: f64,
 }
 
-#[derive(Debug, Clone, PartialEq, Default)]
+/// Sums over the epoch in progress.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 struct EpochAcc {
     substeps: u32,
     util_avg_sum: f64,
     util_max_sum: f64,
     energy_j: f64,
     transitions: u32,
-    completed: Vec<CompletedJob>,
     idle_gated_s: f64,
     idle_collapsed_s: f64,
+}
+
+impl EpochAcc {
+    /// The epoch-close fold: writes the report of the epoch these sums
+    /// cover, at the closing `temp_c`, `level` and `queued`, and resets
+    /// the sums for the next. A live cluster closes through
+    /// [`Cluster::end_epoch_into`], a parked one through
+    /// [`synth_parked_report`].
+    fn close_into(
+        &mut self,
+        temp_c: f64,
+        level: OppLevel,
+        queued: usize,
+        report: &mut ClusterReport,
+    ) {
+        let n = self.substeps.max(1) as f64;
+        report.util_avg = self.util_avg_sum / n;
+        report.util_max = self.util_max_sum / n;
+        report.energy_j = self.energy_j;
+        report.temp_c = temp_c;
+        report.level = level;
+        report.transitions = self.transitions;
+        report.queued = queued;
+        report.idle_gated_s = self.idle_gated_s;
+        report.idle_collapsed_s = self.idle_collapsed_s;
+        *self = EpochAcc::default();
+    }
+}
+
+/// Everything a sub-step updates in a cluster outside its cores, in one
+/// `Copy` value: the busy kernel holds it in a local for a whole span and
+/// writes it back once.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct StepState {
+    level: OppLevel,
+    /// Stall applied to the next sub-step because of an in-flight
+    /// transition.
+    pending_stall: SimDuration,
+    /// The live thermal node; `config.thermal` keeps the node as the
+    /// cluster was built.
+    thermal: ThermalModel,
+    acc: EpochAcc,
+}
+
+impl StepState {
+    /// Moves to `level` with one DVFS transition charge: the stall on the
+    /// next sub-step, the transition energy and the count. A level
+    /// request and the thermal clamp both charge here.
+    #[inline(always)]
+    fn transition(&mut self, level: OppLevel, config: &ClusterConfig) {
+        self.level = level;
+        self.pending_stall = config.transition_latency;
+        self.acc.energy_j += config.power.transition_energy_j;
+        self.acc.transitions += 1;
+    }
+
+    /// Closes a sub-step of length `dt` (`dt_s` seconds) that drew
+    /// `power_w`: integrates it into the epoch energy, steps the thermal
+    /// node, and re-applies the throttle clamp in case the trip point was
+    /// crossed, lowering a now-forbidden level with one
+    /// [`StepState::transition`]. Returns whether the clamp fired.
+    #[inline(always)]
+    fn close(&mut self, config: &ClusterConfig, power_w: f64, dt: SimDuration, dt_s: f64) -> bool {
+        self.acc.energy_j += power_w * dt_s;
+        self.thermal.step(power_w, dt);
+        let clamp = self.thermal.clamp_max_level(config.opps.max_level());
+        let fire = self.level > clamp;
+        if fire {
+            self.transition(clamp, config);
+        }
+        fire
+    }
+}
+
+/// The per-core cpuidle term of one online core for a sub-step of
+/// `dt_s` seconds: the depth its idle residency at the sub-step's start
+/// puts it in (waking resets the residency via `enqueue_on`), that
+/// depth's power scales `(idle dynamic, leakage)`, and the sub-step
+/// credited to the depth's residency in `acc`. Without a cpuidle table
+/// every core is active: scales `(1.0, 1.0)`, no residency.
+#[inline(always)]
+fn cpuidle_scales(
+    idle: Option<&IdleStates>,
+    idle_for: SimDuration,
+    dt_s: f64,
+    acc: &mut EpochAcc,
+) -> (f64, f64) {
+    let Some(idle) = idle else {
+        return (1.0, 1.0);
+    };
+    let depth = idle.depth(idle_for);
+    match depth {
+        IdleDepth::ClockGated => acc.idle_gated_s += dt_s,
+        IdleDepth::Collapsed => acc.idle_collapsed_s += dt_s,
+        IdleDepth::Active => {}
+    }
+    idle.power_scales(depth)
 }
 
 impl Cluster {
@@ -145,62 +234,53 @@ impl Cluster {
             })
             .collect();
         let online = config.cores;
+        let st = StepState {
+            level: 0,
+            pending_stall: SimDuration::ZERO,
+            thermal: config.thermal,
+            acc: EpochAcc::default(),
+        };
         Cluster {
             config,
             cores,
             online,
-            level: 0,
-            pending_stall: SimDuration::ZERO,
-            acc: EpochAcc::default(),
+            st,
+            completed: Vec::new(),
             power_lut,
-            leak_cache: (usize::MAX, 0, 0.0),
         }
     }
 
-    /// The precomputed power constants for the current level.
-    fn lut(&self) -> OppPowerLut {
-        // xtask-allow: no-panic-lib -- `level` is range-checked by `set_level` and only ever lowered by the thermal clamp
-        self.power_lut[self.level]
+    /// The precomputed power constants of `level`.
+    fn lut(&self, level: OppLevel) -> OppPowerLut {
+        // xtask-allow: no-panic-lib -- levels come range-checked from `set_level` or are clamp targets `<= max_level`
+        self.power_lut[level]
     }
 
-    /// Leakage power at the current level and `temp_c`, through the
-    /// one-entry memo.
-    fn leakage_memo(&mut self, temp_c: f64) -> f64 {
-        let bits = temp_c.to_bits();
-        if self.leak_cache.0 == self.level && self.leak_cache.1 == bits {
-            return self.leak_cache.2;
-        }
-        let leak_w = self
-            .config
-            .power
-            .leakage_w_from_base(self.lut().leak_base, temp_c);
-        self.leak_cache = (self.level, bits, leak_w);
-        leak_w
-    }
-
-    /// The cluster's configuration.
+    /// The cluster's configuration, as built: its thermal node is the
+    /// initial one, the live node is read through [`Cluster::temp_c`] and
+    /// [`Cluster::is_throttled`].
     pub fn config(&self) -> &ClusterConfig {
         &self.config
     }
 
     /// Current OPP level.
     pub fn level(&self) -> OppLevel {
-        self.level
+        self.st.level
     }
 
     /// Current frequency in Hz.
     pub fn freq_hz(&self) -> u64 {
-        self.config.opps.opp(self.level).freq_hz
+        self.config.opps.opp(self.st.level).freq_hz
     }
 
     /// Current junction temperature.
     pub fn temp_c(&self) -> f64 {
-        self.config.thermal.temp_c()
+        self.st.thermal.temp_c()
     }
 
     /// Whether the thermal clamp is engaged.
     pub fn is_throttled(&self) -> bool {
-        self.config.thermal.is_throttled()
+        self.st.thermal.is_throttled()
     }
 
     /// Number of cores (physically present, online or not).
@@ -316,25 +396,19 @@ impl Cluster {
     /// table (clamping to the thermal limit is silent, but a level the
     /// table never had is a caller bug worth surfacing).
     pub fn set_level(&mut self, level: OppLevel, cluster_id: usize) -> Result<OppLevel, SocError> {
-        if level > self.config.opps.max_level() {
+        let max_level = self.config.opps.max_level();
+        if level > max_level {
             return Err(SocError::LevelOutOfRange {
                 cluster: cluster_id,
                 requested: level,
                 available: self.config.opps.len(),
             });
         }
-        let clamped = level.min(
-            self.config
-                .thermal
-                .clamp_max_level(self.config.opps.max_level()),
-        );
-        if clamped != self.level {
-            self.level = clamped;
-            self.pending_stall = self.config.transition_latency;
-            self.acc.energy_j += self.config.power.transition_energy_j;
-            self.acc.transitions += 1;
+        let clamped = level.min(self.st.thermal.clamp_max_level(max_level));
+        if clamped != self.st.level {
+            self.st.transition(clamped, &self.config);
         }
-        Ok(self.level)
+        Ok(self.st.level)
     }
 
     /// Advances all cores by one sub-step and integrates power and
@@ -349,14 +423,16 @@ impl Cluster {
     /// from the lookup table built at construction. Bit-identical to the
     /// pre-optimisation loop (pinned by the golden-output tests).
     pub fn advance_substep(&mut self, start: SimTime, dt: SimDuration) {
-        let stall = self.pending_stall.min(dt);
-        self.pending_stall = SimDuration::ZERO;
-        let lut = self.lut();
-        let temp = self.config.thermal.temp_c();
+        let stall = self.st.pending_stall.min(dt);
+        self.st.pending_stall = SimDuration::ZERO;
+        let lut = self.lut(self.st.level);
         let dt_s = dt.as_secs_f64();
         // Every core shares (level, temp) this sub-step: evaluate leakage
         // once instead of once per core.
-        let leak_w = self.leakage_memo(temp);
+        let leak_w = self
+            .config
+            .power
+            .leakage_w_from_base(lut.leak_base, self.st.thermal.temp_c());
 
         let mut busy_sum = 0.0;
         let mut busy_max = 0.0;
@@ -367,19 +443,11 @@ impl Cluster {
         // residency advances. With every core online the split yields an
         // empty tail and the loop is the pre-hotplug loop, bit for bit.
         let (online_cores, offline_cores) = self.cores.split_at_mut(self.online);
-        let acc = &mut self.acc;
         let idle_cfg = self.config.idle.as_ref();
         for core in online_cores.iter_mut() {
-            // The cpuidle depth in effect during this sub-step is decided
-            // by the residency at its start (waking resets it via
-            // `enqueue_on`).
-            let depth = idle_cfg
-                .map(|idle| idle.depth(core.idle_for()))
-                .unwrap_or(IdleDepth::Active);
-            let busy = core.advance_into(start, dt, lut.freq_hz, stall, &mut acc.completed);
-            let (dyn_scale, leak_scale) = idle_cfg
-                .map(|idle| idle.power_scales(depth))
-                .unwrap_or((1.0, 1.0));
+            let (dyn_scale, leak_scale) =
+                cpuidle_scales(idle_cfg, core.idle_for(), dt_s, &mut self.st.acc);
+            let busy = core.advance_into(start, dt, lut.freq_hz, stall, &mut self.completed);
             power_w += PowerModel::core_w_from_parts(
                 lut.dyn_w,
                 lut.idle_coeff,
@@ -388,11 +456,6 @@ impl Cluster {
                 dyn_scale,
                 leak_scale,
             );
-            match depth {
-                IdleDepth::ClockGated => acc.idle_gated_s += dt_s,
-                IdleDepth::Collapsed => acc.idle_collapsed_s += dt_s,
-                IdleDepth::Active => {}
-            }
             // Same fold order as summing a per-core buffer afterwards.
             busy_sum += busy;
             busy_max = f64::max(busy_max, busy);
@@ -402,28 +465,13 @@ impl Cluster {
         }
         // xtask-hotpath: end
 
-        self.acc.energy_j += power_w * dt_s;
-        self.config.thermal.step(power_w, dt);
-
-        // Re-apply the thermal clamp in case the trip point was crossed
-        // mid-epoch while running at a now-forbidden level.
-        let clamp = self
-            .config
-            .thermal
-            .clamp_max_level(self.config.opps.max_level());
-        if self.level > clamp {
-            self.level = clamp;
-            self.pending_stall = self.config.transition_latency;
-            self.acc.energy_j += self.config.power.transition_energy_j;
-            self.acc.transitions += 1;
-        }
-
+        self.st.close(&self.config, power_w, dt, dt_s);
         // Average over *online* cores (offline cores are not schedulable,
         // so they would dilute the load signal governors act on).
         let n = self.online as f64;
-        self.acc.util_avg_sum += busy_sum / n;
-        self.acc.util_max_sum += busy_max;
-        self.acc.substeps += 1;
+        self.st.acc.util_avg_sum += busy_sum / n;
+        self.st.acc.util_max_sum += busy_max;
+        self.st.acc.substeps += 1;
     }
 
     /// Whether every core is quiescent: nothing queued anywhere and no
@@ -434,84 +482,80 @@ impl Cluster {
     }
 
     /// Advances `steps` sub-steps of length `dt` from `start` through the
-    /// fast paths: busy sub-steps through the busy kernel, then, once the
-    /// cluster is quiescent, the rest through
-    /// [`Cluster::advance_idle_substeps`].
+    /// fast paths: sub-steps with work through the busy kernel, and the
+    /// quiescent rest of a cluster without cpuidle states as one lane of
+    /// the batched idle kernel. A cluster with cpuidle states runs the
+    /// whole span in the busy kernel, since its cores' depths and
+    /// residencies keep changing while idle.
     ///
     /// Callers guarantee that no job arrives on this cluster before the
     /// last of the `steps` sub-steps ends — the SoC's dispatch horizon.
     /// Under that condition this is **bit-identical** to calling
     /// [`Cluster::advance_substep`] `steps` times: a quiescent cluster
-    /// cannot wake without a dispatch, and every value the busy kernel
-    /// hoists is the expression the stepped loop evaluates, on the same
-    /// inputs (a property test pins the equivalence).
+    /// cannot wake without a dispatch, and every value the kernels hoist
+    /// is the expression the stepped loop evaluates, on the same inputs
+    /// (property tests pin the equivalence). With an empty queue the busy
+    /// fraction is exactly `+0.0`, so the idle kernel drops the execution
+    /// loop and the utilisation folds (`x += 0.0` on non-negative sums is
+    /// a bitwise no-op).
     pub(crate) fn advance_span(&mut self, start: SimTime, dt: SimDuration, steps: u64) {
-        let busy = if self.is_quiescent() {
+        let busy = if self.is_quiescent() && self.config.idle.is_none() {
             0
         } else {
             self.advance_busy_substeps(start, dt, steps)
         };
-        if busy < steps {
-            self.advance_idle_substeps(dt, steps - busy);
+        let idle = steps - busy;
+        if idle > 0 {
+            let mut lane = [self.idle_batch_begin(dt)];
+            advance_idle_batch(&mut lane, dt, idle);
+            let [domain] = &lane;
+            self.idle_batch_restore(domain, dt * idle);
+            self.st.acc.substeps += idle as u32;
         }
     }
 
     /// The busy kernel of [`Cluster::advance_span`]: runs sub-steps from
-    /// `start` until one leaves every core quiescent or `steps` are done,
-    /// and returns how many it ran.
+    /// `start` until `steps` are done or, without a cpuidle table, one
+    /// leaves every core quiescent, and returns how many it ran.
     ///
     /// Each sub-step is [`Cluster::advance_substep`] with its invariants
     /// hoisted: the OPP's power constants and the cores'
-    /// [`ExecConsts`] are built once per span, the thermal node and the
-    /// epoch accumulators live in locals, and all of them are refreshed
-    /// only when the thermal clamp lowers the level. Leakage is evaluated
-    /// straight-line (the temperature moves every busy sub-step, so the
-    /// one-entry memo would miss).
+    /// [`ExecConsts`] are built once per span and refreshed only when the
+    /// thermal clamp lowers the level, and the [`StepState`] lives in a
+    /// local. Leakage is evaluated straight-line (the temperature moves
+    /// every busy sub-step, so the one-entry memo would miss).
     fn advance_busy_substeps(&mut self, start: SimTime, dt: SimDuration, steps: u64) -> u64 {
-        let max_level = self.config.opps.max_level();
-        let mut lut = self.lut();
+        let mut s = self.st;
+        let mut lut = self.lut(s.level);
         // Every core is built with the cluster's IPC (see `Cluster::new`).
         let mut exec = ExecConsts::new(lut.freq_hz, self.config.ipc, dt);
         let dt_s = dt.as_secs_f64();
         let n = self.online as f64;
-        let mut thermal = self.config.thermal;
-        let mut pending_stall = self.pending_stall;
-        let mut energy_j = self.acc.energy_j;
-        let mut util_avg_sum = self.acc.util_avg_sum;
-        let mut util_max_sum = self.acc.util_max_sum;
-        let mut idle_gated_s = self.acc.idle_gated_s;
-        let mut idle_collapsed_s = self.acc.idle_collapsed_s;
-        let mut transitions = self.acc.transitions;
         let idle_cfg = self.config.idle.as_ref();
         let mut t = start;
         let mut done = 0;
         // xtask-hotpath: begin
         while done < steps {
-            let stall = pending_stall.min(dt);
-            pending_stall = SimDuration::ZERO;
+            let stall = s.pending_stall.min(dt);
+            s.pending_stall = SimDuration::ZERO;
             let leak_w = self
                 .config
                 .power
-                .leakage_w_from_base(lut.leak_base, thermal.temp_c());
+                .leakage_w_from_base(lut.leak_base, s.thermal.temp_c());
             let mut busy_sum = 0.0;
             let mut busy_max = 0.0;
             let mut power_w = lut.uncore_w;
             let mut quiescent = true;
             let (online_cores, offline_cores) = self.cores.split_at_mut(self.online);
             for core in online_cores.iter_mut() {
-                let depth = idle_cfg
-                    .map(|idle| idle.depth(core.idle_for()))
-                    .unwrap_or(IdleDepth::Active);
-                let (dyn_scale, leak_scale) = idle_cfg
-                    .map(|idle| idle.power_scales(depth))
-                    .unwrap_or((1.0, 1.0));
+                let (dyn_scale, leak_scale) =
+                    cpuidle_scales(idle_cfg, core.idle_for(), dt_s, &mut s.acc);
                 if core.is_quiescent() {
-                    // A quiescent core next to busy ones is busy exactly
-                    // `+0.0`: its power folds to the idle term (see
+                    // A quiescent core is busy exactly `+0.0`: its power
+                    // folds to the idle term (see
                     // `PowerModel::idle_core_w_from_parts`), and folding
                     // `+0.0` into the non-negative utilisation sums is a
-                    // bitwise no-op — the same drop-outs as the idle
-                    // fast-forward.
+                    // bitwise no-op.
                     core.note_idle(dt);
                     power_w += PowerModel::idle_core_w_from_parts(
                         lut.idle_coeff,
@@ -520,7 +564,7 @@ impl Cluster {
                         leak_scale,
                     );
                 } else {
-                    let busy = core.advance_hoisted(t, dt, &exec, stall, &mut self.acc.completed);
+                    let busy = core.advance_hoisted(t, dt, &exec, stall, &mut self.completed);
                     power_w += PowerModel::core_w_from_parts(
                         lut.dyn_w,
                         lut.idle_coeff,
@@ -533,11 +577,6 @@ impl Cluster {
                     busy_max = f64::max(busy_max, busy);
                     quiescent &= core.is_quiescent();
                 }
-                match depth {
-                    IdleDepth::ClockGated => idle_gated_s += dt_s,
-                    IdleDepth::Collapsed => idle_collapsed_s += dt_s,
-                    IdleDepth::Active => {}
-                }
             }
             // Offline cores are parked, hence quiescent: they never hold
             // work, so `quiescent` covers the whole cluster.
@@ -545,246 +584,89 @@ impl Cluster {
                 core.note_idle(dt);
             }
 
-            energy_j += power_w * dt_s;
-            thermal.step(power_w, dt);
-            let clamp = thermal.clamp_max_level(max_level);
-            if self.level > clamp {
-                self.level = clamp;
-                pending_stall = self.config.transition_latency;
-                energy_j += self.config.power.transition_energy_j;
-                transitions += 1;
-                lut = self.lut();
+            if s.close(&self.config, power_w, dt, dt_s) {
+                lut = self.lut(s.level);
                 exec = ExecConsts::new(lut.freq_hz, self.config.ipc, dt);
             }
-            util_avg_sum += busy_sum / n;
-            util_max_sum += busy_max;
+            s.acc.util_avg_sum += busy_sum / n;
+            s.acc.util_max_sum += busy_max;
+            s.acc.substeps += 1;
             t += dt;
             done += 1;
-            if quiescent {
+            if quiescent && idle_cfg.is_none() {
                 break;
             }
         }
         // xtask-hotpath: end
-        self.config.thermal = thermal;
-        self.pending_stall = pending_stall;
-        self.acc.energy_j = energy_j;
-        self.acc.util_avg_sum = util_avg_sum;
-        self.acc.util_max_sum = util_max_sum;
-        self.acc.idle_gated_s = idle_gated_s;
-        self.acc.idle_collapsed_s = idle_collapsed_s;
-        self.acc.transitions = transitions;
-        self.acc.substeps += done as u32;
+        self.st = s;
         done
     }
 
-    /// Advances `steps` sub-steps of length `dt` through the idle fast
-    /// path.
-    ///
-    /// Callers guarantee [`Cluster::is_quiescent`] holds and that no job
-    /// arrives before the skipped sub-step boundaries; under those
-    /// conditions this is **bit-identical** to calling
-    /// [`Cluster::advance_substep`] `steps` times (a property test pins
-    /// the equivalence). With an empty queue the busy fraction is exactly
-    /// `+0.0`, so per sub-step only power, temperature, idle residency
-    /// and the throttle clamp evolve — the execution loop, arrival
-    /// dispatch and utilisation folds (`x += 0.0` on non-negative sums
-    /// is a bitwise no-op) all drop out.
-    pub fn advance_idle_substeps(&mut self, dt: SimDuration, steps: u64) {
-        debug_assert!(self.is_quiescent(), "idle fast-forward on a busy cluster");
-        let dt_s = dt.as_secs_f64();
-        let max_level = self.config.opps.max_level();
-        // The stepped loop zeroes the stall at the top of every sub-step
-        // (`stall = pending_stall.min(dt)` only shrinks an execution
-        // window no quiescent core uses). Only the thermal clamp re-arms
-        // it, so zeroing once up front and re-arming on a last-sub-step
-        // clamp (below) leaves the identical exit state.
-        self.pending_stall = SimDuration::ZERO;
-        // The OPP only changes via the clamp inside this loop: keep the
-        // power constants in a register and refresh on clamp instead of
-        // re-indexing the table every sub-step.
-        let mut lut = self.lut();
-        // Run the thermal node and the energy accumulator in locals and
-        // write them back once: the sequence of updates is unchanged
-        // (`ThermalModel` is `Copy`, including its decay memo), so the
-        // results are bit-identical while the loop keeps both out of
-        // memory.
-        let mut thermal = self.config.thermal;
-        let mut energy_j = self.acc.energy_j;
-        let idle_cfg = self.config.idle.as_ref();
-        let batch_residency = idle_cfg.is_none();
-        // Offline cores draw no power; only online cores contribute the
-        // per-core idle term (identical to the stepped loop's split).
-        let online = self.online;
-        // xtask-hotpath: begin
-        for i in 0..steps {
-            let temp = thermal.temp_c();
-            // Straight-line leakage (no memo): the temperature moves
-            // every sub-step while idling towards steady state, so the
-            // one-entry cache would miss anyway.
-            let leak_w = self.config.power.leakage_w_from_base(lut.leak_base, temp);
-            let mut power_w = lut.uncore_w;
-            match idle_cfg {
-                None => {
-                    // Every core is Active with scales (1.0, 1.0): the
-                    // original loop adds the same per-core term once per
-                    // core, in order. Residency is batched after the loop.
-                    let term = PowerModel::idle_core_w_from_parts(lut.idle_coeff, leak_w, 1.0, 1.0);
-                    for _ in 0..online {
-                        power_w += term;
-                    }
-                }
-                Some(idle) => {
-                    let acc = &mut self.acc;
-                    let (online_cores, offline_cores) = self.cores.split_at_mut(online);
-                    for core in online_cores.iter_mut() {
-                        let depth = idle.depth(core.idle_for());
-                        let (dyn_scale, leak_scale) = idle.power_scales(depth);
-                        power_w += PowerModel::idle_core_w_from_parts(
-                            lut.idle_coeff,
-                            leak_w,
-                            dyn_scale,
-                            leak_scale,
-                        );
-                        match depth {
-                            IdleDepth::ClockGated => acc.idle_gated_s += dt_s,
-                            IdleDepth::Collapsed => acc.idle_collapsed_s += dt_s,
-                            IdleDepth::Active => {}
-                        }
-                        core.note_idle(dt);
-                    }
-                    for core in offline_cores.iter_mut() {
-                        core.note_idle(dt);
-                    }
-                }
-            }
-
-            energy_j += power_w * dt_s;
-            thermal.step(power_w, dt);
-
-            // The clamp can engage (or release) mid-fast-forward exactly
-            // as it does mid-epoch; a lowered level changes the constants
-            // read at the top of the next iteration.
-            let clamp = thermal.clamp_max_level(max_level);
-            if self.level > clamp {
-                self.level = clamp;
-                energy_j += self.config.power.transition_energy_j;
-                self.acc.transitions += 1;
-                lut = self.lut();
-                // Mid-batch, the stepped loop would zero the stall again
-                // at the next sub-step; only a clamp on the final
-                // sub-step leaves it armed for the epoch that follows.
-                if i + 1 == steps {
-                    self.pending_stall = self.config.transition_latency;
-                }
-            }
-        }
-        self.config.thermal = thermal;
-        self.acc.energy_j = energy_j;
-        if batch_residency {
-            // Idle residency is integer nanoseconds, so one batched add
-            // equals `steps` per-sub-step adds exactly; without cpuidle
-            // states nothing reads it mid-batch.
-            let span = dt * steps;
-            for core in &mut self.cores {
-                core.note_idle(span);
-            }
-        }
-        // xtask-hotpath: end
-        self.acc.substeps += steps as u32;
-    }
-
     /// Detaches the state the batched idle kernel needs into a flat
-    /// [`IdleDomain`] record, applying the same up-front stall zeroing as
-    /// [`Cluster::advance_idle_substeps`] and *draining* the epoch
-    /// accumulator's energy and transition counts into the record (the
-    /// domain carries them while the lane is parked — possibly across many
-    /// epochs — and the per-epoch synthesis reads and clears them exactly
-    /// where `end_epoch_into` would). Callers guarantee the cluster is
-    /// quiescent with no cpuidle table; [`Cluster::idle_batch_restore`]
-    /// writes the evolved state back when the lane unparks.
+    /// [`IdleDomain`] record, zeroing the pending stall and *moving* the
+    /// epoch accumulator into the record (the domain carries it while the
+    /// lane is parked — possibly across many epochs — and the per-epoch
+    /// synthesis closes it exactly where `end_epoch_into` would). Callers
+    /// guarantee the cluster is quiescent with no cpuidle table;
+    /// [`Cluster::idle_batch_restore`] writes the evolved state back.
     pub(crate) fn idle_batch_begin(&mut self, dt: SimDuration) -> IdleDomain {
         debug_assert!(self.is_quiescent(), "idle batch on a busy cluster");
         debug_assert!(self.config.idle.is_none(), "idle batch with cpuidle");
-        // Identical to the fast-forward loop: the stall only shrinks an
-        // execution window no quiescent core uses, and only a clamp on
-        // the final sub-step re-arms it (tracked via `stall_armed`).
-        self.pending_stall = SimDuration::ZERO;
-        let lut = self.lut();
+        // The stepped loop zeroes the stall at the top of every sub-step
+        // (`stall = pending_stall.min(dt)` only shrinks an execution
+        // window no quiescent core uses). Only the thermal clamp re-arms
+        // it, so zeroing once up front and re-arming on a final-sub-step
+        // clamp (tracked via `stall_armed`) leaves the identical state.
+        self.st.pending_stall = SimDuration::ZERO;
         let max_level = self.config.opps.max_level();
         // The clamp target while throttled; `level > clamp` fires at most
         // once per parked stay (the clamp never lowers further), so the
         // constants at the clamped level can be staged up front.
-        let clamp_level = max_level.saturating_sub(self.config.thermal.throttle_levels);
-        // xtask-allow: no-panic-lib -- `clamp_level <= max_level` and the table has `max_level + 1` entries
-        let clamp_lut = self.power_lut[clamp_level];
-        let energy_j = self.acc.energy_j;
-        let transitions = self.acc.transitions;
-        self.acc.energy_j = 0.0;
-        self.acc.transitions = 0;
+        let clamp_level = max_level.saturating_sub(self.st.thermal.throttle_levels);
         IdleDomain {
             power: self.config.power,
-            temp_c: self.config.thermal.temp_c(),
-            throttled: self.config.thermal.is_throttled(),
-            energy_j,
-            uncore_w: lut.uncore_w,
-            idle_coeff: lut.idle_coeff,
-            leak_base: lut.leak_base,
-            ambient_c: self.config.thermal.ambient_c,
-            r_th_c_per_w: self.config.thermal.r_th_c_per_w,
-            decay: self.config.thermal.decay_for(dt),
-            trip_c: self.config.thermal.throttle_temp_c,
-            release_c: self.config.thermal.release_temp_c,
+            decay: self.st.thermal.decay_for(dt),
+            thermal: self.st.thermal,
+            acc: std::mem::take(&mut self.st.acc),
+            stall_armed: false,
             online: self.online as u32,
-            level: self.level,
+            level: self.st.level,
             max_level,
             clamp_level,
-            clamp_uncore_w: clamp_lut.uncore_w,
-            clamp_idle_coeff: clamp_lut.idle_coeff,
-            clamp_leak_base: clamp_lut.leak_base,
-            transitions,
-            stall_armed: false,
+            lut: self.lut(self.st.level),
+            clamp_lut: self.lut(clamp_level),
         }
     }
 
-    /// Reattaches a domain when its lane unparks, at an epoch boundary:
-    /// thermal state, level, a stall armed by a final-sub-step clamp, and
-    /// the idle residency owed for the whole parked stay (`idle_span` =
-    /// epochs parked × epoch length; residency is integer nanoseconds, so
-    /// one batched add equals the per-epoch adds exactly). The domain's
-    /// energy and transition fields are whatever the last epoch synthesis
-    /// left un-committed — zero at every epoch boundary — so folding them
-    /// back into the (zeroed) accumulator restores the exact state a
-    /// looped run would hold at the same boundary.
+    /// Reattaches a domain after the kernel ran it: thermal node, level,
+    /// a stall armed by a final-sub-step clamp, and the idle residency
+    /// owed for `idle_span` (residency is integer nanoseconds, so one
+    /// batched add equals the per-sub-step adds exactly), and the epoch
+    /// accumulator the domain carried. A parked lane restores at an epoch
+    /// boundary, after the last epoch synthesis reset it.
     pub(crate) fn idle_batch_restore(&mut self, d: &IdleDomain, idle_span: SimDuration) {
-        self.config.thermal.restore_batched(d.temp_c, d.throttled);
-        self.acc.energy_j += d.energy_j;
-        self.acc.transitions += d.transitions;
-        self.level = d.level;
+        self.st.thermal = d.thermal;
+        self.st.acc = d.acc;
+        self.st.level = d.level;
         if d.stall_armed {
-            self.pending_stall = self.config.transition_latency;
+            self.st.pending_stall = self.config.transition_latency;
         }
         for core in &mut self.cores {
             core.note_idle(idle_span);
         }
     }
 
-    /// Stages the constants needed to synthesise [`ClusterObservation`]s
-    /// for a parked cluster without touching it: everything
-    /// [`Cluster::observe`] reads that the [`IdleDomain`] does not carry.
-    /// The level while parked is either the entry level or the staged
-    /// clamp level, so two frequencies cover every reachable state.
+    /// Stages the table constants needed to synthesise
+    /// [`ClusterObservation`]s for a parked cluster without touching it:
+    /// everything [`Cluster::observe`] reads that the [`IdleDomain`] does
+    /// not carry.
     pub(crate) fn parked_obs_consts(&self) -> ParkedObsConsts {
-        let max_level = self.config.opps.max_level();
-        let clamp_level = max_level.saturating_sub(self.config.thermal.throttle_levels);
         ParkedObsConsts {
             num_levels: self.config.opps.len(),
             freq_range_hz: (
                 self.config.opps.min_freq_hz(),
                 self.config.opps.max_freq_hz(),
             ),
-            entry_level: self.level,
-            entry_freq_hz: self.config.opps.opp(self.level).freq_hz,
-            clamp_freq_hz: self.config.opps.opp(clamp_level).freq_hz,
         }
     }
 
@@ -802,25 +684,13 @@ impl Cluster {
     /// accumulator and the report and the epoch boundary allocates
     /// nothing.
     pub fn end_epoch_into(&mut self, report: &mut ClusterReport) {
-        let n = self.acc.substeps.max(1) as f64;
-        report.util_avg = self.acc.util_avg_sum / n;
-        report.util_max = self.acc.util_max_sum / n;
-        report.energy_j = self.acc.energy_j;
-        report.temp_c = self.config.thermal.temp_c();
-        report.level = self.level;
-        report.transitions = self.acc.transitions;
-        report.queued = self.queued_jobs();
-        report.idle_gated_s = self.acc.idle_gated_s;
-        report.idle_collapsed_s = self.acc.idle_collapsed_s;
+        let queued = self.queued_jobs();
+        let temp_c = self.st.thermal.temp_c();
+        self.st
+            .acc
+            .close_into(temp_c, self.st.level, queued, report);
         report.completed.clear();
-        std::mem::swap(&mut report.completed, &mut self.acc.completed);
-        self.acc.substeps = 0;
-        self.acc.util_avg_sum = 0.0;
-        self.acc.util_max_sum = 0.0;
-        self.acc.energy_j = 0.0;
-        self.acc.transitions = 0;
-        self.acc.idle_gated_s = 0.0;
-        self.acc.idle_collapsed_s = 0.0;
+        std::mem::swap(&mut report.completed, &mut self.completed);
     }
 
     /// A snapshot observation for governors.
@@ -828,7 +698,7 @@ impl Cluster {
         ClusterObservation {
             util_avg,
             util_max,
-            level: self.level,
+            level: self.st.level,
             num_levels: self.config.opps.len(),
             freq_hz: self.freq_hz(),
             freq_range_hz: (
@@ -847,56 +717,46 @@ impl Cluster {
         for core in &mut self.cores {
             core.clear();
         }
-        self.config.thermal.reset();
+        self.st.thermal.reset();
         self.online = self.cores.len();
-        self.level = 0;
-        self.pending_stall = SimDuration::ZERO;
-        self.acc = EpochAcc::default();
+        self.st.level = 0;
+        self.st.pending_stall = SimDuration::ZERO;
+        self.st.acc = EpochAcc::default();
+        self.completed.clear();
     }
 }
 
-/// One quiescent cluster's state flattened for the batched idle kernel:
-/// the hot scalars [`Cluster::advance_idle_substeps`] keeps in locals,
-/// plus the per-OPP constants it reads, detached from the `Cluster` so
-/// many domains can advance in one interleaved loop. Produced by
-/// [`Cluster::idle_batch_begin`], consumed by [`advance_idle_batch`],
-/// written back by [`Cluster::idle_batch_restore`].
+/// One quiescent cluster's state for the batched idle kernel: its thermal
+/// node, level and epoch energy, plus the constants its idle sub-steps
+/// read, detached from the `Cluster` so many domains can advance in one
+/// interleaved loop. Produced by [`Cluster::idle_batch_begin`], consumed
+/// by [`advance_idle_batch`], written back by
+/// [`Cluster::idle_batch_restore`].
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct IdleDomain {
-    /// The cluster's power model — the kernel routes leakage through
-    /// [`PowerModel::leakage_w_from_base`] so the expression cannot drift
-    /// from the scalar path.
+    /// The cluster's power model: the kernel routes leakage through
+    /// [`PowerModel::leakage_w_from_parts`] so the expression cannot drift
+    /// from the scalar path, and charges its transition energy.
     power: PowerModel,
-    /// Junction temperature (the serial dependency chain).
-    temp_c: f64,
-    /// Epoch energy accumulator, seeded from `acc.energy_j`.
-    energy_j: f64,
-    /// Throttle hysteresis flag.
-    throttled: bool,
-    // Constants of the current OPP (refreshed if the clamp fires).
-    uncore_w: f64,
-    idle_coeff: f64,
-    leak_base: f64,
-    // Thermal-node constants.
-    ambient_c: f64,
-    r_th_c_per_w: f64,
+    /// The thermal node. The kernel carries its temperature (the serial
+    /// dependency chain) and throttle flag in lanes and writes them back.
+    thermal: ThermalModel,
+    /// `exp(−dt/τ)` of the node for the kernel's sub-step.
     decay: f64,
-    trip_c: f64,
-    release_c: f64,
+    /// The cluster's epoch accumulator: the kernel adds the idle energy
+    /// and the clamp's transitions.
+    acc: EpochAcc,
+    /// Whether a final-sub-step clamp left the transition stall armed.
+    stall_armed: bool,
     /// Online cores: the per-core idle term is added this many times.
     online: u32,
     level: OppLevel,
     max_level: OppLevel,
-    // The staged clamp target and its OPP constants (see
-    // `idle_batch_begin`).
+    /// The staged clamp target (see `idle_batch_begin`).
     clamp_level: OppLevel,
-    clamp_uncore_w: f64,
-    clamp_idle_coeff: f64,
-    clamp_leak_base: f64,
-    /// DVFS transitions performed by the clamp during the batch.
-    transitions: u32,
-    /// Whether a final-sub-step clamp left the transition stall armed.
-    stall_armed: bool,
+    /// Power constants of `level` and of `clamp_level`.
+    lut: OppPowerLut,
+    clamp_lut: OppPowerLut,
 }
 
 impl IdleDomain {
@@ -906,11 +766,7 @@ impl IdleDomain {
     /// beyond the table (an error in the scalar path) also reports
     /// `false`, so the lane unparks and surfaces the identical error.
     pub(crate) fn level_request_is_noop(&self, requested: OppLevel) -> bool {
-        let clamp_max = if self.throttled {
-            self.clamp_level
-        } else {
-            self.max_level
-        };
+        let clamp_max = self.thermal.clamp_max_level(self.max_level);
         requested <= self.max_level && requested.min(clamp_max) == self.level
     }
 }
@@ -922,16 +778,13 @@ impl IdleDomain {
 pub(crate) struct ParkedObsConsts {
     num_levels: usize,
     freq_range_hz: (u64, u64),
-    entry_level: OppLevel,
-    entry_freq_hz: u64,
-    clamp_freq_hz: u64,
 }
 
 impl ParkedObsConsts {
     /// Synthesises the observation [`Cluster::observe`] would produce for
-    /// the parked cluster: level, temperature and throttle state come
-    /// from the domain, the table constants from the staged copy, and the
-    /// queue is empty by the parked invariant.
+    /// the parked cluster: level, frequency, temperature and throttle
+    /// state come from the domain, the table constants from the staged
+    /// copy, and the queue is empty by the parked invariant.
     pub(crate) fn observe(
         &self,
         d: &IdleDomain,
@@ -943,70 +796,58 @@ impl ParkedObsConsts {
             util_max,
             level: d.level,
             num_levels: self.num_levels,
-            freq_hz: if d.level == self.entry_level {
-                self.entry_freq_hz
-            } else {
-                self.clamp_freq_hz
-            },
+            freq_hz: d.lut.freq_hz,
             freq_range_hz: self.freq_range_hz,
-            temp_c: d.temp_c,
-            throttled: d.throttled,
+            temp_c: d.thermal.temp_c(),
+            throttled: d.thermal.is_throttled(),
             queued: 0,
         }
     }
 }
 
-/// Synthesises the report [`Cluster::end_epoch_into`] would produce for a
-/// cluster whose entire epoch ran through the idle kernel, and performs
-/// the same end-of-epoch accumulator reset on the domain's carried
-/// fields. Bit-identical to the scalar epilogue: the utilisation sums of
-/// an all-idle epoch are exactly `+0.0` (folding `+0.0` is a bitwise
-/// no-op), nothing is queued or completed on a quiescent cluster, and
-/// there is no cpuidle residency without a cpuidle table.
+/// Closes the epoch of a cluster whose whole epoch of `steps` sub-steps
+/// ran parked in the idle kernel, through the fold
+/// [`Cluster::end_epoch_into`] uses, which resets the domain's carried
+/// accumulator. An all-idle epoch's utilisation sums are
+/// exactly `+0.0` (folding `+0.0` is a bitwise no-op), nothing is queued
+/// or completed on a quiescent cluster, and there is no cpuidle
+/// residency without a cpuidle table. `stall_armed` is NOT cleared: a
+/// final-sub-step clamp stays visible until the next epoch's pre-pass,
+/// which either restores it on unpark or lets the kernel drop it at
+/// gather.
 pub(crate) fn synth_parked_report(d: &mut IdleDomain, steps: u32, report: &mut ClusterReport) {
-    let n = steps.max(1) as f64;
-    report.util_avg = 0.0 / n;
-    report.util_max = 0.0 / n;
-    report.energy_j = d.energy_j;
-    report.temp_c = d.temp_c;
-    report.level = d.level;
-    report.transitions = d.transitions;
-    report.queued = 0;
-    report.idle_gated_s = 0.0;
-    report.idle_collapsed_s = 0.0;
+    d.acc.substeps = steps;
+    d.acc.close_into(d.thermal.temp_c(), d.level, 0, report);
     report.completed.clear();
-    // The next resident epoch starts with fresh accumulators, exactly as
-    // `end_epoch_into` leaves them. `stall_armed` is NOT cleared here: a
-    // final-sub-step clamp must stay visible until the next epoch's
-    // pre-pass (which either restores it on unpark or clears it via
-    // `IdleDomain::begin_epoch`).
-    d.energy_j = 0.0;
-    d.transitions = 0;
 }
 
-/// Advances `steps` idle sub-steps on every domain in lockstep, opening
-/// a fresh epoch on each (the previous epoch's stall flag is discarded at
-/// gather, mirroring the up-front `pending_stall` zeroing of
-/// [`Cluster::advance_idle_substeps`] — between kernel calls the flag is
-/// only consumed by the unpark restore). Per domain this is
-/// **bit-identical** to the scalar fast-forward (and therefore to stepped
-/// execution): each domain evaluates the same straight-line sequence —
-/// leakage from the hoisted base, the per-online-core idle term added in
-/// order, energy then the exact-exponential thermal update, then the
-/// throttle hysteresis and clamp — only the schedule across (independent)
-/// domains changes.
+/// Advances `steps` idle sub-steps on every domain in lockstep. Each
+/// domain opens with its stall flag clear: the previous epoch's flag has
+/// been consumed by the unpark restore, or is discarded exactly as the
+/// stepped loop zeroes the stall at the top of every sub-step. Per domain
+/// this is **bit-identical** to stepped execution: each domain evaluates
+/// the same straight-line sequence — leakage from the hoisted base, the
+/// per-online-core idle term added in order, energy, then the thermal
+/// relax and hysteresis [`crate::ThermalModel::step`] runs, then the
+/// clamp — only the schedule across (independent) domains changes.
 ///
 /// The schedule is blocked: [`IDLE_BLOCK`] domains at a time are gathered
 /// into structure-of-arrays lanes ([`IdleLanes`]), stepped through the
-/// whole epoch while the lanes sit in L1, and scattered back. The
-/// sub-step loops are fixed-width and branch-free — every conditional
-/// update is a lane-wise select that reproduces the branch outcome value
-/// exactly — so they vectorise, and the serial per-domain thermal
-/// recurrence amortises its latency across the whole block.
+/// whole span while the lanes sit in L1, and scattered back; a lone
+/// domain (a live cluster's idle span, or a batch's last) runs one lane
+/// wide instead of padded. The sub-step loops are fixed-width and
+/// branch-free — every conditional update is a lane-wise select that
+/// reproduces the branch outcome value exactly — so they vectorise, and
+/// the serial per-domain thermal recurrence amortises its latency across
+/// the whole block.
 pub(crate) fn advance_idle_batch(domains: &mut [IdleDomain], dt: SimDuration, steps: u64) {
     let dt_s = dt.as_secs_f64();
     for block in domains.chunks_mut(IDLE_BLOCK) {
-        advance_idle_block(block, dt_s, steps);
+        if block.len() == 1 {
+            advance_idle_block::<1>(block, dt_s, steps);
+        } else {
+            advance_idle_block::<IDLE_BLOCK>(block, dt_s, steps);
+        }
     }
 }
 
@@ -1015,79 +856,80 @@ pub(crate) fn advance_idle_batch(domains: &mut [IdleDomain], dt: SimDuration, st
 /// small enough that the hot lanes stay in L1.
 const IDLE_BLOCK: usize = 32;
 
-/// Structure-of-arrays lanes of one kernel block. Integer and boolean
-/// domain state rides in `f64` lanes — the values are small integers and
-/// 0.0/1.0 flags, all exactly representable — so every select in the
-/// sub-step loop is over one element type and the loops vectorise clean.
-struct IdleLanes {
+/// Structure-of-arrays lanes of one kernel block, `W` wide. Integer and
+/// boolean domain state rides in `f64` lanes — the values are small
+/// integers and 0.0/1.0 flags, all exactly representable — so every
+/// select in the sub-step loop is over one element type and the loops
+/// vectorise clean.
+struct IdleLanes<const W: usize> {
     // Mutable lane state.
-    temp_c: [f64; IDLE_BLOCK],
-    energy_j: [f64; IDLE_BLOCK],
-    throttled: [f64; IDLE_BLOCK],
-    uncore_w: [f64; IDLE_BLOCK],
-    idle_coeff: [f64; IDLE_BLOCK],
-    leak_base: [f64; IDLE_BLOCK],
-    level: [f64; IDLE_BLOCK],
-    transitions: [f64; IDLE_BLOCK],
-    stall_armed: [f64; IDLE_BLOCK],
+    temp_c: [f64; W],
+    energy_j: [f64; W],
+    throttled: [f64; W],
+    uncore_w: [f64; W],
+    idle_coeff: [f64; W],
+    leak_base: [f64; W],
+    level: [f64; W],
+    transitions: [f64; W],
+    stall_armed: [f64; W],
     // Per-lane constants.
-    leak_temp_coeff: [f64; IDLE_BLOCK],
-    leak_t_ref_c: [f64; IDLE_BLOCK],
-    transition_energy_j: [f64; IDLE_BLOCK],
-    ambient_c: [f64; IDLE_BLOCK],
-    r_th_c_per_w: [f64; IDLE_BLOCK],
-    decay: [f64; IDLE_BLOCK],
-    trip_c: [f64; IDLE_BLOCK],
-    release_c: [f64; IDLE_BLOCK],
-    online: [f64; IDLE_BLOCK],
-    max_level: [f64; IDLE_BLOCK],
-    clamp_level: [f64; IDLE_BLOCK],
-    clamp_uncore_w: [f64; IDLE_BLOCK],
-    clamp_idle_coeff: [f64; IDLE_BLOCK],
-    clamp_leak_base: [f64; IDLE_BLOCK],
+    leak_temp_coeff: [f64; W],
+    leak_t_ref_c: [f64; W],
+    transition_energy_j: [f64; W],
+    ambient_c: [f64; W],
+    r_th_c_per_w: [f64; W],
+    decay: [f64; W],
+    trip_c: [f64; W],
+    release_c: [f64; W],
+    online: [f64; W],
+    max_level: [f64; W],
+    clamp_level: [f64; W],
+    clamp_uncore_w: [f64; W],
+    clamp_idle_coeff: [f64; W],
+    clamp_leak_base: [f64; W],
 }
 
-/// One gather → step → scatter block of [`advance_idle_batch`]. `block`
-/// holds 1..=[`IDLE_BLOCK`] domains; tail lanes are padded with copies of
-/// the first domain, stepped like the rest and never written back.
-fn advance_idle_block(block: &mut [IdleDomain], dt_s: f64, steps: u64) {
+/// One gather → step → scatter block of [`advance_idle_batch`], `W`
+/// lanes wide. `block` holds 1..=`W` domains; tail lanes are padded with
+/// copies of the first domain, stepped like the rest and never written
+/// back.
+fn advance_idle_block<const W: usize>(block: &mut [IdleDomain], dt_s: f64, steps: u64) {
     use std::array::from_fn;
     let n = block.len();
     // xtask-allow: no-panic-lib -- padded gather index is `j < n` or 0, and `chunks_mut` blocks are non-empty
     let at = |j: usize| &block[if j < n { j } else { 0 }];
-    let mut l = IdleLanes {
-        temp_c: from_fn(|j| at(j).temp_c),
-        energy_j: from_fn(|j| at(j).energy_j),
-        throttled: from_fn(|j| f64::from(u8::from(at(j).throttled))),
-        uncore_w: from_fn(|j| at(j).uncore_w),
-        idle_coeff: from_fn(|j| at(j).idle_coeff),
-        leak_base: from_fn(|j| at(j).leak_base),
+    let mut l = IdleLanes::<W> {
+        temp_c: from_fn(|j| at(j).thermal.temp_c()),
+        energy_j: from_fn(|j| at(j).acc.energy_j),
+        throttled: from_fn(|j| f64::from(u8::from(at(j).thermal.is_throttled()))),
+        uncore_w: from_fn(|j| at(j).lut.uncore_w),
+        idle_coeff: from_fn(|j| at(j).lut.idle_coeff),
+        leak_base: from_fn(|j| at(j).lut.leak_base),
         level: from_fn(|j| at(j).level as f64),
-        transitions: from_fn(|j| f64::from(at(j).transitions)),
-        // Epoch open: the stall flag from the previous epoch's final
-        // sub-step has been consumed by now (see the kernel docs), so
-        // every lane starts clear.
-        stall_armed: [0.0; IDLE_BLOCK],
+        transitions: from_fn(|j| f64::from(at(j).acc.transitions)),
+        // Span open: every lane starts with its stall flag clear (see
+        // the kernel docs).
+        stall_armed: [0.0; W],
         leak_temp_coeff: from_fn(|j| at(j).power.leak_temp_coeff),
         leak_t_ref_c: from_fn(|j| at(j).power.leak_t_ref_c),
         transition_energy_j: from_fn(|j| at(j).power.transition_energy_j),
-        ambient_c: from_fn(|j| at(j).ambient_c),
-        r_th_c_per_w: from_fn(|j| at(j).r_th_c_per_w),
+        ambient_c: from_fn(|j| at(j).thermal.ambient_c),
+        r_th_c_per_w: from_fn(|j| at(j).thermal.r_th_c_per_w),
         decay: from_fn(|j| at(j).decay),
-        trip_c: from_fn(|j| at(j).trip_c),
-        release_c: from_fn(|j| at(j).release_c),
+        trip_c: from_fn(|j| at(j).thermal.throttle_temp_c),
+        release_c: from_fn(|j| at(j).thermal.release_temp_c),
         online: from_fn(|j| f64::from(at(j).online)),
         max_level: from_fn(|j| at(j).max_level as f64),
         clamp_level: from_fn(|j| at(j).clamp_level as f64),
-        clamp_uncore_w: from_fn(|j| at(j).clamp_uncore_w),
-        clamp_idle_coeff: from_fn(|j| at(j).clamp_idle_coeff),
-        clamp_leak_base: from_fn(|j| at(j).clamp_leak_base),
+        clamp_uncore_w: from_fn(|j| at(j).clamp_lut.uncore_w),
+        clamp_idle_coeff: from_fn(|j| at(j).clamp_lut.idle_coeff),
+        clamp_leak_base: from_fn(|j| at(j).clamp_lut.leak_base),
     };
     let max_online = block.iter().map(|d| d.online).max().unwrap_or(0);
     // Common-case specialisations, both value-preserving: with one online
     // count the add predicates are uniformly true, and with every lane's
     // level at or below both clamp targets the fire block is select-only
-    // no-ops for the whole epoch (the clamp never raises a level), so
+    // no-ops for the whole span (the clamp never raises a level), so
     // skipping it changes nothing.
     let uniform = block.iter().all(|d| d.online == max_online);
     let no_fire = l
@@ -1096,38 +938,30 @@ fn advance_idle_block(block: &mut [IdleDomain], dt_s: f64, steps: u64) {
         .zip(l.clamp_level.iter().zip(&l.max_level))
         .all(|(&level, (&clamp, &max))| level <= clamp.min(max));
     match (uniform, no_fire) {
-        (true, true) => idle_substeps::<true, true>(&mut l, dt_s, steps, max_online),
-        (true, false) => idle_substeps::<true, false>(&mut l, dt_s, steps, max_online),
-        (false, true) => idle_substeps::<false, true>(&mut l, dt_s, steps, max_online),
-        (false, false) => idle_substeps::<false, false>(&mut l, dt_s, steps, max_online),
+        (true, true) => idle_substeps::<W, true, true>(&mut l, dt_s, steps, max_online),
+        (true, false) => idle_substeps::<W, true, false>(&mut l, dt_s, steps, max_online),
+        (false, true) => idle_substeps::<W, false, true>(&mut l, dt_s, steps, max_online),
+        (false, false) => idle_substeps::<W, false, false>(&mut l, dt_s, steps, max_online),
     }
     // Scatter the mutable lane state back; `zip` stops at the real lanes,
     // so the padded tail is never written back.
-    for (d, &v) in block.iter_mut().zip(&l.temp_c) {
-        d.temp_c = v;
+    for ((d, &temp_c), &throttled) in block.iter_mut().zip(&l.temp_c).zip(&l.throttled) {
+        d.thermal.restore_batched(temp_c, throttled != 0.0);
     }
     for (d, &v) in block.iter_mut().zip(&l.energy_j) {
-        d.energy_j = v;
-    }
-    for (d, &v) in block.iter_mut().zip(&l.throttled) {
-        d.throttled = v != 0.0;
-    }
-    for (d, &v) in block.iter_mut().zip(&l.uncore_w) {
-        d.uncore_w = v;
-    }
-    for (d, &v) in block.iter_mut().zip(&l.idle_coeff) {
-        d.idle_coeff = v;
-    }
-    for (d, &v) in block.iter_mut().zip(&l.leak_base) {
-        d.leak_base = v;
+        d.acc.energy_j = v;
     }
     // Lossless round-trips: levels and transition counts are small
-    // integers, far below `f64`'s exact-integer range.
+    // integers, far below `f64`'s exact-integer range. A level the clamp
+    // moved is the staged target, whose constants the lanes switched to.
     for (d, &v) in block.iter_mut().zip(&l.level) {
-        d.level = v as OppLevel;
+        if v as OppLevel != d.level {
+            d.level = v as OppLevel;
+            d.lut = d.clamp_lut;
+        }
     }
     for (d, &v) in block.iter_mut().zip(&l.transitions) {
-        d.transitions = v as u32;
+        d.acc.transitions = v as u32;
     }
     for (d, &v) in block.iter_mut().zip(&l.stall_armed) {
         d.stall_armed = v != 0.0;
@@ -1141,20 +975,19 @@ fn advance_idle_block(block: &mut [IdleDomain], dt_s: f64, steps: u64) {
 /// the clamp block. Both are pure specialisations — see
 /// [`advance_idle_block`].
 #[allow(clippy::needless_range_loop)] // fixed-width lane loops vectorise as written
-fn idle_substeps<const UNIFORM: bool, const NO_FIRE: bool>(
-    l: &mut IdleLanes,
+fn idle_substeps<const W: usize, const UNIFORM: bool, const NO_FIRE: bool>(
+    l: &mut IdleLanes<W>,
     dt_s: f64,
     steps: u64,
     max_online: u32,
 ) {
-    const B: usize = IDLE_BLOCK;
-    // xtask-allow-region: no-panic-lib -- every index is `j < B` into `[f64; B]` lanes (or a fixed `[0.0; B]` scratch): statically in bounds
+    // xtask-allow-region: no-panic-lib -- every index is `j < W` into `[f64; W]` lanes (or a fixed `[0.0; W]` scratch): statically in bounds
     // xtask-hotpath: begin
     for i in 0..steps {
         let last = if i + 1 == steps { 1.0f64 } else { 0.0 };
-        let mut term = [0.0; B];
-        let mut power_w = [0.0; B];
-        for j in 0..B {
+        let mut term = [0.0; W];
+        let mut power_w = [0.0; W];
+        for j in 0..W {
             let leak_w = PowerModel::leakage_w_from_parts(
                 l.leak_base[j],
                 l.temp_c[j],
@@ -1169,7 +1002,7 @@ fn idle_substeps<const UNIFORM: bool, const NO_FIRE: bool>(
         // `power + term` has no effect) with a uniform trip count.
         for c in 0..max_online {
             let c_f = f64::from(c);
-            for j in 0..B {
+            for j in 0..W {
                 power_w[j] = if UNIFORM || c_f < l.online[j] {
                     power_w[j] + term[j]
                 } else {
@@ -1177,25 +1010,28 @@ fn idle_substeps<const UNIFORM: bool, const NO_FIRE: bool>(
                 };
             }
         }
-        for j in 0..B {
+        for j in 0..W {
             l.energy_j[j] += power_w[j] * dt_s;
-            // `ThermalModel::step` with the decay factor hoisted: the
-            // steady-state temperature, the exact exponential relaxation,
-            // then the trip/release hysteresis.
-            let t_inf = l.ambient_c[j] + power_w[j] * l.r_th_c_per_w[j];
-            l.temp_c[j] = t_inf + (l.temp_c[j] - t_inf) * l.decay[j];
-            l.throttled[j] = if l.temp_c[j] >= l.trip_c[j] {
-                1.0
-            } else if l.temp_c[j] <= l.release_c[j] {
-                0.0
-            } else {
-                l.throttled[j]
-            };
+            // `ThermalModel::step` with the decay factor hoisted.
+            l.temp_c[j] = relax(
+                l.temp_c[j],
+                power_w[j],
+                l.ambient_c[j],
+                l.r_th_c_per_w[j],
+                l.decay[j],
+            );
+            l.throttled[j] = hysteresis(
+                l.temp_c[j],
+                l.trip_c[j],
+                l.release_c[j],
+                l.throttled[j],
+                [0.0, 1.0],
+            );
         }
         if NO_FIRE {
             continue;
         }
-        for j in 0..B {
+        for j in 0..W {
             let clamp = if l.throttled[j] != 0.0 {
                 l.clamp_level[j]
             } else {
@@ -1223,9 +1059,9 @@ fn idle_substeps<const UNIFORM: bool, const NO_FIRE: bool>(
             } else {
                 l.leak_base[j]
             };
-            // Mid-batch the stepped loop would zero the stall at the next
+            // Mid-span the stepped loop would zero the stall at the next
             // sub-step; only a final-sub-step clamp leaves it armed for
-            // the epoch that follows.
+            // what follows.
             l.stall_armed[j] = if fire {
                 last.max(l.stall_armed[j])
             } else {

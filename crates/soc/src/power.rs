@@ -189,7 +189,8 @@ impl PowerModel {
     /// and adding `+0.0` to the non-negative idle term is a bitwise
     /// no-op — so this fold is **bit-identical** to the general
     /// expression (asserted by a unit test) while skipping three
-    /// multiplications in the idle fast-forward loop.
+    /// multiplications for every quiescent core in the busy and idle
+    /// kernels.
     #[inline]
     pub fn idle_core_w_from_parts(
         idle_coeff: f64,

@@ -122,12 +122,14 @@ impl Soc {
 
     /// Chooses between the fast paths (`true`, the default) and the
     /// stepped reference (`false`). The fast paths run each cluster from
-    /// one dispatch to the next on its own, busy sub-steps through a
-    /// hoisted kernel and idle ones through the idle fast-forward, and let
-    /// a [`crate::DeviceBatch`] park idle lanes; the stepped reference
-    /// advances every cluster one sub-step at a time through
-    /// [`Cluster::advance_substep`], busy or idle. Both are bit-identical —
-    /// this knob exists so tests can prove that claim by running both ways.
+    /// one dispatch to the next on its own — sub-steps with work, and
+    /// every sub-step of a cluster with cpuidle states, through a hoisted
+    /// busy kernel, the quiescent rest of any other cluster as one lane
+    /// of the batched idle kernel — and let a [`crate::DeviceBatch`] park
+    /// idle lanes; the stepped reference advances every cluster one
+    /// sub-step at a time through [`Cluster::advance_substep`], busy or
+    /// idle. Both are bit-identical — this knob exists so tests can prove
+    /// that claim by running both ways.
     pub fn set_idle_fast_forward(&mut self, enabled: bool) {
         self.idle_fast_forward = enabled;
     }
@@ -289,7 +291,13 @@ impl Soc {
         }
         // xtask-hotpath: end
 
-        self.finish_epoch_into(started_at, steps, report);
+        report
+            .clusters
+            .resize_with(self.clusters.len(), ClusterReport::default);
+        for (cluster, slot) in self.clusters.iter_mut().zip(report.clusters.iter_mut()) {
+            cluster.end_epoch_into(slot);
+        }
+        self.commit_epoch(started_at, steps, report);
         Ok(())
     }
 
@@ -313,26 +321,15 @@ impl Soc {
         Ok(())
     }
 
-    /// The epoch epilogue shared by [`Soc::run_epoch_into`] and the
-    /// batched fast path: closes every cluster's accumulators into the
-    /// report, adds the board-base energy term and bumps the counters.
-    pub(crate) fn finish_epoch_into(
-        &mut self,
-        started_at: SimTime,
-        steps: u64,
-        report: &mut EpochReport,
-    ) {
+    /// The epoch-close fold shared by [`Soc::run_epoch_into`] and
+    /// [`Soc::parked_commit_epoch`], once the cluster slots are filled:
+    /// stamps the report's span, sums the slots' energy in cluster order
+    /// with the board-base term, and bumps the totals and counters.
+    fn commit_epoch(&mut self, started_at: SimTime, steps: u64, report: &mut EpochReport) {
         report.started_at = started_at;
         report.ended_at = self.now;
-        report
-            .clusters
-            .resize_with(self.clusters.len(), ClusterReport::default);
-        let mut energy_j = 0.0;
-        for (cluster, slot) in self.clusters.iter_mut().zip(report.clusters.iter_mut()) {
-            cluster.end_epoch_into(slot);
-            energy_j += slot.energy_j;
-        }
-        let energy_j = energy_j + self.config.board_base_w * self.config.epoch.as_secs_f64();
+        let clusters_j = report.clusters.iter().fold(0.0, |e, c| e + c.energy_j);
+        let energy_j = clusters_j + self.config.board_base_w * self.config.epoch.as_secs_f64();
         self.total_energy_j += energy_j;
         self.epochs_run += 1;
         report.energy_j = energy_j;
@@ -350,8 +347,9 @@ impl Soc {
     /// Whether the next epoch can take the batched idle fast path: every
     /// cluster quiescent with no cpuidle table, fast-forward enabled, and
     /// no arrival due before the epoch's last sub-step boundary — exactly
-    /// the condition under which [`Soc::run_epoch_into`] would cover the
-    /// whole epoch with one `advance_idle_substeps` call per cluster.
+    /// the condition under which [`Soc::run_epoch_into`] would run the
+    /// whole epoch as one idle-kernel span per cluster, so parking only
+    /// moves those spans into the batch's shared kernel call.
     pub(crate) fn idle_epoch_parkable(&self) -> bool {
         self.idle_fast_forward
             && self.config.substeps_per_epoch() >= 2
@@ -407,12 +405,11 @@ impl Soc {
     }
 
     /// Closes one parked epoch from the kernel-evolved domains: the
-    /// resident equivalent of [`Soc::finish_epoch_into`] after
-    /// [`Soc::run_epoch_into`] ran the whole epoch as one idle span, with the
-    /// per-cluster epilogue synthesised from the domains (see
+    /// resident equivalent of the epilogue of [`Soc::run_epoch_into`] after
+    /// it ran the whole epoch as one idle span, with the cluster slots
+    /// synthesised from the domains (see
     /// [`crate::cluster::synth_parked_report`]) instead of read from the
-    /// untouched `Cluster` structs. The energy fold, board-base term and
-    /// counters are the same instruction sequence as the scalar path.
+    /// untouched `Cluster` structs, and the same epoch-close fold.
     pub(crate) fn parked_commit_epoch(
         &mut self,
         domains: &mut [crate::cluster::IdleDomain],
@@ -421,23 +418,13 @@ impl Soc {
         let steps = self.config.substeps_per_epoch();
         let started_at = self.now;
         self.now += self.config.substep * steps;
-        report.started_at = started_at;
-        report.ended_at = self.now;
         report
             .clusters
             .resize_with(self.clusters.len(), ClusterReport::default);
-        let mut energy_j = 0.0;
         for (domain, slot) in domains.iter_mut().zip(report.clusters.iter_mut()) {
             crate::cluster::synth_parked_report(domain, steps as u32, slot);
-            energy_j += slot.energy_j;
         }
-        let energy_j = energy_j + self.config.board_base_w * self.config.epoch.as_secs_f64();
-        self.total_energy_j += energy_j;
-        self.epochs_run += 1;
-        report.energy_j = energy_j;
-        EPOCHS.inc();
-        SUBSTEPS.add(steps);
-        EPOCH_ENERGY.record(energy_j);
+        self.commit_epoch(started_at, steps, report);
     }
 
     /// Unparks the SoC at an epoch boundary: writes the kernel-evolved

@@ -131,33 +131,23 @@ impl ThermalModel {
             p_w.is_finite() && p_w >= 0.0,
             "power must be finite and non-negative"
         );
-        let t_inf = self.steady_state_c(p_w);
-        let tau = self.r_th_c_per_w * self.c_th_j_per_c;
-        // The decay factor depends only on (dt, tau), both constant in
-        // steady state; memoise the exp(). Keyed on the exact inputs, so a
-        // hit returns the bit the cold path would have computed.
-        let decay = if self.decay_cache.0 == dt && self.decay_cache.1 == tau.to_bits() {
-            self.decay_cache.2
-        } else {
-            let fresh = (-dt.as_secs_f64() / tau).exp();
-            self.decay_cache = (dt, tau.to_bits(), fresh);
-            fresh
-        };
-        self.temp_c = t_inf + (self.temp_c - t_inf) * decay;
-
-        if self.temp_c >= self.throttle_temp_c {
-            self.throttled = true;
-        } else if self.temp_c <= self.release_temp_c {
-            self.throttled = false;
-        }
+        let decay = self.decay_for(dt);
+        self.temp_c = relax(self.temp_c, p_w, self.ambient_c, self.r_th_c_per_w, decay);
+        self.throttled = hysteresis(
+            self.temp_c,
+            self.throttle_temp_c,
+            self.release_temp_c,
+            self.throttled,
+            [false, true],
+        );
         self.temp_c
     }
 
-    /// The decay factor `exp(−dt/τ)` for one sub-step, through the same
-    /// memo [`ThermalModel::step`] uses — a hit returns the very bits the
-    /// cold path would compute, and the entry is refreshed on a miss so a
-    /// later `step` with the same `dt` hits. The batched idle kernel
-    /// hoists this out of its sub-step loop.
+    /// The decay factor `exp(−dt/τ)` for one sub-step. It depends only on
+    /// `(dt, τ)`, both constant in steady state, so the `exp()` is
+    /// memoised; keyed on the exact inputs, a hit returns the very bits
+    /// the cold path would compute. [`ThermalModel::step`] reads it here,
+    /// and the batched idle kernel hoists it out of its sub-step loop.
     pub(crate) fn decay_for(&mut self, dt: SimDuration) -> f64 {
         let tau = self.r_th_c_per_w * self.c_th_j_per_c;
         if self.decay_cache.0 == dt && self.decay_cache.1 == tau.to_bits() {
@@ -190,6 +180,39 @@ impl ThermalModel {
     pub fn reset(&mut self) {
         self.temp_c = self.ambient_c;
         self.throttled = false;
+    }
+}
+
+/// The exact relaxation of an RC node at `temp_c` over one sub-step under
+/// constant power `p_w`, towards its steady state: `decay` is
+/// `exp(−dt/τ)`. The one definition of the update: [`ThermalModel::step`]
+/// and the batched idle kernel, lane by lane, both call it.
+#[inline(always)]
+pub(crate) fn relax(temp_c: f64, p_w: f64, ambient_c: f64, r_th_c_per_w: f64, decay: f64) -> f64 {
+    let t_inf = ambient_c + p_w * r_th_c_per_w;
+    t_inf + (temp_c - t_inf) * decay
+}
+
+/// The trip/release hysteresis of the throttle flag after a step to
+/// `temp_c`: set at or above the trip point, cleared at or below the
+/// release point, held in between. The flag is in the caller's
+/// representation, `[off, on]` its two values — `bool` in
+/// [`ThermalModel`], `0.0`/`1.0` in the batched idle kernel's `f64`
+/// lanes — so both share this one definition.
+#[inline(always)]
+pub(crate) fn hysteresis<F: Copy>(
+    temp_c: f64,
+    trip_c: f64,
+    release_c: f64,
+    throttled: F,
+    [off, on]: [F; 2],
+) -> F {
+    if temp_c >= trip_c {
+        on
+    } else if temp_c <= release_c {
+        off
+    } else {
+        throttled
     }
 }
 

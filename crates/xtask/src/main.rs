@@ -35,7 +35,7 @@ use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 use xtask::graph::Workspace;
-use xtask::taint::{enforce, seed_and_propagate, Surfaces, TaintKind};
+use xtask::taint::{enforce, seed_and_propagate, Surfaces};
 use xtask::{
     atomics_audit, docs_lint, feature_gate_lint, flags_lint, format_baseline, json_escape,
     parse_baseline, protocol_lint, ratchet, scan_source, Diagnostic, Lint,
@@ -128,17 +128,6 @@ const ATOMICS_FILES: &[&str] = &[
 /// switch lives in `simkit::obs` alone, everything else calls through its
 /// always-compiled API.
 const FEATURE_GATE_EXEMPT: &[&str] = &["simkit"];
-
-/// File-scoped allowlist: (path, lint, identifier, reason). Entries here
-/// are policy decisions reviewed in this file rather than inline; they
-/// silence both the lexical finding and the taint seed it would become.
-const ALLOWLIST: &[(&str, Lint, &str, &str)] = &[(
-    "crates/experiments/src/e4_decision_latency.rs",
-    Lint::Determinism,
-    "Instant",
-    "E4 may time the *software* agent on the host wall clock; the reported \
-     distribution is explicitly a measurement, not simulated state",
-)];
 
 const NO_PANIC_BASELINE: &str = "crates/xtask/baselines/no_panic.txt";
 const PANIC_TAINT_BASELINE: &str = "crates/xtask/baselines/panic_taint.txt";
@@ -316,12 +305,6 @@ fn rel_label(root: &Path, path: &Path) -> String {
         .replace('\\', "/")
 }
 
-fn allowlisted(file: &str, lint: Lint, message: &str) -> bool {
-    ALLOWLIST.iter().any(|(path, allowed_lint, word, _)| {
-        *allowed_lint == lint && file == *path && message.contains(word)
-    })
-}
-
 /// The `[dependencies]` of one crate's manifest, restricted to workspace
 /// product crates (dev-dependencies deliberately excluded: test-only use
 /// must not create taint edges).
@@ -408,11 +391,7 @@ fn run_check(root: &Path, opts: &Options) -> Result<bool, String> {
     {
         let out = scan_source(&src.label, &src.text, &[Lint::Determinism]);
         suppressed += out.suppressed;
-        diagnostics.extend(
-            out.diagnostics
-                .into_iter()
-                .filter(|d| !allowlisted(&d.file, d.lint, &d.message)),
-        );
+        diagnostics.extend(out.diagnostics);
     }
 
     // atomics-audit: exact file list.
@@ -507,10 +486,7 @@ fn run_check(root: &Path, opts: &Options) -> Result<bool, String> {
         }
         ws.build_index();
 
-        let seed_allowlisted = |file: &str, kind: TaintKind, message: &str| {
-            allowlisted(file, kind.lexical_lint(), message)
-        };
-        let taints = seed_and_propagate(&ws, &seed_allowlisted);
+        let taints = seed_and_propagate(&ws);
         let surfaces = Surfaces {
             fx_files: FX_TAINT_FILES,
             hotpath_files: HOTPATH_FILES,

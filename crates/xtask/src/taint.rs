@@ -123,15 +123,10 @@ impl TaintMap {
     }
 }
 
-/// Seed predicate hook for the file-scoped allowlist (main.rs's policy
-/// table): returns `true` when a seed at `(file label, kind, message)` is
-/// an accepted policy exception and must not be seeded.
-pub type SeedAllowlist<'a> = &'a dyn Fn(&str, TaintKind, &str) -> bool;
-
 /// Scans every function's lines for lexical seeds, then propagates each
 /// kind over reversed call edges to a fixed point (BFS, so every recorded
 /// chain is a shortest one; ties broken by function index for determinism).
-pub fn seed_and_propagate(ws: &Workspace, allowlisted: SeedAllowlist<'_>) -> TaintMap {
+pub fn seed_and_propagate(ws: &Workspace) -> TaintMap {
     let mut per_kind: BTreeMap<TaintKind, BTreeMap<usize, Reach>> = BTreeMap::new();
 
     // --- Seeding ---
@@ -141,7 +136,7 @@ pub fn seed_and_propagate(ws: &Workspace, allowlisted: SeedAllowlist<'_>) -> Tai
             if f.in_test {
                 continue;
             }
-            if let Some(seed) = first_seed(ws, fn_idx, kind, allowlisted) {
+            if let Some(seed) = first_seed(ws, fn_idx, kind) {
                 tainted.insert(fn_idx, Reach { via: None, seed });
             }
         }
@@ -208,14 +203,8 @@ pub fn seed_and_propagate(ws: &Workspace, allowlisted: SeedAllowlist<'_>) -> Tai
 /// The first lexical seed for `kind` in the lines owned by `fn_idx`
 /// (innermost ownership, so nested fns keep their own seeds). Seeds
 /// suppressed by a justified allow — under the lexical family's name or
-/// the taint family's — or matched by the file-scoped allowlist do not
-/// count.
-fn first_seed(
-    ws: &Workspace,
-    fn_idx: usize,
-    kind: TaintKind,
-    allowlisted: SeedAllowlist<'_>,
-) -> Option<Seed> {
+/// the taint family's — do not count.
+fn first_seed(ws: &Workspace, fn_idx: usize, kind: TaintKind) -> Option<Seed> {
     let f = &ws.fns[fn_idx];
     let file = &ws.files[f.file];
     let lines = ws.lines(f.file);
@@ -254,9 +243,6 @@ fn first_seed(
         let Some(message) = message else {
             continue;
         };
-        if allowlisted(&file.label, kind, &message) {
-            continue;
-        }
         let suppressed =
             matches!(
                 allow_state(lines, idx, kind.lexical_lint()),
@@ -506,7 +492,7 @@ mod tests {
 
     fn fixture_outcome() -> (Workspace, TaintOutcome) {
         let ws = fixture_ws();
-        let taints = seed_and_propagate(&ws, &|_, _, _| false);
+        let taints = seed_and_propagate(&ws);
         let out = enforce(&ws, &taints, &fixture_surfaces());
         (ws, out)
     }
@@ -603,7 +589,7 @@ mod tests {
         // `quiet_pick` wraps its indexing in a justified lexical allow, so
         // `quiet_entry` (which calls it) must stay untainted.
         let ws = fixture_ws();
-        let taints = seed_and_propagate(&ws, &|_, _, _| false);
+        let taints = seed_and_propagate(&ws);
         let quiet_entry = ws
             .fns
             .iter()
@@ -613,23 +599,9 @@ mod tests {
     }
 
     #[test]
-    fn seed_allowlist_hook_prevents_seeding() {
-        let ws = fixture_ws();
-        let taints = seed_and_propagate(&ws, &|file, kind, _| {
-            file == "fixtures/taint/lut.rs" && kind == TaintKind::Nondet
-        });
-        let jitter = ws
-            .fns
-            .iter()
-            .position(|f| f.name == "jitter")
-            .expect("fixture fn");
-        assert!(taints.get(TaintKind::Nondet, jitter).is_none());
-    }
-
-    #[test]
     fn clean_entry_stays_untainted() {
         let ws = fixture_ws();
-        let taints = seed_and_propagate(&ws, &|_, _, _| false);
+        let taints = seed_and_propagate(&ws);
         let clean = ws
             .fns
             .iter()
