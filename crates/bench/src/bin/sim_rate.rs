@@ -17,8 +17,9 @@
 //! The sharded rate at the process's `RLPM_THREADS` budget is printed
 //! beside it, not written or gated. `--min-batch-speedup X` exits
 //! non-zero when the standby fleet's batched-over-looped speedup lands
-//! below `X` — the CI smoke gate. See DESIGN.md § Performance for how to
-//! read the file.
+//! below `X`, and `--min-mixed-speedup X` when the mixed fleet's does —
+//! the CI smoke gates. See DESIGN.md § Performance for how to read the
+//! file.
 
 use std::path::PathBuf;
 
@@ -34,6 +35,7 @@ fn main() {
     let mut lanes = 256u32;
     let mut fleet_secs: Option<u64> = None;
     let mut min_batch_speedup: Option<f64> = None;
+    let mut min_mixed_speedup: Option<f64> = None;
     let mut iter = args.iter();
     while let Some(arg) = iter.next() {
         match arg.as_str() {
@@ -71,11 +73,20 @@ fn main() {
                         .expect("--min-batch-speedup needs a number"),
                 );
             }
+            "--min-mixed-speedup" => {
+                min_mixed_speedup = Some(
+                    iter.next()
+                        .expect("--min-mixed-speedup needs a ratio")
+                        .parse()
+                        .expect("--min-mixed-speedup needs a number"),
+                );
+            }
             other => {
                 eprintln!("unknown argument: {other}");
                 eprintln!(
                     "usage: sim-rate [--baseline] [--quick] [--repeat N] [--lanes N] \
-                            [--fleet-secs N] [--min-batch-speedup X] [--out PATH] [--label TEXT]"
+                            [--fleet-secs N] [--min-batch-speedup X] [--min-mixed-speedup X] \
+                            [--out PATH] [--label TEXT]"
                 );
                 std::process::exit(2);
             }
@@ -119,7 +130,7 @@ fn main() {
         lanes,
         fleet_secs,
         config.seed,
-        "resident-parked SoA idle kernel, ondemand per lane",
+        "SoA steady kernel: resident parked lanes and live tails, ondemand per lane",
         repeat,
     );
     for fleet in &batch.fleets {
@@ -143,18 +154,23 @@ fn main() {
     println!("{json}");
     eprintln!("(written to {})", out.display());
 
-    if let Some(min) = min_batch_speedup {
-        let standby = report
+    let mut below = false;
+    for (fleet, min) in [("standby", min_batch_speedup), ("mixed", min_mixed_speedup)] {
+        let Some(min) = min else { continue };
+        let rate = report
             .batch
             .as_ref()
-            .and_then(|b| b.fleets.iter().find(|f| f.name == "standby"))
-            .expect("fleet measurement includes standby");
-        if standby.speedup() < min {
+            .and_then(|b| b.fleets.iter().find(|f| f.name == fleet))
+            .unwrap_or_else(|| panic!("fleet measurement includes {fleet}"));
+        if rate.speedup() < min {
             eprintln!(
-                "error: standby fleet speedup {:.2}x is below the required {min}x",
-                standby.speedup()
+                "error: {fleet} fleet speedup {:.2}x is below the required {min}x",
+                rate.speedup()
             );
-            std::process::exit(1);
+            below = true;
         }
+    }
+    if below {
+        std::process::exit(1);
     }
 }

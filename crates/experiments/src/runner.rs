@@ -187,11 +187,12 @@ impl LaneLoop {
     /// the next decision's input; `pending_jobs` is the device's queue
     /// after the epoch.
     ///
-    /// `parked` marks an epoch the batch's idle kernel stepped. Such an
-    /// epoch completes no jobs, so the tracker would not move: every
-    /// snapshot delta is exactly zero (`x - x` is `+0.0` for finite
-    /// totals) and the ratio takes its no-demand branch. Skipping the
-    /// snapshot round-trip is therefore bit-identical to the live path.
+    /// `parked` marks an epoch that ran parked in the batch's steady
+    /// kernel. Such an epoch completes no jobs, so the tracker would not
+    /// move: every snapshot delta is exactly zero (`x - x` is `+0.0` for
+    /// finite totals) and the ratio takes its no-demand branch. Skipping
+    /// the snapshot round-trip is therefore bit-identical to the live
+    /// path.
     fn finish_epoch(&mut self, report: &EpochReport, parked: bool, pending_jobs: usize) {
         self.epochs_done += 1;
         let (units, violations, qos_ratio) = if parked {

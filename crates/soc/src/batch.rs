@@ -7,16 +7,20 @@
 //! **parked** mode: a lane whose clusters are all quiescent (no cpuidle
 //! table, no arrival due within the epoch) detaches its per-cluster hot
 //! state — thermal node, frequency level, epoch accumulator, power
-//! constants — into a dense [`crate::cluster::IdleDomain`] vector, and
+//! constants — into a dense [`crate::cluster::SteadyDomain`] vector, and
 //! *stays* detached across epochs. Each epoch, one interleaved
-//! structure-of-arrays kernel ([`crate::cluster::advance_idle_batch`])
+//! structure-of-arrays kernel ([`crate::cluster::advance_steady_batch`])
 //! advances every parked domain in lockstep, and the per-lane epoch
 //! report and governor observation are synthesised straight from the
 //! domain records without touching the parked `Cluster`/core structures
-//! at all. Lanes with queued work,
-//! imminent arrivals, cpuidle tables, or a level-change request unpark
-//! (the domain state is written back) and run the unmodified
-//! [`Soc::run_epoch_into`].
+//! at all. Lanes with queued work, imminent arrivals, cpuidle tables, or
+//! a level-change request unpark (the domain state is written back) and
+//! run live: each runs the scalar part of [`Soc::run_epoch_into`] up to
+//! its clusters' steady tails (from the last dispatch and last completion
+//! to the epoch's end), every live lane's tails then run in the same
+//! kernel pass as the parked domains, sorted by start so each block's
+//! lanes start together, and each live lane closes its epoch as
+//! [`Soc::run_epoch_into`] does.
 //!
 //! Two effects make this fast. The interleaved kernel fills the FP
 //! pipeline: a single cluster's idle span is one serial floating-point
@@ -28,22 +32,24 @@
 //!
 //! Batching is a pure scheduling optimisation: every lane produces
 //! **bit-identical** state, reports and metrics to running it alone. The
-//! parked path runs the very kernel a lone [`Soc`] runs each idle span
-//! through (one lane wide there), and closes each epoch through the same
-//! fold as the scalar epilogue (whose idle-epoch inputs are all exactly
-//! `+0.0`/empty); the scalar path *is* the single-device path. The
-//! equivalence is pinned per-epoch by unit tests here, end-to-end by the
-//! `golden_bits` batch-vs-looped cases, and against golden bits with the
-//! thermal clamp firing inside the kernel by `tests/thermal_clamp.rs`.
+//! parked path and the live tails run the very kernel a lone [`Soc`] runs
+//! its tails and idle spans through (one or two lanes wide there), and
+//! close each epoch through the same fold as the scalar epilogue (whose
+//! idle-epoch inputs are all exactly `+0.0`/empty); the live path *is*
+//! the single-device path, split around the kernel call. The equivalence
+//! is pinned per-epoch by unit tests here, end-to-end by the
+//! `golden_bits` batch-vs-looped cases, against golden bits with the
+//! thermal clamp firing inside the kernel by `tests/thermal_clamp.rs`,
+//! and for tails beside parked and live lanes by `tests/steady_tail.rs`.
 
 use simkit::{obs, SimTime};
 
-use crate::cluster::{advance_idle_batch, IdleDomain, ParkedObsConsts};
+use crate::cluster::{advance_steady_batch, advance_steady_tails, ParkedObsConsts, SteadyDomain};
 use crate::{EpochObservation, EpochReport, Job, LevelRequest, Soc, SocError};
 
-/// Epochs that took the parked (batched idle kernel) fast path.
+/// Epochs that took the parked (batched steady kernel) fast path.
 static PARKED_EPOCHS: obs::Counter = obs::Counter::new("soc.batch.parked_epochs");
-/// Epochs that fell back to the scalar single-device path.
+/// Epochs that ran live: the scalar prefix, tails in the kernel pass.
 static SCALAR_EPOCHS: obs::Counter = obs::Counter::new("soc.batch.scalar_epochs");
 
 /// Per-lane batch bookkeeping: whether the lane is parked, where its
@@ -83,13 +89,29 @@ pub struct DeviceBatch {
     lanes: Vec<Soc>,
     /// Dense resident domains of every parked lane; each lane owns one
     /// contiguous chunk.
-    domains: Vec<IdleDomain>,
+    domains: Vec<SteadyDomain>,
     /// Parked lane indices, kept sorted by `domain_start` so the last
     /// entry always owns the tail chunk (which makes unparking O(1)).
     order: Vec<usize>,
     meta: Vec<LaneMeta>,
     /// Per-lane error from the most recent epoch (`None` = stepped OK).
     errors: Vec<Option<SocError>>,
+    /// Scratch of one epoch step: the live lanes' steady tails, each
+    /// lane's contiguous in cluster order ...
+    tails: Vec<SteadyDomain>,
+    /// ... the kernel's start-sorted order over them ...
+    tail_order: Vec<u32>,
+    /// ... and each live lane's epoch start and tail range.
+    live: Vec<LiveLane>,
+}
+
+/// A lane that runs its epoch live: its index, the epoch's start and its
+/// tails' range in the batch's tail scratch.
+#[derive(Debug, Clone, Copy)]
+struct LiveLane {
+    lane: usize,
+    started_at: SimTime,
+    tails: (usize, usize),
 }
 
 /// Checks that `lane` (batch index `i`) shares `first`'s epoch and
@@ -129,6 +151,9 @@ impl DeviceBatch {
             order: Vec::new(),
             meta: (0..n).map(|_| LaneMeta::default()).collect(),
             errors: vec![None; n],
+            tails: Vec::new(),
+            tail_order: Vec::new(),
+            live: Vec::new(),
         })
     }
 
@@ -262,6 +287,9 @@ impl DeviceBatch {
             order: Vec::new(),
             meta: self.meta.split_off(at),
             errors: self.errors.split_off(at),
+            tails: Vec::new(),
+            tail_order: Vec::new(),
+            live: Vec::new(),
         }
     }
 
@@ -292,16 +320,17 @@ impl DeviceBatch {
         &self.errors
     }
 
-    /// Number of lanes currently parked on the batched idle path.
+    /// Number of lanes currently parked on the batched steady path.
     pub fn parked_lanes(&self) -> usize {
         self.order.len()
     }
 
     /// Whether one lane is currently parked. After a
     /// [`DeviceBatch::run_epoch_into`] call this tells the caller the
-    /// lane's epoch took the kernel path — which implies it completed no
-    /// jobs and queued none, letting control loops skip QoS bookkeeping
-    /// whose deltas are exactly zero.
+    /// lane's whole epoch ran parked in the kernel (a live lane's tails
+    /// run there too, but it is not parked) — which implies it completed
+    /// no jobs and queued none, letting control loops skip QoS
+    /// bookkeeping whose deltas are exactly zero.
     ///
     /// # Panics
     ///
@@ -454,14 +483,12 @@ impl DeviceBatch {
         // Pre-pass: decide each lane's path for this epoch. Parked lanes
         // re-check the parked condition against the new request and
         // arrivals; live lanes either park (all-idle epoch ahead) or run
-        // the scalar path right here. The order change relative to looped
+        // the scalar part of their epoch right here, leaving their steady
+        // tails for the kernel. The order change relative to looped
         // execution is immaterial — lanes never read each other's state.
-        for (i, ((request, report), &is_active)) in requests
-            .iter()
-            .zip(reports.iter_mut())
-            .zip(active)
-            .enumerate()
-        {
+        self.tails.clear();
+        self.live.clear();
+        for (i, (request, &is_active)) in requests.iter().zip(active).enumerate() {
             if let Some(slot) = self.errors.get_mut(i) {
                 *slot = None;
             }
@@ -480,18 +507,22 @@ impl DeviceBatch {
             let Some(lane) = self.lanes.get_mut(i) else {
                 continue;
             };
-            if lane.idle_epoch_parkable() {
-                match lane.apply_levels(request) {
-                    Ok(()) => self.park(i),
-                    Err(e) => {
-                        if let Some(slot) = self.errors.get_mut(i) {
-                            *slot = Some(e);
-                        }
-                    }
-                }
+            let outcome = if lane.idle_epoch_parkable() {
+                lane.apply_levels(request).map(|()| None)
             } else {
                 SCALAR_EPOCHS.inc();
-                if let Err(e) = lane.run_epoch_into(request, report) {
+                let from = self.tails.len();
+                lane.run_epoch_prefix(request, &mut self.tails)
+                    .map(|started_at| Some((started_at, from)))
+            };
+            match outcome {
+                Ok(None) => self.park(i),
+                Ok(Some((started_at, from))) => self.live.push(LiveLane {
+                    lane: i,
+                    started_at,
+                    tails: (from, self.tails.len()),
+                }),
+                Err(e) => {
                     if let Some(slot) = self.errors.get_mut(i) {
                         *slot = Some(e);
                     }
@@ -500,18 +531,15 @@ impl DeviceBatch {
         }
 
         // All lanes share the grid (validated in `new`), so one kernel
-        // call advances every parked domain through the whole epoch.
-        let Some(config) = self
-            .order
-            .first()
-            .and_then(|&i| self.lanes.get(i))
-            .map(Soc::config)
-        else {
+        // pass advances every parked domain through the whole epoch and
+        // every live tail from its start to the epoch's end.
+        let Some(config) = self.lanes.first().map(Soc::config) else {
             return Ok(());
         };
         let (substep, steps) = (config.substep, config.substeps_per_epoch());
-        // xtask-hotpath: begin (lockstep idle kernel dispatch, no allocation)
-        advance_idle_batch(&mut self.domains, substep, steps);
+        // xtask-hotpath: begin (lockstep steady kernel dispatch, no allocation)
+        advance_steady_batch(&mut self.domains, substep, steps);
+        advance_steady_tails(&mut self.tails, &mut self.tail_order, substep, steps);
         for &i in &self.order {
             PARKED_EPOCHS.inc();
             let Some(meta) = self.meta.get_mut(i) else {
@@ -525,6 +553,16 @@ impl DeviceBatch {
                 reports.get_mut(i),
             ) {
                 soc.parked_commit_epoch(doms, report);
+            }
+        }
+        for live in &self.live {
+            let (from, to) = live.tails;
+            if let (Some(soc), Some(tails), Some(report)) = (
+                self.lanes.get_mut(live.lane),
+                self.tails.get(from..to),
+                reports.get_mut(live.lane),
+            ) {
+                soc.run_epoch_suffix(live.started_at, tails, report);
             }
         }
         // xtask-hotpath: end

@@ -5,10 +5,19 @@
 //! sub-step — energy, thermal step, throttle clamp and its transition
 //! charge — and `cpuidle_scales` is the per-core cpuidle term; the stepped
 //! reference [`Cluster::advance_substep`] and the busy kernel both call
-//! them. Every quiescent span of a cluster without cpuidle states runs
-//! through the batched idle kernel ([`advance_idle_batch`]): a lone
-//! cluster's as one lane, a parked fleet's as many. The kernel and
-//! [`crate::ThermalModel::step`] share the thermal relax and hysteresis.
+//! them.
+//!
+//! A run of sub-steps on a cluster without cpuidle states is *steady*
+//! when nothing but its power and thermal chain moves: every online core
+//! idle, or busy on a front job that outlasts the run at a level the clamp
+//! cannot lower. Steady runs go through the batched steady kernel
+//! ([`advance_steady_batch`]), one lane per cluster, each online core
+//! adding one constant clock term to the leakage. A lone cluster's
+//! mid-epoch idle run goes one lane wide; an epoch's tail (from its last
+//! dispatch and last completion to its end) goes in one call with the
+//! SoC's other tails, and in a batch with every live lane's tails beside
+//! the parked lanes. The kernel and [`crate::ThermalModel::step`] share
+//! the thermal relax and hysteresis.
 
 use simkit::{SimDuration, SimTime};
 
@@ -18,6 +27,11 @@ use crate::{
     ClusterConfig, CompletedJob, CoreModel, IdleDepth, IdleStates, Job, OppLevel, PowerModel,
     SocError, ThermalModel,
 };
+
+/// Online cores a steady run can keep busy: the steady kernel carries a
+/// clock term of its own for each of a lane's first eight cores, and
+/// every later one is idle.
+const STEADY_BUSY_CORES: usize = 8;
 
 /// Per-epoch aggregate report for one cluster.
 #[derive(Debug, Clone, PartialEq, Default)]
@@ -484,9 +498,9 @@ impl Cluster {
     /// Advances `steps` sub-steps of length `dt` from `start` through the
     /// fast paths: sub-steps with work through the busy kernel, and the
     /// quiescent rest of a cluster without cpuidle states as one lane of
-    /// the batched idle kernel. A cluster with cpuidle states runs the
-    /// whole span in the busy kernel, since its cores' depths and
-    /// residencies keep changing while idle.
+    /// the steady kernel. A cluster with cpuidle states runs the whole
+    /// span in the busy kernel, since its cores' depths and residencies
+    /// keep changing while idle.
     ///
     /// Callers guarantee that no job arrives on this cluster before the
     /// last of the `steps` sub-steps ends — the SoC's dispatch horizon.
@@ -495,28 +509,48 @@ impl Cluster {
     /// cannot wake without a dispatch, and every value the kernels hoist
     /// is the expression the stepped loop evaluates, on the same inputs
     /// (property tests pin the equivalence). With an empty queue the busy
-    /// fraction is exactly `+0.0`, so the idle kernel drops the execution
+    /// fraction is exactly `+0.0`, so the idle lane drops the execution
     /// loop and the utilisation folds (`x += 0.0` on non-negative sums is
     /// a bitwise no-op).
     pub(crate) fn advance_span(&mut self, start: SimTime, dt: SimDuration, steps: u64) {
-        let busy = if self.is_quiescent() && self.config.idle.is_none() {
-            0
-        } else {
-            self.advance_busy_substeps(start, dt, steps)
-        };
+        let busy = self.advance_busy_substeps(start, dt, steps, false);
         let idle = steps - busy;
         if idle > 0 {
-            let mut lane = [self.idle_batch_begin(dt)];
-            advance_idle_batch(&mut lane, dt, idle);
+            let mut lane = [self.steady_begin(dt, 0, 0)];
+            advance_steady_batch(&mut lane, dt, idle);
             let [domain] = &lane;
-            self.idle_batch_restore(domain, dt * idle);
-            self.st.acc.substeps += idle as u32;
+            self.steady_restore(domain, idle, dt);
         }
     }
 
-    /// The busy kernel of [`Cluster::advance_span`]: runs sub-steps from
-    /// `start` until `steps` are done or, without a cpuidle table, one
-    /// leaves every core quiescent, and returns how many it ran.
+    /// The last span of an epoch: `steps` sub-steps from `start`, sub-step
+    /// `offset` of the epoch, to its end, under the same dispatch-horizon
+    /// guarantee as [`Cluster::advance_span`]. Runs the busy kernel until
+    /// the rest of the epoch is steady, then detaches that rest into a
+    /// [`SteadyDomain`] on `tails` (as cluster `id` of its SoC), for the
+    /// SoC to run with its other tails in one kernel call and write back
+    /// through [`Cluster::steady_restore`].
+    pub(crate) fn advance_to_epoch_end(
+        &mut self,
+        start: SimTime,
+        dt: SimDuration,
+        steps: u64,
+        offset: u64,
+        id: usize,
+        tails: &mut Vec<SteadyDomain>,
+    ) {
+        let done = self.advance_busy_substeps(start, dt, steps, true);
+        if done < steps {
+            tails.push(self.tail_begin(dt, offset + done, id));
+        }
+    }
+
+    /// The busy kernel of [`Cluster::advance_span`] and
+    /// [`Cluster::advance_to_epoch_end`]: runs sub-steps from `start` until
+    /// `steps` are done or, without a cpuidle table, the rest is for the
+    /// steady kernel — from the first sub-step that starts with every
+    /// core quiescent or, `until_steady`, with the rest of the span steady
+    /// ([`Cluster::steady_for`]) — and returns how many it ran.
     ///
     /// Each sub-step is [`Cluster::advance_substep`] with its invariants
     /// hoisted: the OPP's power constants and the cores'
@@ -524,18 +558,40 @@ impl Cluster {
     /// thermal clamp lowers the level, and the [`StepState`] lives in a
     /// local. Leakage is evaluated straight-line (the temperature moves
     /// every busy sub-step, so the one-entry memo would miss).
-    fn advance_busy_substeps(&mut self, start: SimTime, dt: SimDuration, steps: u64) -> u64 {
+    fn advance_busy_substeps(
+        &mut self,
+        start: SimTime,
+        dt: SimDuration,
+        steps: u64,
+        until_steady: bool,
+    ) -> u64 {
+        let idle_cfg = self.config.idle.as_ref();
+        let mut quiescent = self.is_quiescent();
+        if quiescent && idle_cfg.is_none() {
+            return 0;
+        }
         let mut s = self.st;
         let mut lut = self.lut(s.level);
         // Every core is built with the cluster's IPC (see `Cluster::new`).
         let mut exec = ExecConsts::new(lut.freq_hz, self.config.ipc, dt);
+        let clamp_target = self.clamp_target();
         let dt_s = dt.as_secs_f64();
         let n = self.online as f64;
-        let idle_cfg = self.config.idle.as_ref();
         let mut t = start;
         let mut done = 0;
+        // Whether the last sub-step could have made the rest steady.
+        let mut changed = true;
         // xtask-hotpath: begin
         while done < steps {
+            if idle_cfg.is_none()
+                && (quiescent
+                    || (until_steady
+                        && changed
+                        && self.steady_for(&s, &exec, clamp_target, steps - done)))
+            {
+                break;
+            }
+            let completed = self.completed.len();
             let stall = s.pending_stall.min(dt);
             s.pending_stall = SimDuration::ZERO;
             let leak_w = self
@@ -545,7 +601,7 @@ impl Cluster {
             let mut busy_sum = 0.0;
             let mut busy_max = 0.0;
             let mut power_w = lut.uncore_w;
-            let mut quiescent = true;
+            quiescent = true;
             let (online_cores, offline_cores) = self.cores.split_at_mut(self.online);
             for core in online_cores.iter_mut() {
                 let (dyn_scale, leak_scale) =
@@ -584,46 +640,77 @@ impl Cluster {
                 core.note_idle(dt);
             }
 
-            if s.close(&self.config, power_w, dt, dt_s) {
+            let fired = s.close(&self.config, power_w, dt, dt_s);
+            if fired {
                 lut = self.lut(s.level);
                 exec = ExecConsts::new(lut.freq_hz, self.config.ipc, dt);
             }
+            // Only a sub-step that finished a job, spent a stall or
+            // clamped can make the rest steady: after any other, each
+            // front job is one budget closer to the same completion.
+            changed = fired || !stall.is_zero() || self.completed.len() != completed;
             s.acc.util_avg_sum += busy_sum / n;
             s.acc.util_max_sum += busy_max;
             s.acc.substeps += 1;
             t += dt;
             done += 1;
-            if quiescent && idle_cfg.is_none() {
-                break;
-            }
         }
         // xtask-hotpath: end
         self.st = s;
         done
     }
 
-    /// Detaches the state the batched idle kernel needs into a flat
-    /// [`IdleDomain`] record, zeroing the pending stall and *moving* the
-    /// epoch accumulator into the record (the domain carries it while the
-    /// lane is parked — possibly across many epochs — and the per-epoch
-    /// synthesis closes it exactly where `end_epoch_into` would). Callers
-    /// guarantee the cluster is quiescent with no cpuidle table;
-    /// [`Cluster::idle_batch_restore`] writes the evolved state back.
-    pub(crate) fn idle_batch_begin(&mut self, dt: SimDuration) -> IdleDomain {
-        debug_assert!(self.is_quiescent(), "idle batch on a busy cluster");
-        debug_assert!(self.config.idle.is_none(), "idle batch with cpuidle");
-        // The stepped loop zeroes the stall at the top of every sub-step
-        // (`stall = pending_stall.min(dt)` only shrinks an execution
-        // window no quiescent core uses). Only the thermal clamp re-arms
-        // it, so zeroing once up front and re-arming on a final-sub-step
-        // clamp (tracked via `stall_armed`) leaves the identical state.
+    /// The level the throttle clamp lowers to: a level at or below it
+    /// never clamps.
+    fn clamp_target(&self) -> OppLevel {
+        let max_level = self.config.opps.max_level();
+        max_level.saturating_sub(self.st.thermal.throttle_levels)
+    }
+
+    /// Whether the `left` sub-steps from here to the end of the span are
+    /// steady, each repeating the last but for the power and thermal
+    /// chain: every online core idle, or — with no transition stall
+    /// pending, at a level the clamp cannot lower, and among the first
+    /// [`STEADY_BUSY_CORES`] — busy on a front job that outlasts all
+    /// `left` sub-steps ([`CoreModel::outlasts`]). Offline cores are
+    /// parked, hence idle.
+    fn steady_for(&self, s: &StepState, k: &ExecConsts, clamp_target: OppLevel, left: u64) -> bool {
+        let calm = s.pending_stall.is_zero() && s.level <= clamp_target;
+        self.cores
+            .iter()
+            .take(self.online)
+            .enumerate()
+            .all(|(c, core)| {
+                core.is_quiescent() || (calm && c < STEADY_BUSY_CORES && core.outlasts(k, left))
+            })
+    }
+
+    /// Detaches the state the steady kernel needs into a flat
+    /// [`SteadyDomain`] record for an all-idle run from sub-step `start`
+    /// of the kernel call's span, as cluster `id` of its SoC: the thermal
+    /// node, level and power constants, and the epoch accumulator,
+    /// *moved* into the record (a parked lane's domain carries it across
+    /// epochs, and the per-epoch synthesis closes it exactly where
+    /// `end_epoch_into` would). Callers guarantee the cluster is
+    /// quiescent with no cpuidle table ([`Cluster::tail_begin`] adds a
+    /// tail's busy cores); [`Cluster::steady_restore`] writes the evolved
+    /// state back.
+    pub(crate) fn steady_begin(&mut self, dt: SimDuration, start: u64, id: usize) -> SteadyDomain {
+        debug_assert!(self.config.idle.is_none(), "steady run with cpuidle");
+        // The stepped loop zeroes the stall at the top of every sub-step;
+        // an idle run never uses it (`stall = pending_stall.min(dt)` only
+        // shrinks an execution window) and a busy run starts without one.
+        // Only the thermal clamp re-arms it, so zeroing once up front and
+        // re-arming on a final-sub-step clamp (tracked via `stall_armed`)
+        // leaves the identical state.
         self.st.pending_stall = SimDuration::ZERO;
         let max_level = self.config.opps.max_level();
-        // The clamp target while throttled; `level > clamp` fires at most
-        // once per parked stay (the clamp never lowers further), so the
-        // constants at the clamped level can be staged up front.
-        let clamp_level = max_level.saturating_sub(self.st.thermal.throttle_levels);
-        IdleDomain {
+        // `level > clamp` fires at most once per run (the clamp never
+        // lowers further), so the constants at the clamped level can be
+        // staged up front. A busy run sits at or below the target and
+        // never fires.
+        let clamp_level = self.clamp_target();
+        SteadyDomain {
             power: self.config.power,
             decay: self.st.thermal.decay_for(dt),
             thermal: self.st.thermal,
@@ -635,30 +722,77 @@ impl Cluster {
             clamp_level,
             lut: self.lut(self.st.level),
             clamp_lut: self.lut(clamp_level),
+            start: start as u32,
+            cluster: id as u32,
+            busy_cores: 0,
+            busy_clock_w: 0.0,
+            util_avg_step: 0.0,
+            util_max_step: 0.0,
         }
     }
 
-    /// Reattaches a domain after the kernel ran it: thermal node, level,
-    /// a stall armed by a final-sub-step clamp, and the idle residency
-    /// owed for `idle_span` (residency is integer nanoseconds, so one
-    /// batched add equals the per-sub-step adds exactly), and the epoch
-    /// accumulator the domain carried. A parked lane restores at an epoch
-    /// boundary, after the last epoch synthesis reset it.
-    pub(crate) fn idle_batch_restore(&mut self, d: &IdleDomain, idle_span: SimDuration) {
+    /// [`Cluster::steady_begin`] for a tail (see [`Cluster::steady_for`]):
+    /// also records which online cores are busy, with the clock term and
+    /// the utilisation increments they add each sub-step.
+    fn tail_begin(&mut self, dt: SimDuration, start: u64, id: usize) -> SteadyDomain {
+        let mut d = self.steady_begin(dt, start, id);
+        let mut full_busy = None;
+        let (mut busy_sum, mut busy_max) = (0.0, 0.0);
+        // The busy kernel's utilisation folds, in core order.
+        for (c, core) in self.cores.iter().take(self.online).enumerate() {
+            if !core.is_quiescent() {
+                let busy = *full_busy.get_or_insert_with(|| {
+                    ExecConsts::new(d.lut.freq_hz, self.config.ipc, dt).full_busy()
+                });
+                d.busy_cores |= 1 << c;
+                busy_sum += busy;
+                busy_max = f64::max(busy_max, busy);
+            }
+        }
+        if let Some(busy) = full_busy {
+            d.busy_clock_w = PowerModel::core_clock_w(d.lut.dyn_w, d.lut.idle_coeff, busy, 1.0);
+            d.util_avg_step = busy_sum / self.online as f64;
+            d.util_max_step = busy_max;
+        }
+        d
+    }
+
+    /// Reattaches a domain after the kernel ran it for `ran` sub-steps of
+    /// length `dt`: thermal node, level, epoch accumulator, a stall armed
+    /// by a final-sub-step clamp, and the cores' deferred updates — each
+    /// busy core's `ran` full-budget sub-steps
+    /// ([`CoreModel::run_full_substeps`]) and every other core's idle
+    /// residency (integer nanoseconds, so one batched add equals the
+    /// per-sub-step adds exactly). A parked lane restores at an epoch
+    /// boundary, after the last epoch synthesis reset its accumulator.
+    pub(crate) fn steady_restore(&mut self, d: &SteadyDomain, ran: u64, dt: SimDuration) {
         self.st.thermal = d.thermal;
         self.st.acc = d.acc;
         self.st.level = d.level;
         if d.stall_armed {
             self.st.pending_stall = self.config.transition_latency;
         }
-        for core in &mut self.cores {
-            core.note_idle(idle_span);
+        let idle_span = dt * ran;
+        if d.busy_cores == 0 {
+            for core in &mut self.cores {
+                core.note_idle(idle_span);
+            }
+            return;
+        }
+        // A busy run never clamps, so it ran at the level it started at.
+        let exec = ExecConsts::new(d.lut.freq_hz, self.config.ipc, dt);
+        for (c, core) in self.cores.iter_mut().enumerate() {
+            if c < STEADY_BUSY_CORES && (d.busy_cores >> c) & 1 != 0 {
+                core.run_full_substeps(&exec, ran, dt);
+            } else {
+                core.note_idle(idle_span);
+            }
         }
     }
 
     /// Stages the table constants needed to synthesise
     /// [`ClusterObservation`]s for a parked cluster without touching it:
-    /// everything [`Cluster::observe`] reads that the [`IdleDomain`] does
+    /// everything [`Cluster::observe`] reads that the [`SteadyDomain`] does
     /// not carry.
     pub(crate) fn parked_obs_consts(&self) -> ParkedObsConsts {
         ParkedObsConsts {
@@ -726,14 +860,14 @@ impl Cluster {
     }
 }
 
-/// One quiescent cluster's state for the batched idle kernel: its thermal
-/// node, level and epoch energy, plus the constants its idle sub-steps
-/// read, detached from the `Cluster` so many domains can advance in one
-/// interleaved loop. Produced by [`Cluster::idle_batch_begin`], consumed
-/// by [`advance_idle_batch`], written back by
-/// [`Cluster::idle_batch_restore`].
+/// One cluster's state for a steady run of the batched steady kernel: its
+/// thermal node, level and epoch sums, the constants its sub-steps read,
+/// and which cores are busy, detached from the `Cluster` so many domains
+/// can advance in one interleaved loop. Produced by
+/// [`Cluster::steady_begin`], advanced by [`advance_steady_batch`] (or
+/// [`advance_steady_tails`]), written back by [`Cluster::steady_restore`].
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct IdleDomain {
+pub(crate) struct SteadyDomain {
     /// The cluster's power model: the kernel routes leakage through
     /// [`PowerModel::leakage_w_from_parts`] so the expression cannot drift
     /// from the scalar path, and charges its transition energy.
@@ -743,23 +877,39 @@ pub(crate) struct IdleDomain {
     thermal: ThermalModel,
     /// `exp(−dt/τ)` of the node for the kernel's sub-step.
     decay: f64,
-    /// The cluster's epoch accumulator: the kernel adds the idle energy
-    /// and the clamp's transitions.
+    /// The cluster's epoch accumulator: the kernel adds the run's energy,
+    /// utilisation, sub-steps and the clamp's transitions.
     acc: EpochAcc,
     /// Whether a final-sub-step clamp left the transition stall armed.
     stall_armed: bool,
-    /// Online cores: the per-core idle term is added this many times.
+    /// Online cores: each adds its clock term and the leakage, in order.
     online: u32,
     level: OppLevel,
     max_level: OppLevel,
-    /// The staged clamp target (see `idle_batch_begin`).
+    /// The staged clamp target (see `steady_begin`).
     clamp_level: OppLevel,
     /// Power constants of `level` and of `clamp_level`.
     lut: OppPowerLut,
     clamp_lut: OppPowerLut,
+    /// The sub-step of the kernel call's span the run starts at: 0 for a
+    /// parked epoch or a mid-epoch idle run, the tail's offset in the
+    /// epoch for a tail. Every run ends with the span.
+    start: u32,
+    /// The cluster's index in its SoC, for a tail's way back.
+    cluster: u32,
+    /// Bit `c` set: online core `c` is busy the whole run, by the
+    /// full-budget fraction. Zero for an all-idle run.
+    busy_cores: u8,
+    /// A busy core's clock term, `core_clock_w` at that fraction.
+    busy_clock_w: f64,
+    /// What each sub-step adds to the utilisation sums: the busy cores'
+    /// fractions summed in core order over the online count, and their
+    /// maximum (`+0.0` for an all-idle run).
+    util_avg_step: f64,
+    util_max_step: f64,
 }
 
-impl IdleDomain {
+impl SteadyDomain {
     /// Whether `set_level(requested)` on the parked cluster would change
     /// nothing — the same clamp-then-compare [`Cluster::set_level`]
     /// performs, evaluated against the domain's thermal state. A request
@@ -769,9 +919,51 @@ impl IdleDomain {
         let clamp_max = self.thermal.clamp_max_level(self.max_level);
         requested <= self.max_level && requested.min(clamp_max) == self.level
     }
+
+    /// Whether the level is at or below both clamp targets (every busy
+    /// run's is), so the clamp cannot lower it.
+    fn below_clamp(&self) -> bool {
+        self.level <= self.clamp_level.min(self.max_level)
+    }
+
+    /// Whether an idle run's node stays below its trip point: the
+    /// temperature and the steady state of the most the run could draw
+    /// below the trip point — every core's leakage at the trip point,
+    /// leakage rising with temperature — both sit a degree below it, and
+    /// each relax step lands between its start and that steady state, up
+    /// to roundings far below the margin. A throttled node is left to the
+    /// level test.
+    fn stays_below_trip(&self) -> bool {
+        let (t, p, lut) = (&self.thermal, &self.power, &self.lut);
+        let below = t.throttle_temp_c - 1.0;
+        let leak_at_trip = PowerModel::leakage_w_from_parts(
+            lut.leak_base,
+            t.throttle_temp_c,
+            p.leak_temp_coeff,
+            p.leak_t_ref_c,
+        );
+        let most_w = lut.uncore_w + f64::from(self.online) * (lut.idle_coeff + leak_at_trip);
+        self.busy_cores == 0
+            && !t.is_throttled()
+            && p.leak_temp_coeff >= 0.0
+            && lut.leak_base >= 0.0
+            && t.temp_c() <= below
+            && t.ambient_c + most_w * t.r_th_c_per_w <= below
+    }
+
+    /// The index of the domain's cluster in its SoC.
+    pub(crate) fn cluster(&self) -> usize {
+        self.cluster as usize
+    }
+
+    /// The sub-steps the domain runs in a kernel call over a span of
+    /// `steps`.
+    pub(crate) fn run_len(&self, steps: u64) -> u64 {
+        steps - u64::from(self.start)
+    }
 }
 
-/// Everything [`Cluster::observe`] reads that an [`IdleDomain`] does not
+/// Everything [`Cluster::observe`] reads that a [`SteadyDomain`] does not
 /// carry, staged once when a lane parks. See
 /// [`Cluster::parked_obs_consts`].
 #[derive(Debug, Clone, Copy)]
@@ -787,7 +979,7 @@ impl ParkedObsConsts {
     /// copy, and the queue is empty by the parked invariant.
     pub(crate) fn observe(
         &self,
-        d: &IdleDomain,
+        d: &SteadyDomain,
         util_avg: f64,
         util_max: f64,
     ) -> ClusterObservation {
@@ -805,63 +997,119 @@ impl ParkedObsConsts {
     }
 }
 
-/// Closes the epoch of a cluster whose whole epoch of `steps` sub-steps
-/// ran parked in the idle kernel, through the fold
-/// [`Cluster::end_epoch_into`] uses, which resets the domain's carried
-/// accumulator. An all-idle epoch's utilisation sums are
-/// exactly `+0.0` (folding `+0.0` is a bitwise no-op), nothing is queued
-/// or completed on a quiescent cluster, and there is no cpuidle
-/// residency without a cpuidle table. `stall_armed` is NOT cleared: a
-/// final-sub-step clamp stays visible until the next epoch's pre-pass,
-/// which either restores it on unpark or lets the kernel drop it at
-/// gather.
-pub(crate) fn synth_parked_report(d: &mut IdleDomain, steps: u32, report: &mut ClusterReport) {
-    d.acc.substeps = steps;
+/// Closes the epoch of a cluster whose whole epoch ran parked in the
+/// steady kernel, through the fold [`Cluster::end_epoch_into`] uses, which
+/// resets the domain's carried accumulator. An all-idle epoch's
+/// utilisation sums are exactly `+0.0` (folding `+0.0` is a bitwise
+/// no-op), nothing is queued or completed on a quiescent cluster, and
+/// there is no cpuidle residency without a cpuidle table. `stall_armed`
+/// is NOT cleared: a final-sub-step clamp stays visible until the next
+/// epoch's pre-pass, which either restores it on unpark or lets the
+/// kernel drop it at gather.
+pub(crate) fn synth_parked_report(d: &mut SteadyDomain, report: &mut ClusterReport) {
     d.acc.close_into(d.thermal.temp_c(), d.level, 0, report);
     report.completed.clear();
 }
 
-/// Advances `steps` idle sub-steps on every domain in lockstep. Each
+/// Advances every domain through a span of `steps` sub-steps of length
+/// `dt`, each from its own start to the span's end, in lockstep. Each
 /// domain opens with its stall flag clear: the previous epoch's flag has
 /// been consumed by the unpark restore, or is discarded exactly as the
 /// stepped loop zeroes the stall at the top of every sub-step. Per domain
 /// this is **bit-identical** to stepped execution: each domain evaluates
-/// the same straight-line sequence — leakage from the hoisted base, the
-/// per-online-core idle term added in order, energy, then the thermal
-/// relax and hysteresis [`crate::ThermalModel::step`] runs, then the
-/// clamp — only the schedule across (independent) domains changes.
+/// the same straight-line sequence as the busy kernel's core loop and
+/// [`StepState::close`] — leakage from the hoisted base, each online
+/// core's clock term plus the leakage added in core order, energy, the
+/// thermal relax and hysteresis [`crate::ThermalModel::step`] runs, the
+/// clamp, and the constant utilisation increments — only the schedule
+/// across (independent) domains changes.
 ///
-/// The schedule is blocked: [`IDLE_BLOCK`] domains at a time are gathered
-/// into structure-of-arrays lanes ([`IdleLanes`]), stepped through the
-/// whole span while the lanes sit in L1, and scattered back; a lone
-/// domain (a live cluster's idle span, or a batch's last) runs one lane
-/// wide instead of padded. The sub-step loops are fixed-width and
-/// branch-free — every conditional update is a lane-wise select that
-/// reproduces the branch outcome value exactly — so they vectorise, and
-/// the serial per-domain thermal recurrence amortises its latency across
-/// the whole block.
-pub(crate) fn advance_idle_batch(domains: &mut [IdleDomain], dt: SimDuration, steps: u64) {
+/// The schedule is blocked: [`STEADY_BLOCK`] domains at a time are
+/// gathered into structure-of-arrays lanes ([`SteadyLanes`]), stepped
+/// from the block's earliest start through the span while the lanes sit
+/// in L1, and scattered back; a lane waits, unchanged, until its own
+/// start. One or two domains (a lone SoC's runs) go one or two lanes wide
+/// instead of padded. The sub-step loops are fixed-width and branch-free
+/// — every conditional update is a lane-wise select that reproduces the
+/// branch outcome value exactly — so they vectorise, and the serial
+/// per-domain thermal recurrence amortises its latency across the block.
+pub(crate) fn advance_steady_batch(domains: &mut [SteadyDomain], dt: SimDuration, steps: u64) {
     let dt_s = dt.as_secs_f64();
-    for block in domains.chunks_mut(IDLE_BLOCK) {
-        if block.len() == 1 {
-            advance_idle_block::<1>(block, dt_s, steps);
-        } else {
-            advance_idle_block::<IDLE_BLOCK>(block, dt_s, steps);
-        }
+    match domains.len() {
+        0 => {}
+        1 => run_blocks::<1>(domains, |k| k, 1, dt_s, steps),
+        2 => run_blocks::<2>(domains, |k| k, 2, dt_s, steps),
+        n => run_blocks::<STEADY_BLOCK>(domains, |k| k, n, dt_s, steps),
     }
 }
 
-/// SoA lane width of the batched idle kernel: wide enough that the
-/// vectorised sub-step chain amortises its latency across many lanes,
-/// small enough that the hot lanes stay in L1.
-const IDLE_BLOCK: usize = 32;
+/// [`advance_steady_batch`] over epoch tails in order of their starts, so
+/// that each block's lanes start close together and seldom wait. `order`
+/// is scratch space, its contents discarded.
+pub(crate) fn advance_steady_tails(
+    domains: &mut [SteadyDomain],
+    order: &mut Vec<u32>,
+    dt: SimDuration,
+    steps: u64,
+) {
+    // A counting sort by start, every start below `steps`: `next[s]`
+    // counts the tails starting before `s`, then hands out their slots.
+    let buckets = steps as usize + 1;
+    order.clear();
+    order.resize(buckets + domains.len(), 0);
+    let (next, sorted) = order.split_at_mut(buckets);
+    for d in domains.iter() {
+        if let Some(count) = next.get_mut(d.start as usize + 1) {
+            *count += 1;
+        }
+    }
+    let mut before = 0;
+    for count in next.iter_mut() {
+        before += *count;
+        *count = before;
+    }
+    for (i, d) in domains.iter().enumerate() {
+        if let Some(slot) = next.get_mut(d.start as usize) {
+            if let Some(lane) = sorted.get_mut(*slot as usize) {
+                *lane = i as u32;
+            }
+            *slot += 1;
+        }
+    }
+    let pick = |k: usize| sorted.get(k).map_or(usize::MAX, |&i| i as usize);
+    run_blocks::<STEADY_BLOCK>(domains, pick, sorted.len(), dt.as_secs_f64(), steps);
+}
+
+/// SoA lane width of the steady kernel: wide enough that the vectorised
+/// sub-step chain amortises its latency across many lanes, small enough
+/// that the hot lanes stay in L1.
+const STEADY_BLOCK: usize = 32;
+
+/// Runs the `n` domains `pick(0..n)` through the kernel in blocks of `W`
+/// lanes, one set of lanes reused by every block.
+fn run_blocks<const W: usize>(
+    domains: &mut [SteadyDomain],
+    pick: impl Fn(usize) -> usize,
+    n: usize,
+    dt_s: f64,
+    steps: u64,
+) {
+    let mut lanes = SteadyLanes::<W>::new();
+    let mut from = 0;
+    while from < n {
+        let len = (n - from).min(W);
+        advance_block(&mut lanes, domains, |k| pick(from + k), len, dt_s, steps);
+        from += len;
+    }
+}
 
 /// Structure-of-arrays lanes of one kernel block, `W` wide. Integer and
 /// boolean domain state rides in `f64` lanes — the values are small
 /// integers and 0.0/1.0 flags, all exactly representable — so every
 /// select in the sub-step loop is over one element type and the loops
-/// vectorise clean.
-struct IdleLanes<const W: usize> {
+/// vectorise clean. The lanes from `start` on are read by steady blocks
+/// only, and only they write them.
+struct SteadyLanes<const W: usize> {
     // Mutable lane state.
     temp_c: [f64; W],
     energy_j: [f64; W],
@@ -887,157 +1135,311 @@ struct IdleLanes<const W: usize> {
     clamp_uncore_w: [f64; W],
     clamp_idle_coeff: [f64; W],
     clamp_leak_base: [f64; W],
+    // Steady blocks: each lane's start, utilisation sums and their
+    // increments, and the clock term of each of its first
+    // `STEADY_BUSY_CORES` cores (the clamp moves an idle one with
+    // `idle_coeff`).
+    start: [f64; W],
+    util_avg: [f64; W],
+    util_max: [f64; W],
+    util_avg_step: [f64; W],
+    util_max_step: [f64; W],
+    clock: [[f64; W]; STEADY_BUSY_CORES],
 }
 
-/// One gather → step → scatter block of [`advance_idle_batch`], `W`
-/// lanes wide. `block` holds 1..=`W` domains; tail lanes are padded with
-/// copies of the first domain, stepped like the rest and never written
-/// back.
-fn advance_idle_block<const W: usize>(block: &mut [IdleDomain], dt_s: f64, steps: u64) {
-    use std::array::from_fn;
-    let n = block.len();
-    // xtask-allow: no-panic-lib -- padded gather index is `j < n` or 0, and `chunks_mut` blocks are non-empty
-    let at = |j: usize| &block[if j < n { j } else { 0 }];
-    let mut l = IdleLanes::<W> {
-        temp_c: from_fn(|j| at(j).thermal.temp_c()),
-        energy_j: from_fn(|j| at(j).acc.energy_j),
-        throttled: from_fn(|j| f64::from(u8::from(at(j).thermal.is_throttled()))),
-        uncore_w: from_fn(|j| at(j).lut.uncore_w),
-        idle_coeff: from_fn(|j| at(j).lut.idle_coeff),
-        leak_base: from_fn(|j| at(j).lut.leak_base),
-        level: from_fn(|j| at(j).level as f64),
-        transitions: from_fn(|j| f64::from(at(j).acc.transitions)),
-        // Span open: every lane starts with its stall flag clear (see
-        // the kernel docs).
-        stall_armed: [0.0; W],
-        leak_temp_coeff: from_fn(|j| at(j).power.leak_temp_coeff),
-        leak_t_ref_c: from_fn(|j| at(j).power.leak_t_ref_c),
-        transition_energy_j: from_fn(|j| at(j).power.transition_energy_j),
-        ambient_c: from_fn(|j| at(j).thermal.ambient_c),
-        r_th_c_per_w: from_fn(|j| at(j).thermal.r_th_c_per_w),
-        decay: from_fn(|j| at(j).decay),
-        trip_c: from_fn(|j| at(j).thermal.throttle_temp_c),
-        release_c: from_fn(|j| at(j).thermal.release_temp_c),
-        online: from_fn(|j| f64::from(at(j).online)),
-        max_level: from_fn(|j| at(j).max_level as f64),
-        clamp_level: from_fn(|j| at(j).clamp_level as f64),
-        clamp_uncore_w: from_fn(|j| at(j).clamp_lut.uncore_w),
-        clamp_idle_coeff: from_fn(|j| at(j).clamp_lut.idle_coeff),
-        clamp_leak_base: from_fn(|j| at(j).clamp_lut.leak_base),
-    };
-    let max_online = block.iter().map(|d| d.online).max().unwrap_or(0);
-    // Common-case specialisations, both value-preserving: with one online
-    // count the add predicates are uniformly true, and with every lane's
-    // level at or below both clamp targets the fire block is select-only
-    // no-ops for the whole span (the clamp never raises a level), so
-    // skipping it changes nothing.
-    let uniform = block.iter().all(|d| d.online == max_online);
-    let no_fire = l
-        .level
-        .iter()
-        .zip(l.clamp_level.iter().zip(&l.max_level))
-        .all(|(&level, (&clamp, &max))| level <= clamp.min(max));
-    match (uniform, no_fire) {
-        (true, true) => idle_substeps::<W, true, true>(&mut l, dt_s, steps, max_online),
-        (true, false) => idle_substeps::<W, true, false>(&mut l, dt_s, steps, max_online),
-        (false, true) => idle_substeps::<W, false, true>(&mut l, dt_s, steps, max_online),
-        (false, false) => idle_substeps::<W, false, false>(&mut l, dt_s, steps, max_online),
-    }
-    // Scatter the mutable lane state back; `zip` stops at the real lanes,
-    // so the padded tail is never written back.
-    for ((d, &temp_c), &throttled) in block.iter_mut().zip(&l.temp_c).zip(&l.throttled) {
-        d.thermal.restore_batched(temp_c, throttled != 0.0);
-    }
-    for (d, &v) in block.iter_mut().zip(&l.energy_j) {
-        d.acc.energy_j = v;
-    }
-    // Lossless round-trips: levels and transition counts are small
-    // integers, far below `f64`'s exact-integer range. A level the clamp
-    // moved is the staged target, whose constants the lanes switched to.
-    for (d, &v) in block.iter_mut().zip(&l.level) {
-        if v as OppLevel != d.level {
-            d.level = v as OppLevel;
-            d.lut = d.clamp_lut;
+impl<const W: usize> SteadyLanes<W> {
+    fn new() -> Self {
+        let z = [0.0; W];
+        SteadyLanes {
+            temp_c: z,
+            energy_j: z,
+            throttled: z,
+            uncore_w: z,
+            idle_coeff: z,
+            leak_base: z,
+            level: z,
+            transitions: z,
+            stall_armed: z,
+            leak_temp_coeff: z,
+            leak_t_ref_c: z,
+            transition_energy_j: z,
+            ambient_c: z,
+            r_th_c_per_w: z,
+            decay: z,
+            trip_c: z,
+            release_c: z,
+            online: z,
+            max_level: z,
+            clamp_level: z,
+            clamp_uncore_w: z,
+            clamp_idle_coeff: z,
+            clamp_leak_base: z,
+            start: z,
+            util_avg: z,
+            util_max: z,
+            util_avg_step: z,
+            util_max_step: z,
+            clock: [z; STEADY_BUSY_CORES],
         }
     }
-    for (d, &v) in block.iter_mut().zip(&l.transitions) {
-        d.acc.transitions = v as u32;
-    }
-    for (d, &v) in block.iter_mut().zip(&l.stall_armed) {
-        d.stall_armed = v != 0.0;
-    }
 }
 
-/// The vectorised sub-step loop over one [`IdleLanes`] block.
+/// One gather → step → scatter block over the `n` (1..=`W`) domains
+/// `pick(0..n)`; tail lanes are padded with copies of the first domain,
+/// stepped like the rest and never written back.
+#[inline(always)]
+fn advance_block<const W: usize>(
+    l: &mut SteadyLanes<W>,
+    domains: &mut [SteadyDomain],
+    pick: impl Fn(usize) -> usize,
+    n: usize,
+    dt_s: f64,
+    steps: u64,
+) {
+    use std::array::from_fn;
+    let Some(first) = domains.get(pick(0)) else {
+        return;
+    };
+    let lanes: [&SteadyDomain; W] = from_fn(|j| {
+        if j < n {
+            domains.get(pick(j)).unwrap_or(first)
+        } else {
+            first
+        }
+    });
+    // The block's span and specialisations, in one pass.
+    let (mut start, mut last_start) = (first.start, first.start);
+    let (mut min_online, mut max_online) = (first.online, first.online);
+    let mut busy = false;
+    for d in lanes.iter().take(n) {
+        start = start.min(d.start);
+        last_start = last_start.max(d.start);
+        min_online = min_online.min(d.online);
+        max_online = max_online.max(d.online);
+        busy |= d.busy_cores != 0;
+    }
+    // A block of idle runs that all start together (every parked block)
+    // runs the aligned all-idle loop; a busy core or a staggered start
+    // needs the steady one.
+    let steady = busy || start != last_start;
+    // xtask-allow-region: no-panic-lib -- every lane index is `j < W` (`k < n <= W` when scattering) into `[_; W]` lanes, and every core index `c < STEADY_BUSY_CORES`: statically in bounds
+    l.temp_c = from_fn(|j| lanes[j].thermal.temp_c());
+    l.energy_j = from_fn(|j| lanes[j].acc.energy_j);
+    l.throttled = from_fn(|j| f64::from(u8::from(lanes[j].thermal.is_throttled())));
+    l.uncore_w = from_fn(|j| lanes[j].lut.uncore_w);
+    l.idle_coeff = from_fn(|j| lanes[j].lut.idle_coeff);
+    l.leak_base = from_fn(|j| lanes[j].lut.leak_base);
+    l.level = from_fn(|j| lanes[j].level as f64);
+    l.transitions = from_fn(|j| f64::from(lanes[j].acc.transitions));
+    // Span open: every lane starts with its stall flag clear (see the
+    // kernel docs).
+    l.stall_armed = [0.0; W];
+    l.leak_temp_coeff = from_fn(|j| lanes[j].power.leak_temp_coeff);
+    l.leak_t_ref_c = from_fn(|j| lanes[j].power.leak_t_ref_c);
+    l.transition_energy_j = from_fn(|j| lanes[j].power.transition_energy_j);
+    l.ambient_c = from_fn(|j| lanes[j].thermal.ambient_c);
+    l.r_th_c_per_w = from_fn(|j| lanes[j].thermal.r_th_c_per_w);
+    l.decay = from_fn(|j| lanes[j].decay);
+    l.trip_c = from_fn(|j| lanes[j].thermal.throttle_temp_c);
+    l.release_c = from_fn(|j| lanes[j].thermal.release_temp_c);
+    l.online = from_fn(|j| f64::from(lanes[j].online));
+    l.max_level = from_fn(|j| lanes[j].max_level as f64);
+    l.clamp_level = from_fn(|j| lanes[j].clamp_level as f64);
+    l.clamp_uncore_w = from_fn(|j| lanes[j].clamp_lut.uncore_w);
+    l.clamp_idle_coeff = from_fn(|j| lanes[j].clamp_lut.idle_coeff);
+    l.clamp_leak_base = from_fn(|j| lanes[j].clamp_lut.leak_base);
+    if steady {
+        l.start = from_fn(|j| f64::from(lanes[j].start));
+        l.util_avg = from_fn(|j| lanes[j].acc.util_avg_sum);
+        l.util_max = from_fn(|j| lanes[j].acc.util_max_sum);
+        l.util_avg_step = from_fn(|j| lanes[j].util_avg_step);
+        l.util_max_step = from_fn(|j| lanes[j].util_max_step);
+        // A busy core's clock term, or an idle one's: `idle_coeff · 1.0`,
+        // the coefficient itself.
+        for (c, clock) in l.clock.iter_mut().enumerate().take(max_online as usize) {
+            *clock = from_fn(|j| {
+                let d = lanes[j];
+                if (d.busy_cores >> c) & 1 != 0 {
+                    d.busy_clock_w
+                } else {
+                    d.lut.idle_coeff
+                }
+            });
+        }
+    }
+    // Common-case specialisations, both value-preserving: with one online
+    // count the add predicates are uniformly true, and when no lane can
+    // clamp — at or below its targets, or, in a wide block, too cool to
+    // trip — the fire block is select-only no-ops for the whole span, so
+    // skipping it changes nothing. One or two lanes pay less for the fire
+    // block than for the trip test.
+    let uniform = min_online == max_online;
+    let no_fire = lanes
+        .iter()
+        .take(n)
+        .all(|d| d.below_clamp() || (W > 2 && d.stays_below_trip()));
+    let (from, cores) = (u64::from(start), max_online);
+    match (uniform, no_fire, steady) {
+        (true, true, false) => steady_substeps::<W, true, true, false>(l, dt_s, from, steps, cores),
+        (true, false, false) => {
+            steady_substeps::<W, true, false, false>(l, dt_s, from, steps, cores)
+        }
+        (false, true, false) => {
+            steady_substeps::<W, false, true, false>(l, dt_s, from, steps, cores)
+        }
+        (false, false, false) => {
+            steady_substeps::<W, false, false, false>(l, dt_s, from, steps, cores)
+        }
+        (true, true, true) => steady_substeps::<W, true, true, true>(l, dt_s, from, steps, cores),
+        (true, false, true) => steady_substeps::<W, true, false, true>(l, dt_s, from, steps, cores),
+        (false, true, true) => steady_substeps::<W, false, true, true>(l, dt_s, from, steps, cores),
+        (false, false, true) => {
+            steady_substeps::<W, false, false, true>(l, dt_s, from, steps, cores)
+        }
+    }
+    // Scatter the mutable lane state back to the real lanes only.
+    for k in 0..n {
+        let Some(d) = domains.get_mut(pick(k)) else {
+            continue;
+        };
+        d.thermal
+            .restore_batched(l.temp_c[k], l.throttled[k] != 0.0);
+        d.acc.energy_j = l.energy_j[k];
+        // Lossless round-trips: levels and transition counts are small
+        // integers, far below `f64`'s exact-integer range. A level the
+        // clamp moved is the staged target, whose constants the lanes
+        // switched to.
+        if l.level[k] as OppLevel != d.level {
+            d.level = l.level[k] as OppLevel;
+            d.lut = d.clamp_lut;
+        }
+        d.acc.transitions = l.transitions[k] as u32;
+        d.stall_armed = l.stall_armed[k] != 0.0;
+        if steady {
+            d.acc.util_avg_sum = l.util_avg[k];
+            d.acc.util_max_sum = l.util_max[k];
+        }
+        d.acc.substeps += d.run_len(steps) as u32;
+    }
+    // xtask-allow-region: end no-panic-lib
+}
+
+/// The vectorised sub-step loop over one [`SteadyLanes`] block, from
+/// sub-step `from` to `steps`.
 ///
 /// `UNIFORM` (every lane shares `max_online`) drops the per-core add
 /// predicates; `NO_FIRE` (no lane's level exceeds a clamp target) drops
 /// the clamp block. Both are pure specialisations — see
-/// [`advance_idle_block`].
+/// [`advance_block`]. `STEADY` is off for a block of idle runs that all
+/// start at `from`: every lane then runs every sub-step and every core
+/// adds the one idle term. On, each lane holds its state until its own
+/// start, each of its first cores adds its own clock term plus the
+/// leakage, and it adds its utilisation increments; a busy lane never
+/// fires the clamp (its level is at or below the target).
 #[allow(clippy::needless_range_loop)] // fixed-width lane loops vectorise as written
-fn idle_substeps<const W: usize, const UNIFORM: bool, const NO_FIRE: bool>(
-    l: &mut IdleLanes<W>,
+#[inline(always)]
+fn steady_substeps<const W: usize, const UNIFORM: bool, const NO_FIRE: bool, const STEADY: bool>(
+    l: &mut SteadyLanes<W>,
     dt_s: f64,
+    from: u64,
     steps: u64,
     max_online: u32,
 ) {
-    // xtask-allow-region: no-panic-lib -- every index is `j < W` into `[f64; W]` lanes (or a fixed `[0.0; W]` scratch): statically in bounds
+    // The cores with a clock term of their own; the rest add the idle term.
+    let clocked = if STEADY {
+        max_online.min(STEADY_BUSY_CORES as u32)
+    } else {
+        0
+    };
+    // xtask-allow-region: no-panic-lib -- every index is `j < W` into `[f64; W]` lanes (or a fixed `[_; W]` scratch) and `c < clocked <= STEADY_BUSY_CORES` into the clock rows: statically in bounds
     // xtask-hotpath: begin
-    for i in 0..steps {
+    for i in from..steps {
         let last = if i + 1 == steps { 1.0f64 } else { 0.0 };
-        let mut term = [0.0; W];
+        let i_f = i as f64;
+        let mut leak_w = [0.0; W];
+        let mut idle_term = [0.0; W];
         let mut power_w = [0.0; W];
         for j in 0..W {
-            let leak_w = PowerModel::leakage_w_from_parts(
+            leak_w[j] = PowerModel::leakage_w_from_parts(
                 l.leak_base[j],
                 l.temp_c[j],
                 l.leak_temp_coeff[j],
                 l.leak_t_ref_c[j],
             );
-            term[j] = PowerModel::idle_core_w_from_parts(l.idle_coeff[j], leak_w, 1.0, 1.0);
+            idle_term[j] = PowerModel::idle_core_w_from_parts(l.idle_coeff[j], leak_w[j], 1.0, 1.0);
             power_w[j] = l.uncore_w[j];
         }
-        // The scalar path adds the idle term once per online core; the
-        // predicated add replays that exact chain lane-wise (a discarded
-        // `power + term` has no effect) with a uniform trip count.
-        for c in 0..max_online {
+        // The scalar paths add one term per online core, in core order;
+        // the predicated add replays that exact chain lane-wise (a
+        // discarded `power + term` has no effect) with a uniform trip
+        // count: first the cores with a clock term of their own, then the
+        // rest with the idle term.
+        for (c, clock) in l.clock.iter().enumerate().take(clocked as usize) {
+            let c_f = c as f64;
+            for j in 0..W {
+                let term = PowerModel::core_w_from_clock(clock[j], leak_w[j], 1.0);
+                power_w[j] = if UNIFORM || c_f < l.online[j] {
+                    power_w[j] + term
+                } else {
+                    power_w[j]
+                };
+            }
+        }
+        for c in clocked..max_online {
             let c_f = f64::from(c);
             for j in 0..W {
                 power_w[j] = if UNIFORM || c_f < l.online[j] {
-                    power_w[j] + term[j]
+                    power_w[j] + idle_term[j]
                 } else {
                     power_w[j]
                 };
             }
         }
         for j in 0..W {
-            l.energy_j[j] += power_w[j] * dt_s;
+            // A lane runs from its own start; before it, every update is
+            // discarded by a select.
+            let on = !STEADY || i_f >= l.start[j];
+            let energy_j = l.energy_j[j] + power_w[j] * dt_s;
+            l.energy_j[j] = if on { energy_j } else { l.energy_j[j] };
             // `ThermalModel::step` with the decay factor hoisted.
-            l.temp_c[j] = relax(
+            let temp_c = relax(
                 l.temp_c[j],
                 power_w[j],
                 l.ambient_c[j],
                 l.r_th_c_per_w[j],
                 l.decay[j],
             );
-            l.throttled[j] = hysteresis(
-                l.temp_c[j],
+            let throttled = hysteresis(
+                temp_c,
                 l.trip_c[j],
                 l.release_c[j],
                 l.throttled[j],
                 [0.0, 1.0],
             );
+            l.temp_c[j] = if on { temp_c } else { l.temp_c[j] };
+            l.throttled[j] = if on { throttled } else { l.throttled[j] };
+            if STEADY {
+                // An idle lane adds `+0.0`, a bitwise no-op on its
+                // non-negative sums.
+                let util_avg = l.util_avg[j] + l.util_avg_step[j];
+                let util_max = l.util_max[j] + l.util_max_step[j];
+                l.util_avg[j] = if on { util_avg } else { l.util_avg[j] };
+                l.util_max[j] = if on { util_max } else { l.util_max[j] };
+            }
         }
         if NO_FIRE {
             continue;
         }
+        // Whether each lane's clamp fired, as `0.0`/`1.0`.
+        let mut fired = [0.0; W];
         for j in 0..W {
             let clamp = if l.throttled[j] != 0.0 {
                 l.clamp_level[j]
             } else {
                 l.max_level[j]
             };
-            let fire = l.level[j] > clamp;
+            let fire = (!STEADY || i_f >= l.start[j]) && l.level[j] > clamp;
+            fired[j] = if fire { 1.0 } else { 0.0 };
             l.level[j] = if fire { clamp } else { l.level[j] };
             // The energy accumulator is a sum of non-negative terms, so
             // the discarded branch adds `+0.0` — exact — and the lane
@@ -1067,6 +1469,16 @@ fn idle_substeps<const W: usize, const UNIFORM: bool, const NO_FIRE: bool>(
             } else {
                 l.stall_armed[j]
             };
+        }
+        // Only an idle lane fires, so every clock term it has is idle.
+        for clock in l.clock.iter_mut().take(clocked as usize) {
+            for j in 0..W {
+                clock[j] = if fired[j] != 0.0 {
+                    l.clamp_idle_coeff[j]
+                } else {
+                    clock[j]
+                };
+            }
         }
     }
     // xtask-hotpath: end

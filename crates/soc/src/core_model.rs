@@ -77,12 +77,34 @@ impl ExecConsts {
             full_busy: busy_fraction(busy_s, dt_s),
         }
     }
+
+    /// The busy fraction of an unstalled sub-step that spends the whole
+    /// budget without finishing its job.
+    pub(crate) fn full_busy(&self) -> f64 {
+        self.full_busy
+    }
 }
 
 /// The busy fraction of a sub-step of `dt_s` seconds that executed for
 /// `busy_s` seconds.
 fn busy_fraction(busy_s: f64, dt_s: f64) -> f64 {
     (busy_s / dt_s).clamp(0.0, 1.0)
+}
+
+/// A front job's remaining work after `n` sub-steps that each take the
+/// full-budget branch of [`CoreModel::advance_hoisted`] — `remaining >
+/// full_budget`, then `remaining -= full_budget` — replayed one
+/// subtraction at a time, so the bits are the ones the stepped loop
+/// leaves. `None` when some sub-step would finish the job instead.
+fn full_budget_run(mut remaining: f64, full_budget: f64, n: u64) -> Option<f64> {
+    for _ in 0..n {
+        if remaining > full_budget {
+            remaining -= full_budget;
+        } else {
+            return None;
+        }
+    }
+    Some(remaining)
 }
 
 impl CoreModel {
@@ -284,6 +306,37 @@ impl CoreModel {
         let busy = busy_fraction(busy_s, dt_s);
         self.note_busy(busy, dt);
         busy
+    }
+
+    /// Whether each of the next `n` sub-steps, unstalled, takes the
+    /// full-budget branch of [`CoreModel::advance_hoisted`] at `k`: a job
+    /// queued, no wake-up stall, and the front job outlasting all `n`
+    /// budgets by exact replay. The product screen before the replay can
+    /// only reject runs the replay rejects too: `n` roundings of the
+    /// replay move it by far less than its 1e-6 margin.
+    pub(crate) fn outlasts(&self, k: &ExecConsts, n: u64) -> bool {
+        let Some(front) = self.queue.front() else {
+            return false;
+        };
+        self.wake_stall.is_zero()
+            && front.remaining * (1.0 + 1e-6) > k.full_budget * n as f64
+            && full_budget_run(front.remaining, k.full_budget, n).is_some()
+    }
+
+    /// Applies `n` sub-steps of the full-budget branch at once, on a core
+    /// that [`CoreModel::outlasts`] them: the replayed front job, `n`
+    /// adds to the retired count, and the residency those sub-steps
+    /// leave.
+    pub(crate) fn run_full_substeps(&mut self, k: &ExecConsts, n: u64, dt: SimDuration) {
+        if let Some(front) = self.queue.front_mut() {
+            let remaining = full_budget_run(front.remaining, k.full_budget, n);
+            debug_assert!(remaining.is_some(), "steady run finishes its job");
+            front.remaining = remaining.unwrap_or(front.remaining);
+        }
+        for _ in 0..n {
+            self.retired += k.full_budget;
+        }
+        self.note_busy(k.full_busy, dt * n);
     }
 
     /// Advances the cpuidle residency past a sub-step with busy fraction

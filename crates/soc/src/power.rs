@@ -180,7 +180,27 @@ impl PowerModel {
         idle_dyn_scale: f64,
         leak_scale: f64,
     ) -> f64 {
-        dyn_w * busy + idle_coeff * (1.0 - busy) * idle_dyn_scale + leak_w * leak_scale
+        Self::core_w_from_clock(
+            Self::core_clock_w(dyn_w, idle_coeff, busy, idle_dyn_scale),
+            leak_w,
+            leak_scale,
+        )
+    }
+
+    /// The leakage-free half of the per-core expression: switching plus
+    /// the scaled idle clock tree. It is constant while a core stays idle
+    /// or busy by the same fraction at one OPP, so the steady kernel
+    /// evaluates it once per run.
+    #[inline]
+    pub(crate) fn core_clock_w(dyn_w: f64, idle_coeff: f64, busy: f64, idle_dyn_scale: f64) -> f64 {
+        dyn_w * busy + idle_coeff * (1.0 - busy) * idle_dyn_scale
+    }
+
+    /// A core's power from its clock half and its leakage, the last add
+    /// of both per-core expressions.
+    #[inline]
+    pub(crate) fn core_w_from_clock(clock_w: f64, leak_w: f64, leak_scale: f64) -> f64 {
+        clock_w + leak_w * leak_scale
     }
 
     /// [`PowerModel::core_w_from_parts`] specialised to a quiescent core
@@ -198,7 +218,7 @@ impl PowerModel {
         idle_dyn_scale: f64,
         leak_scale: f64,
     ) -> f64 {
-        idle_coeff * idle_dyn_scale + leak_w * leak_scale
+        Self::core_w_from_clock(idle_coeff * idle_dyn_scale, leak_w, leak_scale)
     }
 
     /// Cluster uncore power at `opp`, in watts.

@@ -3,6 +3,7 @@
 
 use simkit::{obs, EventQueue, SimDuration, SimTime};
 
+use crate::cluster::{advance_steady_batch, synth_parked_report, ParkedObsConsts, SteadyDomain};
 use crate::{
     Cluster, ClusterObservation, ClusterReport, CompletedJob, Job, OppLevel, Scheduler, SocConfig,
     SocError,
@@ -96,6 +97,9 @@ pub struct Soc {
     epochs_run: u64,
     jobs_submitted: u64,
     idle_fast_forward: bool,
+    /// The epoch tails [`Soc::run_epoch_into`] runs in one kernel call:
+    /// scratch, empty between epochs.
+    tails: Vec<SteadyDomain>,
 }
 
 impl Soc {
@@ -117,6 +121,7 @@ impl Soc {
             epochs_run: 0,
             jobs_submitted: 0,
             idle_fast_forward: true,
+            tails: Vec::new(),
         })
     }
 
@@ -124,12 +129,16 @@ impl Soc {
     /// stepped reference (`false`). The fast paths run each cluster from
     /// one dispatch to the next on its own — sub-steps with work, and
     /// every sub-step of a cluster with cpuidle states, through a hoisted
-    /// busy kernel, the quiescent rest of any other cluster as one lane
-    /// of the batched idle kernel — and let a [`crate::DeviceBatch`] park
-    /// idle lanes; the stepped reference advances every cluster one
-    /// sub-step at a time through [`Cluster::advance_substep`], busy or
-    /// idle. Both are bit-identical — this knob exists so tests can prove
-    /// that claim by running both ways.
+    /// busy kernel; the quiescent rest of a mid-epoch span of any other
+    /// cluster as one lane of the batched steady kernel; and the steady
+    /// tail of each epoch (every core idle, or busy on a job that outlasts
+    /// the epoch) as one lane of one kernel call for all of the SoC's
+    /// tails — and let a [`crate::DeviceBatch`] park idle lanes and run
+    /// its live lanes' tails together; the stepped reference advances
+    /// every cluster one sub-step at a time through
+    /// [`Cluster::advance_substep`], busy or idle. Both are bit-identical —
+    /// this knob exists so tests can prove that claim by running both
+    /// ways.
     pub fn set_idle_fast_forward(&mut self, enabled: bool) {
         self.idle_fast_forward = enabled;
     }
@@ -250,6 +259,34 @@ impl Soc {
         request: &LevelRequest,
         report: &mut EpochReport,
     ) -> Result<(), SocError> {
+        let mut tails = std::mem::take(&mut self.tails);
+        let started = self.run_epoch_prefix(request, &mut tails);
+        if let Ok(started_at) = started {
+            // One call for every cluster's tail: as many lanes as tails.
+            let (substep, steps) = (self.config.substep, self.config.substeps_per_epoch());
+            advance_steady_batch(&mut tails, substep, steps);
+            self.run_epoch_suffix(started_at, &tails, report);
+        }
+        tails.clear();
+        self.tails = tails;
+        started.map(|_| ())
+    }
+
+    /// The scalar part of an epoch: applies the request's levels and
+    /// advances the clusters to the epoch's end, except that each
+    /// cluster's steady tail (see [`Cluster::advance_to_epoch_end`]) is
+    /// detached onto `tails` instead of run. Returns the epoch's start;
+    /// the caller runs the tails through the steady kernel and closes the
+    /// epoch with [`Soc::run_epoch_suffix`].
+    ///
+    /// # Errors
+    ///
+    /// Same as [`Soc::run_epoch`], before anything but levels moved.
+    pub(crate) fn run_epoch_prefix(
+        &mut self,
+        request: &LevelRequest,
+        tails: &mut Vec<SteadyDomain>,
+    ) -> Result<SimTime, SocError> {
         self.apply_levels(request)?;
 
         let started_at = self.now;
@@ -281,16 +318,40 @@ impl Soc {
             // dispatch nothing, and clusters interact only at dispatch
             // (placement reads every cluster), so each cluster runs the
             // whole span on its own. The loop above drained everything
-            // due by now, so the span is at least one sub-step.
+            // due by now, so the span is at least one sub-step. The span
+            // that reaches the epoch's end leaves each cluster's steady
+            // tail for the kernel.
             let span = self.dispatch_horizon(steps - step);
-            for cluster in &mut self.clusters {
-                cluster.advance_span(self.now, substep, span);
+            for (id, cluster) in self.clusters.iter_mut().enumerate() {
+                if step + span < steps {
+                    cluster.advance_span(self.now, substep, span);
+                } else {
+                    cluster.advance_to_epoch_end(self.now, substep, span, step, id, tails);
+                }
             }
             self.now += substep * span;
             step += span;
         }
         // xtask-hotpath: end
+        Ok(started_at)
+    }
 
+    /// Closes an epoch that [`Soc::run_epoch_prefix`] began at
+    /// `started_at`, once the steady kernel ran its `tails`: writes each
+    /// tail back into its cluster with the cores' deferred updates, then
+    /// the per-cluster epoch fold and [`Soc::commit_epoch`].
+    pub(crate) fn run_epoch_suffix(
+        &mut self,
+        started_at: SimTime,
+        tails: &[SteadyDomain],
+        report: &mut EpochReport,
+    ) {
+        let (substep, steps) = (self.config.substep, self.config.substeps_per_epoch());
+        for tail in tails {
+            if let Some(cluster) = self.clusters.get_mut(tail.cluster()) {
+                cluster.steady_restore(tail, tail.run_len(steps), substep);
+            }
+        }
         report
             .clusters
             .resize_with(self.clusters.len(), ClusterReport::default);
@@ -298,11 +359,10 @@ impl Soc {
             cluster.end_epoch_into(slot);
         }
         self.commit_epoch(started_at, steps, report);
-        Ok(())
     }
 
-    /// The epoch prologue shared by [`Soc::run_epoch_into`] and the
-    /// batched fast path: validates the request arity and applies the
+    /// The epoch prologue shared by [`Soc::run_epoch_prefix`] and the
+    /// batched parked path: validates the request arity and applies the
     /// per-cluster levels (incurring transition stalls and energy where
     /// they change).
     pub(crate) fn apply_levels(&mut self, request: &LevelRequest) -> Result<(), SocError> {
@@ -321,7 +381,7 @@ impl Soc {
         Ok(())
     }
 
-    /// The epoch-close fold shared by [`Soc::run_epoch_into`] and
+    /// The epoch-close fold shared by [`Soc::run_epoch_suffix`] and
     /// [`Soc::parked_commit_epoch`], once the cluster slots are filled:
     /// stamps the report's span, sums the slots' energy in cluster order
     /// with the board-base term, and bumps the totals and counters.
@@ -338,18 +398,12 @@ impl Soc {
         EPOCH_ENERGY.record(energy_j);
     }
 
-    /// Whether the fast paths are enabled (see
-    /// [`Soc::set_idle_fast_forward`]).
-    pub fn idle_fast_forward_enabled(&self) -> bool {
-        self.idle_fast_forward
-    }
-
     /// Whether the next epoch can take the batched idle fast path: every
     /// cluster quiescent with no cpuidle table, fast-forward enabled, and
     /// no arrival due before the epoch's last sub-step boundary — exactly
     /// the condition under which [`Soc::run_epoch_into`] would run the
-    /// whole epoch as one idle-kernel span per cluster, so parking only
-    /// moves those spans into the batch's shared kernel call.
+    /// whole epoch as one all-idle tail per cluster, so parking only moves
+    /// those runs into the batch's shared kernel call.
     pub(crate) fn idle_epoch_parkable(&self) -> bool {
         self.idle_fast_forward
             && self.config.substeps_per_epoch() >= 2
@@ -386,33 +440,32 @@ impl Soc {
         }
     }
 
-    /// Parks the SoC: detaches every cluster into an
-    /// [`crate::cluster::IdleDomain`] for the batched idle kernel
-    /// (appending to `out` in cluster order) and stages the observation
-    /// constants. The domains stay resident across epochs until
-    /// [`Soc::parked_exit`]; while parked, only [`Soc::parked_commit_epoch`]
-    /// advances this SoC.
+    /// Parks the SoC: detaches every cluster into a [`SteadyDomain`] for
+    /// the batched steady kernel (appending to `out` in cluster order) and
+    /// stages the observation constants. The domains stay resident across
+    /// epochs until [`Soc::parked_exit`]; while parked, only
+    /// [`Soc::parked_commit_epoch`] advances this SoC.
     pub(crate) fn parked_enter(
         &mut self,
-        out: &mut Vec<crate::cluster::IdleDomain>,
-        consts: &mut Vec<crate::cluster::ParkedObsConsts>,
+        out: &mut Vec<SteadyDomain>,
+        consts: &mut Vec<ParkedObsConsts>,
     ) {
         let substep = self.config.substep;
-        for cluster in &mut self.clusters {
+        for (id, cluster) in self.clusters.iter_mut().enumerate() {
             consts.push(cluster.parked_obs_consts());
-            out.push(cluster.idle_batch_begin(substep));
+            out.push(cluster.steady_begin(substep, 0, id));
         }
     }
 
     /// Closes one parked epoch from the kernel-evolved domains: the
-    /// resident equivalent of the epilogue of [`Soc::run_epoch_into`] after
-    /// it ran the whole epoch as one idle span, with the cluster slots
+    /// resident equivalent of [`Soc::run_epoch_suffix`] after the whole
+    /// epoch ran as one all-idle tail per cluster, with the cluster slots
     /// synthesised from the domains (see
     /// [`crate::cluster::synth_parked_report`]) instead of read from the
     /// untouched `Cluster` structs, and the same epoch-close fold.
     pub(crate) fn parked_commit_epoch(
         &mut self,
-        domains: &mut [crate::cluster::IdleDomain],
+        domains: &mut [SteadyDomain],
         report: &mut EpochReport,
     ) {
         let steps = self.config.substeps_per_epoch();
@@ -422,7 +475,7 @@ impl Soc {
             .clusters
             .resize_with(self.clusters.len(), ClusterReport::default);
         for (domain, slot) in domains.iter_mut().zip(report.clusters.iter_mut()) {
-            crate::cluster::synth_parked_report(domain, steps as u32, slot);
+            synth_parked_report(domain, slot);
         }
         self.commit_epoch(started_at, steps, report);
     }
@@ -430,14 +483,10 @@ impl Soc {
     /// Unparks the SoC at an epoch boundary: writes the kernel-evolved
     /// domain state back into the clusters, including the idle residency
     /// owed for the whole stay (`epochs_parked` epochs).
-    pub(crate) fn parked_exit(
-        &mut self,
-        domains: &[crate::cluster::IdleDomain],
-        epochs_parked: u64,
-    ) {
-        let span = self.config.substep * self.config.substeps_per_epoch() * epochs_parked;
+    pub(crate) fn parked_exit(&mut self, domains: &[SteadyDomain], epochs_parked: u64) {
+        let (substep, steps) = (self.config.substep, self.config.substeps_per_epoch());
         for (cluster, domain) in self.clusters.iter_mut().zip(domains) {
-            cluster.idle_batch_restore(domain, span);
+            cluster.steady_restore(domain, steps * epochs_parked, substep);
         }
     }
 

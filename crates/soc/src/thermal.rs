@@ -147,7 +147,7 @@ impl ThermalModel {
     /// `(dt, τ)`, both constant in steady state, so the `exp()` is
     /// memoised; keyed on the exact inputs, a hit returns the very bits
     /// the cold path would compute. [`ThermalModel::step`] reads it here,
-    /// and the batched idle kernel hoists it out of its sub-step loop.
+    /// and the batched steady kernel hoists it out of its sub-step loop.
     pub(crate) fn decay_for(&mut self, dt: SimDuration) -> f64 {
         let tau = self.r_th_c_per_w * self.c_th_j_per_c;
         if self.decay_cache.0 == dt && self.decay_cache.1 == tau.to_bits() {
@@ -158,7 +158,7 @@ impl ThermalModel {
         fresh
     }
 
-    /// Writes back the state the batched idle kernel evolved outside the
+    /// Writes back the state the batched steady kernel evolved outside the
     /// struct: the temperature and throttle flag after some number of
     /// [`ThermalModel::step`]-equivalent updates.
     pub(crate) fn restore_batched(&mut self, temp_c: f64, throttled: bool) {
@@ -186,7 +186,7 @@ impl ThermalModel {
 /// The exact relaxation of an RC node at `temp_c` over one sub-step under
 /// constant power `p_w`, towards its steady state: `decay` is
 /// `exp(−dt/τ)`. The one definition of the update: [`ThermalModel::step`]
-/// and the batched idle kernel, lane by lane, both call it.
+/// and the batched steady kernel, lane by lane, both call it.
 #[inline(always)]
 pub(crate) fn relax(temp_c: f64, p_w: f64, ambient_c: f64, r_th_c_per_w: f64, decay: f64) -> f64 {
     let t_inf = ambient_c + p_w * r_th_c_per_w;
@@ -197,7 +197,7 @@ pub(crate) fn relax(temp_c: f64, p_w: f64, ambient_c: f64, r_th_c_per_w: f64, de
 /// `temp_c`: set at or above the trip point, cleared at or below the
 /// release point, held in between. The flag is in the caller's
 /// representation, `[off, on]` its two values — `bool` in
-/// [`ThermalModel`], `0.0`/`1.0` in the batched idle kernel's `f64`
+/// [`ThermalModel`], `0.0`/`1.0` in the batched steady kernel's `f64`
 /// lanes — so both share this one definition.
 #[inline(always)]
 pub(crate) fn hysteresis<F: Copy>(
