@@ -17,9 +17,9 @@
 //! The sharded rate at the process's `RLPM_THREADS` budget is printed
 //! beside it, not written or gated. `--min-batch-speedup X` exits
 //! non-zero when the standby fleet's batched-over-looped speedup lands
-//! below `X`, and `--min-mixed-speedup X` when the mixed fleet's does —
-//! the CI smoke gates. See DESIGN.md § Performance for how to read the
-//! file.
+//! below `X`, and `--min-idle-speedup X` and `--min-mixed-speedup X`
+//! when the idle and mixed fleets' do — the CI smoke gates. See
+//! DESIGN.md § Performance for how to read the file.
 
 use std::path::PathBuf;
 
@@ -35,6 +35,7 @@ fn main() {
     let mut lanes = 256u32;
     let mut fleet_secs: Option<u64> = None;
     let mut min_batch_speedup: Option<f64> = None;
+    let mut min_idle_speedup: Option<f64> = None;
     let mut min_mixed_speedup: Option<f64> = None;
     let mut iter = args.iter();
     while let Some(arg) = iter.next() {
@@ -73,6 +74,14 @@ fn main() {
                         .expect("--min-batch-speedup needs a number"),
                 );
             }
+            "--min-idle-speedup" => {
+                min_idle_speedup = Some(
+                    iter.next()
+                        .expect("--min-idle-speedup needs a ratio")
+                        .parse()
+                        .expect("--min-idle-speedup needs a number"),
+                );
+            }
             "--min-mixed-speedup" => {
                 min_mixed_speedup = Some(
                     iter.next()
@@ -85,8 +94,8 @@ fn main() {
                 eprintln!("unknown argument: {other}");
                 eprintln!(
                     "usage: sim-rate [--baseline] [--quick] [--repeat N] [--lanes N] \
-                            [--fleet-secs N] [--min-batch-speedup X] [--min-mixed-speedup X] \
-                            [--out PATH] [--label TEXT]"
+                            [--fleet-secs N] [--min-batch-speedup X] [--min-idle-speedup X] \
+                            [--min-mixed-speedup X] [--out PATH] [--label TEXT]"
                 );
                 std::process::exit(2);
             }
@@ -155,7 +164,11 @@ fn main() {
     eprintln!("(written to {})", out.display());
 
     let mut below = false;
-    for (fleet, min) in [("standby", min_batch_speedup), ("mixed", min_mixed_speedup)] {
+    for (fleet, min) in [
+        ("standby", min_batch_speedup),
+        ("idle", min_idle_speedup),
+        ("mixed", min_mixed_speedup),
+    ] {
         let Some(min) = min else { continue };
         let rate = report
             .batch

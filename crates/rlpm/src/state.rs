@@ -83,14 +83,71 @@ impl StateSpace {
     /// `predictor` supplies the trend bin; pass a freshly reset predictor
     /// for a trendless encoding.
     pub fn features(&self, state: &SystemState, predictor: &Predictor) -> StateFeatures {
-        let mut util = Vec::with_capacity(self.level_bins.len());
-        let mut level = Vec::with_capacity(self.level_bins.len());
+        let (util, level) = self.cluster_bins(state).unzip();
+        StateFeatures {
+            util,
+            level,
+            qos: self.qos_bin(state),
+            trend: predictor.trend_bin(self.trend_bins),
+        }
+    }
+
+    /// Encodes an observation into a state index: the index of its
+    /// [`StateSpace::features`], packed as they are binned, without
+    /// building them.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the observation's cluster count differs from the
+    /// configured one.
+    pub fn encode(&self, state: &SystemState, predictor: &Predictor) -> StateIndex {
+        assert_eq!(
+            state.num_clusters(),
+            self.level_bins.len(),
+            "observation has wrong cluster count"
+        );
+        self.pack(
+            self.cluster_bins(state),
+            self.qos_bin(state),
+            predictor.trend_bin(self.trend_bins),
+        )
+    }
+
+    /// Converts features to an index (mixed-radix packing).
+    pub fn index_of(&self, f: &StateFeatures) -> StateIndex {
+        let clusters = f.util.iter().copied().zip(f.level.iter().copied());
+        self.pack(clusters, f.qos, f.trend)
+    }
+
+    /// The mixed-radix packing of per-cluster `(util, level)` bins and the
+    /// QoS and trend bins.
+    fn pack(
+        &self,
+        clusters: impl Iterator<Item = (usize, usize)>,
+        qos: usize,
+        trend: usize,
+    ) -> StateIndex {
+        let mut idx = 0;
+        for ((u, l), &bins) in clusters.zip(&self.level_bins) {
+            debug_assert!(u < self.util_bins && l < bins);
+            idx = idx * self.util_bins + u;
+            idx = idx * bins + l;
+        }
+        idx = idx * self.qos_bins + qos;
+        idx * self.trend_bins + trend
+    }
+
+    /// Each cluster's `(util, level)` bins, in cluster order.
+    fn cluster_bins<'a>(
+        &'a self,
+        state: &'a SystemState,
+    ) -> impl Iterator<Item = (usize, usize)> + 'a {
         let per_cluster = state
             .soc
             .clusters
             .iter()
             .zip(self.level_bins.iter().zip(&self.levels));
-        for (c, (&bins, &levels)) in per_cluster {
+        per_cluster.map(|(c, (&bins, &levels))| {
             // Raw busy fraction at the current OPP. Together with the
             // exact level this fully locates the demand: "90% busy at
             // level 0" (saturating, cheap to fix) and "90% busy at the
@@ -104,58 +161,26 @@ impl StateSpace {
             // non-finite utilisation reads as idle, an out-of-table level
             // clamps to the top bin — so a corrupted sample can skew a
             // decision but never index out of bounds.
-            util.push(Self::bin(Self::sanitize_unit(c.util_max), self.util_bins));
+            let util = Self::bin(Self::sanitize_unit(c.util_max), self.util_bins);
             let lvl = c.level.min(levels.saturating_sub(1));
-            if bins >= levels {
-                level.push(lvl);
+            let level = if bins >= levels {
+                lvl
             } else {
-                let frac = lvl as f64 / (levels.max(2) - 1) as f64;
-                level.push(Self::bin(frac, bins));
-            }
-        }
-        // QoS slack: perfect QoS with no backlog = top bin; violations
-        // drive it to 0.
+                Self::bin(lvl as f64 / (levels.max(2) - 1) as f64, bins)
+            };
+            (util, level)
+        })
+    }
+
+    /// The QoS slack bin: perfect QoS with no backlog is the top bin;
+    /// violations drive it to 0.
+    fn qos_bin(&self, state: &SystemState) -> usize {
         let qos_signal = if state.qos.violations > 0 {
             0.0
         } else {
             Self::sanitize_unit(state.qos.qos_ratio - 0.02 * state.qos.pending_jobs as f64)
         };
-        let qos = Self::bin(qos_signal, self.qos_bins);
-        let trend = predictor.trend_bin(self.trend_bins);
-        StateFeatures {
-            util,
-            level,
-            qos,
-            trend,
-        }
-    }
-
-    /// Encodes an observation into a state index.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the observation's cluster count differs from the
-    /// configured one.
-    pub fn encode(&self, state: &SystemState, predictor: &Predictor) -> StateIndex {
-        assert_eq!(
-            state.num_clusters(),
-            self.level_bins.len(),
-            "observation has wrong cluster count"
-        );
-        self.index_of(&self.features(state, predictor))
-    }
-
-    /// Converts features to an index (mixed-radix packing).
-    pub fn index_of(&self, f: &StateFeatures) -> StateIndex {
-        let mut idx = 0;
-        for ((u, l), &bins) in f.util.iter().zip(&f.level).zip(&self.level_bins) {
-            debug_assert!(*u < self.util_bins && *l < bins);
-            idx = idx * self.util_bins + u;
-            idx = idx * bins + l;
-        }
-        idx = idx * self.qos_bins + f.qos;
-        idx = idx * self.trend_bins + f.trend;
-        idx
+        Self::bin(qos_signal, self.qos_bins)
     }
 
     fn bin(x: f64, bins: usize) -> usize {
@@ -322,6 +347,47 @@ mod tests {
         let top = space.features(&obs(0.5, 0.5, 12, 18), &pred);
         assert_eq!(f.level, top.level, "out-of-table levels clamp to top");
         assert!(space.index_of(&f) < space.len());
+    }
+
+    #[test]
+    fn encode_is_the_index_of_the_features() {
+        // Random observations, about a third of their fields corrupted,
+        // under a predictor fed the clean ones.
+        let mut cfg = RlConfig::for_soc(&SocConfig::odroid_xu3_like().unwrap());
+        for level_bins in [32, 4] {
+            cfg.level_bins = level_bins;
+            let space = StateSpace::new(&cfg);
+            let mut pred = Predictor::new(&cfg);
+            let mut rng = simkit::SimRng::seed_from(17);
+            let bad = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -3.0, 7.5];
+            for _ in 0..2_000 {
+                let mut s = obs(
+                    rng.uniform(),
+                    rng.uniform(),
+                    rng.uniform_usize(13),
+                    rng.uniform_usize(19),
+                );
+                pred.observe(&s);
+                for c in &mut s.soc.clusters {
+                    if rng.chance(0.3) {
+                        c.util_max = bad[rng.uniform_usize(bad.len())];
+                    }
+                    if rng.chance(0.3) {
+                        c.level = [40, 999, usize::MAX][rng.uniform_usize(3)];
+                    }
+                }
+                s.qos.qos_ratio = if rng.chance(0.3) {
+                    bad[rng.uniform_usize(bad.len())]
+                } else {
+                    rng.uniform()
+                };
+                s.qos.violations = u64::from(rng.chance(0.2));
+                s.qos.pending_jobs = rng.uniform_usize(60);
+                let idx = space.encode(&s, &pred);
+                assert_eq!(idx, space.index_of(&space.features(&s, &pred)), "{s:?}");
+                assert!(idx < space.len());
+            }
+        }
     }
 
     #[test]

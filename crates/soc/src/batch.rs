@@ -6,29 +6,29 @@
 //! spend most epochs fully idle. [`DeviceBatch`] exploits that with a
 //! **parked** mode: a lane whose clusters are all quiescent (no cpuidle
 //! table, no arrival due within the epoch) detaches its per-cluster hot
-//! state — thermal node, frequency level, epoch accumulator, power
-//! constants — into a dense [`crate::cluster::SteadyDomain`] vector, and
-//! *stays* detached across epochs. Each epoch, one interleaved
-//! structure-of-arrays kernel ([`crate::cluster::advance_steady_batch`])
-//! advances every parked domain in lockstep, and the per-lane epoch
-//! report and governor observation are synthesised straight from the
-//! domain records without touching the parked `Cluster`/core structures
-//! at all. Lanes with queued work, imminent arrivals, cpuidle tables, or
-//! a level-change request unpark (the domain state is written back) and
-//! run live: each runs the scalar part of [`Soc::run_epoch_into`] up to
-//! its clusters' steady tails (from the last dispatch and last completion
-//! to the epoch's end), every live lane's tails then run in the same
-//! kernel pass as the parked domains, sorted by start so each block's
-//! lanes start together, and each live lane closes its epoch as
-//! [`Soc::run_epoch_into`] does.
+//! state — thermal node, frequency level, epoch sums, power constants —
+//! into slots of the steady kernel's own structure-of-arrays lanes
+//! ([`crate::cluster::ParkedLanes`], 32-lane blocks, one slot per
+//! cluster), and *stays* there across epochs. Each epoch the kernel runs
+//! every parked block in place, and the per-lane epoch report, governor
+//! observation and next epoch's parked check are read straight from the
+//! slots, without touching the parked `Cluster`/core structures or
+//! moving any state in or out of the lanes. Lanes with queued work,
+//! imminent arrivals, cpuidle tables, or a level-change request unpark
+//! (the slots are stored back) and run live: each runs the scalar part
+//! of [`Soc::run_epoch_into`] up to its clusters' steady tails (from the
+//! last dispatch and last completion to the epoch's end), every live
+//! lane's tails then run through the same kernel, loaded into lanes and
+//! stored back, sorted by start so each block's lanes start together,
+//! and each live lane closes its epoch as [`Soc::run_epoch_into`] does.
 //!
 //! Two effects make this fast. The interleaved kernel fills the FP
 //! pipeline: a single cluster's idle span is one serial floating-point
 //! recurrence (each sub-step's temperature feeds the next), but across
-//! lanes the recurrences are independent. And resident
-//! parking removes the per-epoch scatter/gather: a parked lane's epoch
-//! touches a few dense cache lines of domain state instead of its whole
-//! simulator object graph.
+//! lanes the recurrences are independent. And resident parking removes
+//! the per-epoch load and store: a parked lane's epoch touches its own
+//! lane of a few dense rows instead of its whole simulator object graph,
+//! and a park or unpark moves O(the lane's clusters) slots.
 //!
 //! Batching is a pure scheduling optimisation: every lane produces
 //! **bit-identical** state, reports and metrics to running it alone. The
@@ -44,7 +44,7 @@
 
 use simkit::{obs, SimTime};
 
-use crate::cluster::{advance_steady_batch, advance_steady_tails, ParkedObsConsts, SteadyDomain};
+use crate::cluster::{advance_steady_tails, ParkedLanes, ParkedObsConsts, SteadyDomain};
 use crate::{EpochObservation, EpochReport, Job, LevelRequest, Soc, SocError};
 
 /// Epochs that took the parked (batched steady kernel) fast path.
@@ -53,13 +53,13 @@ static PARKED_EPOCHS: obs::Counter = obs::Counter::new("soc.batch.parked_epochs"
 static SCALAR_EPOCHS: obs::Counter = obs::Counter::new("soc.batch.scalar_epochs");
 
 /// Per-lane batch bookkeeping: whether the lane is parked, where its
-/// domains live, and the constants staged for observation synthesis.
+/// slots live, and the constants staged for observation synthesis.
 #[derive(Debug, Default)]
 struct LaneMeta {
     parked: bool,
-    /// Start of this lane's slice in the dense domain vector (valid while
-    /// parked; maintained when other lanes unpark).
-    domain_start: usize,
+    /// This lane's first slot in the parked lanes, one per cluster
+    /// (valid while parked; maintained when other lanes unpark).
+    first_slot: usize,
     /// This lane's position in `order` (valid while parked).
     order_pos: usize,
     /// Staged per-cluster observation constants (capacity reused across
@@ -78,7 +78,7 @@ struct LaneMeta {
 /// per-sub-step and per-epoch overhead across devices.
 ///
 /// While a lane is parked (see the module docs), its `Soc`'s cluster
-/// state is stale — the live values sit in the batch's domain vector.
+/// state is stale — the live values sit in the batch's parked lanes.
 /// [`DeviceBatch::lane_mut`], [`DeviceBatch::unpark_all`] and
 /// [`DeviceBatch::into_lanes`] write the state back; [`DeviceBatch::lane`]
 /// does not, and is only guaranteed consistent for time, energy and epoch
@@ -87,11 +87,11 @@ struct LaneMeta {
 #[derive(Debug)]
 pub struct DeviceBatch {
     lanes: Vec<Soc>,
-    /// Dense resident domains of every parked lane; each lane owns one
-    /// contiguous chunk.
-    domains: Vec<SteadyDomain>,
-    /// Parked lane indices, kept sorted by `domain_start` so the last
-    /// entry always owns the tail chunk (which makes unparking O(1)).
+    /// Every parked lane's clusters, resident in kernel layout; each lane
+    /// owns one contiguous chunk of slots.
+    parked: ParkedLanes,
+    /// Parked lane indices, kept sorted by `first_slot` so the last entry
+    /// always owns the tail chunk (which makes unparking O(clusters)).
     order: Vec<usize>,
     meta: Vec<LaneMeta>,
     /// Per-lane error from the most recent epoch (`None` = stepped OK).
@@ -147,7 +147,7 @@ impl DeviceBatch {
         let n = lanes.len();
         Ok(DeviceBatch {
             lanes,
-            domains: Vec::new(),
+            parked: ParkedLanes::default(),
             order: Vec::new(),
             meta: (0..n).map(|_| LaneMeta::default()).collect(),
             errors: vec![None; n],
@@ -228,7 +228,7 @@ impl DeviceBatch {
 
     /// Builds the governor-facing observation for one lane's epoch
     /// report: [`Soc::observe_into`] for live lanes, synthesised from the
-    /// resident domains (bit-identically) for parked ones.
+    /// resident slots (bit-identically) for parked ones.
     ///
     /// # Panics
     ///
@@ -243,21 +243,21 @@ impl DeviceBatch {
         obs.at = report.ended_at;
         obs.energy_j = report.energy_j;
         obs.clusters.clear();
-        let domains = self
-            .domains
-            .get(meta.domain_start..meta.domain_start + meta.obs.len())
-            .unwrap_or(&[]);
-        obs.clusters.extend(
-            domains
-                .iter()
-                .zip(&meta.obs)
-                .zip(&report.clusters)
-                .map(|((d, consts), r)| consts.observe(d, r.util_avg, r.util_max)),
-        );
+        obs.clusters
+            .extend(
+                meta.obs
+                    .iter()
+                    .zip(&report.clusters)
+                    .enumerate()
+                    .map(|(c, (consts, r))| {
+                        self.parked
+                            .observe(meta.first_slot + c, consts, r.util_avg, r.util_max)
+                    }),
+            );
     }
 
-    /// Unparks every parked lane, writing the resident domain state back
-    /// into the `Soc` structures. Call before inspecting final lane state;
+    /// Unparks every parked lane, writing the resident slots back into the
+    /// `Soc` structures. Call before inspecting final lane state;
     /// [`DeviceBatch::into_lanes`] does it automatically.
     pub fn unpark_all(&mut self) {
         while let Some(&lane) = self.order.last() {
@@ -283,7 +283,7 @@ impl DeviceBatch {
         self.unpark_all();
         DeviceBatch {
             lanes: self.lanes.split_off(at),
-            domains: Vec::new(),
+            parked: ParkedLanes::default(),
             order: Vec::new(),
             meta: self.meta.split_off(at),
             errors: self.errors.split_off(at),
@@ -340,9 +340,9 @@ impl DeviceBatch {
         self.meta[lane].parked
     }
 
-    /// Parks `lane`: detaches its clusters onto the end of the dense
-    /// domain vector. Caller guarantees the lane is parkable and its
-    /// levels are applied.
+    /// Parks `lane`: loads its clusters into slots at the end of the parked
+    /// lanes. Caller guarantees the lane is parkable and its levels are
+    /// applied.
     fn park(&mut self, lane: usize) {
         let Some(meta) = self.meta.get_mut(lane) else {
             debug_assert!(false, "park({lane}) out of range");
@@ -350,25 +350,24 @@ impl DeviceBatch {
         };
         debug_assert!(!meta.parked);
         meta.parked = true;
-        meta.domain_start = self.domains.len();
+        meta.first_slot = self.parked.len();
         meta.order_pos = self.order.len();
         meta.epochs_parked = 0;
         meta.obs.clear();
         if let Some(soc) = self.lanes.get_mut(lane) {
-            soc.parked_enter(&mut self.domains, &mut meta.obs);
+            soc.parked_enter(&mut self.parked, &mut meta.obs);
         }
         self.order.push(lane);
     }
 
-    /// Unparks `lane` if parked: writes its domain state back and closes
-    /// the gap in the dense domain vector by moving the tail chunk into
-    /// it — O(clusters), not O(parked lanes), so a fleet-wide wake-up
-    /// storm (every lane unparking for a synchronized arrival) stays
-    /// linear in the fleet. Moving the tail chunk to the freed offset
-    /// keeps `order` sorted by `domain_start`: entries before `pos` hold
-    /// smaller offsets, entries after hold larger ones, and the moved
-    /// lane takes exactly the freed offset and position. No-op for live
-    /// lanes.
+    /// Unparks `lane` if parked: stores its slots back and closes the gap
+    /// in the parked lanes by moving the tail chunk into it —
+    /// O(clusters), not O(parked lanes), so a fleet-wide wake-up storm
+    /// (every lane unparking for a synchronized arrival) stays linear in
+    /// the fleet. Moving the tail chunk to the freed slots keeps `order`
+    /// sorted by `first_slot`: entries before `pos` hold smaller slots,
+    /// entries after hold larger ones, and the moved lane takes exactly
+    /// the freed slots and position. No-op for live lanes.
     fn unpark(&mut self, lane: usize) {
         let Some(meta) = self.meta.get_mut(lane) else {
             return;
@@ -379,15 +378,12 @@ impl DeviceBatch {
         meta.parked = false;
         let (clusters, start, pos, epochs) = (
             meta.obs.len(),
-            meta.domain_start,
+            meta.first_slot,
             meta.order_pos,
             meta.epochs_parked,
         );
-        if let (Some(soc), Some(doms)) = (
-            self.lanes.get_mut(lane),
-            self.domains.get(start..start + clusters),
-        ) {
-            soc.parked_exit(doms, epochs);
+        if let Some(soc) = self.lanes.get_mut(lane) {
+            soc.parked_exit(self.parked.unload(start, clusters), epochs);
         }
         let Some(&last) = self.order.last() else {
             debug_assert!(false, "unpark({lane}): lane parked but `order` empty");
@@ -395,30 +391,28 @@ impl DeviceBatch {
         };
         if last == lane {
             self.order.pop();
-            self.domains.truncate(start);
+            self.parked.remove(start, clusters);
             return;
         }
         let (last_start, last_clusters) = self
             .meta
             .get(last)
-            .map_or((0, 0), |m| (m.domain_start, m.obs.len()));
+            .map_or((0, 0), |m| (m.first_slot, m.obs.len()));
         if last_clusters == clusters {
-            self.domains
-                .copy_within(last_start..last_start + clusters, start);
-            self.domains.truncate(last_start);
+            self.parked.move_tail(last_start, start, clusters);
             self.order.swap_remove(pos);
             if let Some(m) = self.meta.get_mut(last) {
-                m.domain_start = start;
+                m.first_slot = start;
                 m.order_pos = pos;
             }
         } else {
             // Mixed cluster counts in one batch: chunk widths differ, so
             // fall back to a linear shift of everything after the gap.
-            self.domains.drain(start..start + clusters);
+            self.parked.remove(start, clusters);
             self.order.remove(pos);
             for (p, &l) in self.order.iter().enumerate().skip(pos) {
                 if let Some(m) = self.meta.get_mut(l) {
-                    m.domain_start -= clusters;
+                    m.first_slot -= clusters;
                     m.order_pos = p;
                 }
             }
@@ -427,7 +421,7 @@ impl DeviceBatch {
 
     /// Whether a parked lane can stay parked for the coming epoch: no
     /// arrival due within it, and the level request a no-op on every
-    /// domain (the same clamp-then-compare `set_level` performs). The
+    /// slot (the same clamp-then-compare `set_level` performs). The
     /// quiescence half of the parked condition is invariant while parked.
     fn still_parkable(&self, lane: usize, request: &LevelRequest) -> bool {
         let (Some(meta), Some(soc)) = (self.meta.get(lane), self.lanes.get(lane)) else {
@@ -437,14 +431,10 @@ impl DeviceBatch {
         if request.levels.len() != clusters || !soc.arrivals_clear_of_epoch() {
             return false;
         }
-        self.domains
-            .get(meta.domain_start..meta.domain_start + clusters)
-            .is_some_and(|domains| {
-                domains
-                    .iter()
-                    .zip(&request.levels)
-                    .all(|(d, &level)| d.level_request_is_noop(level))
-            })
+        request.levels.iter().enumerate().all(|(c, &level)| {
+            self.parked
+                .level_request_is_noop(meta.first_slot + c, level)
+        })
     }
 
     /// Advances every active lane by one epoch in lockstep.
@@ -495,8 +485,8 @@ impl DeviceBatch {
             if self.meta.get(i).is_some_and(|m| m.parked) {
                 if is_active && self.still_parkable(i, request) {
                     // Stays parked: the kernel itself opens the new epoch
-                    // on the resident domains (discarding the previous
-                    // epoch's stall flag at gather).
+                    // on the resident slots (discarding the previous
+                    // epoch's stall flag).
                     continue;
                 }
                 self.unpark(i);
@@ -531,14 +521,14 @@ impl DeviceBatch {
         }
 
         // All lanes share the grid (validated in `new`), so one kernel
-        // pass advances every parked domain through the whole epoch and
+        // pass advances every parked slot through the whole epoch and
         // every live tail from its start to the epoch's end.
         let Some(config) = self.lanes.first().map(Soc::config) else {
             return Ok(());
         };
         let (substep, steps) = (config.substep, config.substeps_per_epoch());
         // xtask-hotpath: begin (lockstep steady kernel dispatch, no allocation)
-        advance_steady_batch(&mut self.domains, substep, steps);
+        self.parked.advance(substep, steps);
         advance_steady_tails(&mut self.tails, &mut self.tail_order, substep, steps);
         for &i in &self.order {
             PARKED_EPOCHS.inc();
@@ -546,13 +536,8 @@ impl DeviceBatch {
                 continue;
             };
             meta.epochs_parked += 1;
-            let range = meta.domain_start..meta.domain_start + meta.obs.len();
-            if let (Some(soc), Some(doms), Some(report)) = (
-                self.lanes.get_mut(i),
-                self.domains.get_mut(range),
-                reports.get_mut(i),
-            ) {
-                soc.parked_commit_epoch(doms, report);
+            if let (Some(soc), Some(report)) = (self.lanes.get_mut(i), reports.get_mut(i)) {
+                soc.parked_commit_epoch(&mut self.parked, meta.first_slot, report);
             }
         }
         for live in &self.live {

@@ -15,9 +15,13 @@
 //! adding one constant clock term to the leakage. A lone cluster's
 //! mid-epoch idle run goes one lane wide; an epoch's tail (from its last
 //! dispatch and last completion to its end) goes in one call with the
-//! SoC's other tails, and in a batch with every live lane's tails beside
-//! the parked lanes. The kernel and [`crate::ThermalModel::step`] share
+//! SoC's other tails, and in a batch with every live lane's tails. Each
+//! of those calls loads its domains into lanes and stores them back; a
+//! batch's parked clusters stay in lanes across epochs
+//! ([`ParkedLanes`]). The kernel and [`crate::ThermalModel::step`] share
 //! the thermal relax and hysteresis.
+
+use std::ops::Range;
 
 use simkit::{SimDuration, SimTime};
 
@@ -136,7 +140,7 @@ impl EpochAcc {
     /// cover, at the closing `temp_c`, `level` and `queued`, and resets
     /// the sums for the next. A live cluster closes through
     /// [`Cluster::end_epoch_into`], a parked one through
-    /// [`synth_parked_report`].
+    /// [`ParkedLanes::close_epoch`].
     fn close_into(
         &mut self,
         temp_c: f64,
@@ -792,8 +796,8 @@ impl Cluster {
 
     /// Stages the table constants needed to synthesise
     /// [`ClusterObservation`]s for a parked cluster without touching it:
-    /// everything [`Cluster::observe`] reads that the [`SteadyDomain`] does
-    /// not carry.
+    /// everything [`Cluster::observe`] reads that its parked slot does not
+    /// carry.
     pub(crate) fn parked_obs_consts(&self) -> ParkedObsConsts {
         ParkedObsConsts {
             num_levels: self.config.opps.len(),
@@ -801,6 +805,8 @@ impl Cluster {
                 self.config.opps.min_freq_hz(),
                 self.config.opps.max_freq_hz(),
             ),
+            freq_hz: self.freq_hz(),
+            clamp_freq_hz: self.lut(self.clamp_target()).freq_hz,
         }
     }
 
@@ -910,47 +916,6 @@ pub(crate) struct SteadyDomain {
 }
 
 impl SteadyDomain {
-    /// Whether `set_level(requested)` on the parked cluster would change
-    /// nothing — the same clamp-then-compare [`Cluster::set_level`]
-    /// performs, evaluated against the domain's thermal state. A request
-    /// beyond the table (an error in the scalar path) also reports
-    /// `false`, so the lane unparks and surfaces the identical error.
-    pub(crate) fn level_request_is_noop(&self, requested: OppLevel) -> bool {
-        let clamp_max = self.thermal.clamp_max_level(self.max_level);
-        requested <= self.max_level && requested.min(clamp_max) == self.level
-    }
-
-    /// Whether the level is at or below both clamp targets (every busy
-    /// run's is), so the clamp cannot lower it.
-    fn below_clamp(&self) -> bool {
-        self.level <= self.clamp_level.min(self.max_level)
-    }
-
-    /// Whether an idle run's node stays below its trip point: the
-    /// temperature and the steady state of the most the run could draw
-    /// below the trip point — every core's leakage at the trip point,
-    /// leakage rising with temperature — both sit a degree below it, and
-    /// each relax step lands between its start and that steady state, up
-    /// to roundings far below the margin. A throttled node is left to the
-    /// level test.
-    fn stays_below_trip(&self) -> bool {
-        let (t, p, lut) = (&self.thermal, &self.power, &self.lut);
-        let below = t.throttle_temp_c - 1.0;
-        let leak_at_trip = PowerModel::leakage_w_from_parts(
-            lut.leak_base,
-            t.throttle_temp_c,
-            p.leak_temp_coeff,
-            p.leak_t_ref_c,
-        );
-        let most_w = lut.uncore_w + f64::from(self.online) * (lut.idle_coeff + leak_at_trip);
-        self.busy_cores == 0
-            && !t.is_throttled()
-            && p.leak_temp_coeff >= 0.0
-            && lut.leak_base >= 0.0
-            && t.temp_c() <= below
-            && t.ambient_c + most_w * t.r_th_c_per_w <= below
-    }
-
     /// The index of the domain's cluster in its SoC.
     pub(crate) fn cluster(&self) -> usize {
         self.cluster as usize
@@ -963,52 +928,18 @@ impl SteadyDomain {
     }
 }
 
-/// Everything [`Cluster::observe`] reads that a [`SteadyDomain`] does not
-/// carry, staged once when a lane parks. See
+/// Everything [`Cluster::observe`] reads that a parked slot of
+/// [`ParkedLanes`] does not carry, staged once when a lane parks. See
 /// [`Cluster::parked_obs_consts`].
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct ParkedObsConsts {
     num_levels: usize,
     freq_range_hz: (u64, u64),
-}
-
-impl ParkedObsConsts {
-    /// Synthesises the observation [`Cluster::observe`] would produce for
-    /// the parked cluster: level, frequency, temperature and throttle
-    /// state come from the domain, the table constants from the staged
-    /// copy, and the queue is empty by the parked invariant.
-    pub(crate) fn observe(
-        &self,
-        d: &SteadyDomain,
-        util_avg: f64,
-        util_max: f64,
-    ) -> ClusterObservation {
-        ClusterObservation {
-            util_avg,
-            util_max,
-            level: d.level,
-            num_levels: self.num_levels,
-            freq_hz: d.lut.freq_hz,
-            freq_range_hz: self.freq_range_hz,
-            temp_c: d.thermal.temp_c(),
-            throttled: d.thermal.is_throttled(),
-            queued: 0,
-        }
-    }
-}
-
-/// Closes the epoch of a cluster whose whole epoch ran parked in the
-/// steady kernel, through the fold [`Cluster::end_epoch_into`] uses, which
-/// resets the domain's carried accumulator. An all-idle epoch's
-/// utilisation sums are exactly `+0.0` (folding `+0.0` is a bitwise
-/// no-op), nothing is queued or completed on a quiescent cluster, and
-/// there is no cpuidle residency without a cpuidle table. `stall_armed`
-/// is NOT cleared: a final-sub-step clamp stays visible until the next
-/// epoch's pre-pass, which either restores it on unpark or lets the
-/// kernel drop it at gather.
-pub(crate) fn synth_parked_report(d: &mut SteadyDomain, report: &mut ClusterReport) {
-    d.acc.close_into(d.thermal.temp_c(), d.level, 0, report);
-    report.completed.clear();
+    /// The frequencies of the level the cluster parked at and of its
+    /// clamp target: while parked, only the clamp moves the level, and
+    /// only to that target.
+    freq_hz: u64,
+    clamp_freq_hz: u64,
 }
 
 /// Advances every domain through a span of `steps` sub-steps of length
@@ -1025,14 +956,16 @@ pub(crate) fn synth_parked_report(d: &mut SteadyDomain, report: &mut ClusterRepo
 /// across (independent) domains changes.
 ///
 /// The schedule is blocked: [`STEADY_BLOCK`] domains at a time are
-/// gathered into structure-of-arrays lanes ([`SteadyLanes`]), stepped
-/// from the block's earliest start through the span while the lanes sit
-/// in L1, and scattered back; a lane waits, unchanged, until its own
-/// start. One or two domains (a lone SoC's runs) go one or two lanes wide
-/// instead of padded. The sub-step loops are fixed-width and branch-free
-/// — every conditional update is a lane-wise select that reproduces the
-/// branch outcome value exactly — so they vectorise, and the serial
-/// per-domain thermal recurrence amortises its latency across the block.
+/// loaded into structure-of-arrays lanes ([`SteadyLanes`]), stepped from
+/// the block's earliest start through the span while the lanes sit in
+/// L1, and stored back; a lane waits, unchanged, until its own start. One
+/// or two domains (a lone SoC's runs) go one or two lanes wide instead of
+/// padded. A batch's parked clusters skip the load and store: they stay
+/// in lanes across epochs ([`ParkedLanes`]). The sub-step loops are
+/// fixed-width and branch-free — every conditional update is a lane-wise
+/// select that reproduces the branch outcome value exactly — so they
+/// vectorise, and the serial per-domain thermal recurrence amortises its
+/// latency across the block.
 pub(crate) fn advance_steady_batch(domains: &mut [SteadyDomain], dt: SimDuration, steps: u64) {
     let dt_s = dt.as_secs_f64();
     match domains.len() {
@@ -1108,7 +1041,14 @@ fn run_blocks<const W: usize>(
 /// integers and 0.0/1.0 flags, all exactly representable — so every
 /// select in the sub-step loop is over one element type and the loops
 /// vectorise clean. The lanes from `start` on are read by steady blocks
-/// only, and only they write them.
+/// only.
+///
+/// [`SteadyLanes::load`] and [`SteadyLanes::store`] are the one mapping
+/// between a [`SteadyDomain`] and a lane: loading a domain, stepping, and
+/// storing it back leaves the domain as the kernel ran it, and loading a
+/// domain that a lane was stored into reproduces every value the kernel
+/// reads of that lane.
+#[derive(Debug)]
 struct SteadyLanes<const W: usize> {
     // Mutable lane state.
     temp_c: [f64; W],
@@ -1182,11 +1122,358 @@ impl<const W: usize> SteadyLanes<W> {
             clock: [z; STEADY_BUSY_CORES],
         }
     }
+
+    // xtask-allow-region: no-panic-lib -- every caller passes a lane `j < W` (a loop bound `k < n <= W`, or `i % STEADY_BLOCK` into a `STEADY_BLOCK`-wide block) into `[f64; W]` lanes: in bounds
+    /// Loads domain `d` into lane `j`.
+    #[inline(always)]
+    fn load(&mut self, j: usize, d: &SteadyDomain) {
+        self.temp_c[j] = d.thermal.temp_c();
+        self.energy_j[j] = d.acc.energy_j;
+        self.throttled[j] = f64::from(u8::from(d.thermal.is_throttled()));
+        self.uncore_w[j] = d.lut.uncore_w;
+        self.idle_coeff[j] = d.lut.idle_coeff;
+        self.leak_base[j] = d.lut.leak_base;
+        self.level[j] = d.level as f64;
+        self.transitions[j] = f64::from(d.acc.transitions);
+        self.stall_armed[j] = f64::from(u8::from(d.stall_armed));
+        self.leak_temp_coeff[j] = d.power.leak_temp_coeff;
+        self.leak_t_ref_c[j] = d.power.leak_t_ref_c;
+        self.transition_energy_j[j] = d.power.transition_energy_j;
+        self.ambient_c[j] = d.thermal.ambient_c;
+        self.r_th_c_per_w[j] = d.thermal.r_th_c_per_w;
+        self.decay[j] = d.decay;
+        self.trip_c[j] = d.thermal.throttle_temp_c;
+        self.release_c[j] = d.thermal.release_temp_c;
+        self.online[j] = f64::from(d.online);
+        self.max_level[j] = d.max_level as f64;
+        self.clamp_level[j] = d.clamp_level as f64;
+        self.clamp_uncore_w[j] = d.clamp_lut.uncore_w;
+        self.clamp_idle_coeff[j] = d.clamp_lut.idle_coeff;
+        self.clamp_leak_base[j] = d.clamp_lut.leak_base;
+        self.start[j] = f64::from(d.start);
+        self.util_avg[j] = d.acc.util_avg_sum;
+        self.util_max[j] = d.acc.util_max_sum;
+        self.util_avg_step[j] = d.util_avg_step;
+        self.util_max_step[j] = d.util_max_step;
+        // A busy core's clock term, or an idle one's: `idle_coeff · 1.0`,
+        // the coefficient itself. Rows past the online count are never
+        // read for this lane.
+        for (c, clock) in self.clock.iter_mut().enumerate().take(d.online as usize) {
+            clock[j] = if (d.busy_cores >> c) & 1 != 0 {
+                d.busy_clock_w
+            } else {
+                d.lut.idle_coeff
+            };
+        }
+    }
+
+    /// Stores the state the kernel evolves in lane `j` back into `d`, the
+    /// domain the lane was loaded from.
+    #[inline(always)]
+    fn store(&self, j: usize, d: &mut SteadyDomain) {
+        d.thermal
+            .restore_batched(self.temp_c[j], self.throttled[j] != 0.0);
+        d.acc.energy_j = self.energy_j[j];
+        // Lossless round-trips: levels and transition counts are small
+        // integers, far below `f64`'s exact-integer range. A level the
+        // clamp moved is the staged target, whose constants the lanes
+        // switched to.
+        if self.level[j] as OppLevel != d.level {
+            d.level = self.level[j] as OppLevel;
+            d.lut = d.clamp_lut;
+        }
+        d.acc.transitions = self.transitions[j] as u32;
+        d.stall_armed = self.stall_armed[j] != 0.0;
+        d.acc.util_avg_sum = self.util_avg[j];
+        d.acc.util_max_sum = self.util_max[j];
+    }
+
+    /// Whether lane `j`'s clamp cannot fire in this run: its level is at
+    /// or below both clamp targets (every busy run's is), or — in a wide
+    /// block, where the test costs less than the fire block — it is an
+    /// all-idle run whose node stays below its trip point. That holds
+    /// when the temperature and the steady state of the most the run
+    /// could draw below the trip point — every core's leakage at the trip
+    /// point, leakage rising with temperature — both sit a degree below
+    /// it, since each relax step lands between its start and that steady
+    /// state, up to roundings far below the margin. A throttled node is
+    /// left to the level test.
+    #[inline(always)]
+    fn cannot_fire(&self, j: usize) -> bool {
+        if self.level[j] <= f64::min(self.clamp_level[j], self.max_level[j]) {
+            return true;
+        }
+        if W <= 2 || self.util_max_step[j] != 0.0 || self.throttled[j] != 0.0 {
+            return false;
+        }
+        let below = self.trip_c[j] - 1.0;
+        let leak_at_trip = PowerModel::leakage_w_from_parts(
+            self.leak_base[j],
+            self.trip_c[j],
+            self.leak_temp_coeff[j],
+            self.leak_t_ref_c[j],
+        );
+        let most_w = self.uncore_w[j] + self.online[j] * (self.idle_coeff[j] + leak_at_trip);
+        self.leak_temp_coeff[j] >= 0.0
+            && self.leak_base[j] >= 0.0
+            && self.temp_c[j] <= below
+            && self.ambient_c[j] + most_w * self.r_th_c_per_w[j] <= below
+    }
+
+    /// Runs lanes `0..n` (`n <= W`) from a clear stall flag through
+    /// sub-steps `from..steps`, `steady` or not (see [`steady_substeps`]),
+    /// in the fastest variant that gives them the same values. Lanes from
+    /// `n` on hold stale values: they are stepped, never read, and do not
+    /// pick the variant.
+    fn run(&mut self, n: usize, steady: bool, dt_s: f64, from: u64, steps: u64) {
+        // Span open: see the kernel docs.
+        self.stall_armed = [0.0; W];
+        // Common-case specialisations, both value-preserving: with one
+        // online count the add predicates are uniformly true, and when no
+        // lane can clamp the fire block is select-only no-ops for the
+        // whole span, so skipping it changes nothing.
+        let (mut min_online, mut max_online) = (f64::INFINITY, 0.0);
+        let mut no_fire = true;
+        for j in 0..n.min(W) {
+            min_online = f64::min(min_online, self.online[j]);
+            max_online = f64::max(max_online, self.online[j]);
+            no_fire = no_fire && self.cannot_fire(j);
+        }
+        let variant = (min_online == max_online, no_fire, steady);
+        let span = (dt_s, from, steps, max_online as u32);
+        // One or two runs in a wide block step only their own lanes, as a
+        // lone SoC's one or two do: stepping the whole block costs more.
+        if W > 2 && n <= 2 {
+            self.run_variant::<2>(variant, span);
+        } else {
+            self.run_variant::<W>(variant, span);
+        }
+    }
+
+    /// Runs lanes `0..V` (`V <= W`) through `span` — `(dt_s, from, steps,
+    /// max_online)` — in the `variant` `(UNIFORM, NO_FIRE, STEADY)` of
+    /// [`steady_substeps`].
+    fn run_variant<const V: usize>(
+        &mut self,
+        variant: (bool, bool, bool),
+        (dt_s, from, steps, cores): (f64, u64, u64, u32),
+    ) {
+        let l = self;
+        match variant {
+            (true, true, false) => {
+                steady_substeps::<W, V, true, true, false>(l, dt_s, from, steps, cores)
+            }
+            (true, false, false) => {
+                steady_substeps::<W, V, true, false, false>(l, dt_s, from, steps, cores)
+            }
+            (false, true, false) => {
+                steady_substeps::<W, V, false, true, false>(l, dt_s, from, steps, cores)
+            }
+            (false, false, false) => {
+                steady_substeps::<W, V, false, false, false>(l, dt_s, from, steps, cores)
+            }
+            (true, true, true) => {
+                steady_substeps::<W, V, true, true, true>(l, dt_s, from, steps, cores)
+            }
+            (true, false, true) => {
+                steady_substeps::<W, V, true, false, true>(l, dt_s, from, steps, cores)
+            }
+            (false, true, true) => {
+                steady_substeps::<W, V, false, true, true>(l, dt_s, from, steps, cores)
+            }
+            (false, false, true) => {
+                steady_substeps::<W, V, false, false, true>(l, dt_s, from, steps, cores)
+            }
+        }
+    }
+    // xtask-allow-region: end no-panic-lib
 }
 
-/// One gather → step → scatter block over the `n` (1..=`W`) domains
-/// `pick(0..n)`; tail lanes are padded with copies of the first domain,
-/// stepped like the rest and never written back.
+/// The parked clusters of a [`crate::DeviceBatch`], resident in the
+/// steady kernel's own layout across epochs. Slot `i` is lane
+/// `i % STEADY_BLOCK` of block `i / STEADY_BLOCK`; slots `0..len` are in
+/// use. Every slot is an all-idle run from its epoch's start, so each
+/// epoch runs the blocks in place ([`ParkedLanes::advance`]) and closes,
+/// observes and re-checks each slot from its lanes: a parked epoch loads
+/// and stores no domain.
+///
+/// Each slot keeps the [`SteadyDomain`] it was loaded from. Its constants
+/// stay valid; the state the kernel evolves is stale there until the slot
+/// is stored back into it, when the slot leaves ([`ParkedLanes::unload`])
+/// or moves, which costs O(the slots moved).
+#[derive(Debug, Default)]
+pub(crate) struct ParkedLanes {
+    blocks: Vec<SteadyLanes<STEADY_BLOCK>>,
+    domains: Vec<SteadyDomain>,
+}
+
+impl ParkedLanes {
+    /// Slots in use.
+    pub(crate) fn len(&self) -> usize {
+        self.domains.len()
+    }
+
+    /// Appends a slot loaded from `d`, a parked epoch's all-idle run from
+    /// [`Cluster::steady_begin`].
+    pub(crate) fn push(&mut self, d: SteadyDomain) {
+        // A lane parks at an epoch boundary, whose close left no sub-steps
+        // in the sums, and without cpuidle states it has no residency: a
+        // parked epoch's sums are the slot's lanes and its own sub-steps
+        // (see `close_epoch`).
+        debug_assert!(d.acc.substeps == 0 && d.busy_cores == 0 && d.start == 0);
+        let i = self.domains.len();
+        if self.blocks.len() <= i / STEADY_BLOCK {
+            self.blocks.push(SteadyLanes::new());
+        }
+        if let Some(l) = self.blocks.get_mut(i / STEADY_BLOCK) {
+            l.load(i % STEADY_BLOCK, &d);
+        }
+        self.domains.push(d);
+    }
+
+    /// Stores slots `range` back into their domains.
+    fn store(&mut self, range: Range<usize>) {
+        for i in range {
+            if let (Some(l), Some(d)) = (self.blocks.get(i / STEADY_BLOCK), self.domains.get_mut(i))
+            {
+                l.store(i % STEADY_BLOCK, d);
+            }
+        }
+    }
+
+    /// Loads slots `range` from their domains.
+    fn load(&mut self, range: Range<usize>) {
+        for i in range {
+            if let (Some(l), Some(d)) = (self.blocks.get_mut(i / STEADY_BLOCK), self.domains.get(i))
+            {
+                l.load(i % STEADY_BLOCK, d);
+            }
+        }
+    }
+
+    /// Stores the `n` slots from `start` back into their domains and
+    /// returns those, for a lane that unparks.
+    pub(crate) fn unload(&mut self, start: usize, n: usize) -> &[SteadyDomain] {
+        self.store(start..start + n);
+        self.domains.get(start..start + n).unwrap_or(&[])
+    }
+
+    /// Moves the last `n` slots, from `from` on, down to `to`, the slots
+    /// an unparked lane of as many clusters left.
+    pub(crate) fn move_tail(&mut self, from: usize, to: usize, n: usize) {
+        debug_assert_eq!(from + n, self.domains.len(), "not the tail chunk");
+        self.store(from..from + n);
+        self.domains.copy_within(from..from + n, to);
+        self.domains.truncate(from);
+        self.load(to..to + n);
+    }
+
+    /// Removes the `n` slots from `start`, shifting every later slot down.
+    pub(crate) fn remove(&mut self, start: usize, n: usize) {
+        let len = self.domains.len();
+        self.store(start + n..len);
+        self.domains.drain(start..start + n);
+        self.load(start..len - n);
+    }
+
+    /// Runs every slot through one epoch of `steps` sub-steps of length
+    /// `dt`, block by block in place.
+    pub(crate) fn advance(&mut self, dt: SimDuration, steps: u64) {
+        let dt_s = dt.as_secs_f64();
+        let mut left = self.domains.len();
+        for l in &mut self.blocks {
+            if left == 0 {
+                break;
+            }
+            let n = left.min(STEADY_BLOCK);
+            l.run(n, false, dt_s, 0, steps);
+            left -= n;
+        }
+    }
+
+    // xtask-allow-region: no-panic-lib -- callers pass slots below `len`, which lie in blocks `push` added, and every lane index is `i % STEADY_BLOCK` into a `STEADY_BLOCK`-wide block: in bounds
+    /// Slot `i`'s block and lane.
+    fn slot(&self, i: usize) -> (&SteadyLanes<STEADY_BLOCK>, usize) {
+        (&self.blocks[i / STEADY_BLOCK], i % STEADY_BLOCK)
+    }
+
+    /// Closes the epoch of slot `i`, which ran parked through all its
+    /// `steps` sub-steps, through the fold [`Cluster::end_epoch_into`]
+    /// uses, and resets the slot's sums. An all-idle epoch's utilisation
+    /// sums are exactly `+0.0` (folding `+0.0` is a bitwise no-op),
+    /// nothing is queued or completed on a quiescent cluster, and there is
+    /// no cpuidle residency without a cpuidle table. The stall flag is NOT
+    /// cleared: a final-sub-step clamp stays visible until the next
+    /// epoch's pre-pass, which either restores it on unpark or lets the
+    /// next [`ParkedLanes::advance`] drop it.
+    pub(crate) fn close_epoch(&mut self, i: usize, steps: u64, report: &mut ClusterReport) {
+        let (l, j) = (&mut self.blocks[i / STEADY_BLOCK], i % STEADY_BLOCK);
+        let mut acc = EpochAcc {
+            substeps: steps as u32,
+            util_avg_sum: l.util_avg[j],
+            util_max_sum: l.util_max[j],
+            energy_j: l.energy_j[j],
+            transitions: l.transitions[j] as u32,
+            ..EpochAcc::default()
+        };
+        acc.close_into(l.temp_c[j], l.level[j] as OppLevel, 0, report);
+        report.completed.clear();
+        l.util_avg[j] = 0.0;
+        l.util_max[j] = 0.0;
+        l.energy_j[j] = 0.0;
+        l.transitions[j] = 0.0;
+    }
+
+    /// The observation [`Cluster::observe`] would produce for slot `i`'s
+    /// cluster: level, temperature and throttle state from the lanes, the
+    /// table constants from `consts`, and an empty queue by the parked
+    /// invariant.
+    pub(crate) fn observe(
+        &self,
+        i: usize,
+        consts: &ParkedObsConsts,
+        util_avg: f64,
+        util_max: f64,
+    ) -> ClusterObservation {
+        let (l, j) = self.slot(i);
+        ClusterObservation {
+            util_avg,
+            util_max,
+            level: l.level[j] as OppLevel,
+            num_levels: consts.num_levels,
+            freq_hz: if l.level[j] == l.clamp_level[j] {
+                consts.clamp_freq_hz
+            } else {
+                consts.freq_hz
+            },
+            freq_range_hz: consts.freq_range_hz,
+            temp_c: l.temp_c[j],
+            throttled: l.throttled[j] != 0.0,
+            queued: 0,
+        }
+    }
+
+    /// Whether `set_level(requested)` on slot `i`'s cluster would change
+    /// nothing — the same clamp-then-compare [`Cluster::set_level`]
+    /// performs, on the slot's thermal state. A request beyond the table
+    /// (an error in the scalar path) also reports `false`, so the lane
+    /// unparks and surfaces the identical error.
+    pub(crate) fn level_request_is_noop(&self, i: usize, requested: OppLevel) -> bool {
+        let (l, j) = self.slot(i);
+        let max_level = l.max_level[j] as OppLevel;
+        let clamp_max = if l.throttled[j] != 0.0 {
+            l.clamp_level[j] as OppLevel
+        } else {
+            max_level
+        };
+        requested <= max_level && requested.min(clamp_max) == l.level[j] as OppLevel
+    }
+    // xtask-allow-region: end no-panic-lib
+}
+
+/// One load → step → store block over the `n` (1..=`W`) domains
+/// `pick(0..n)`; lanes from `n` on keep stale values, stepped and never
+/// stored.
 #[inline(always)]
 fn advance_block<const W: usize>(
     l: &mut SteadyLanes<W>,
@@ -1196,141 +1483,41 @@ fn advance_block<const W: usize>(
     dt_s: f64,
     steps: u64,
 ) {
-    use std::array::from_fn;
-    let Some(first) = domains.get(pick(0)) else {
-        return;
-    };
-    let lanes: [&SteadyDomain; W] = from_fn(|j| {
-        if j < n {
-            domains.get(pick(j)).unwrap_or(first)
-        } else {
-            first
-        }
-    });
-    // The block's span and specialisations, in one pass.
-    let (mut start, mut last_start) = (first.start, first.start);
-    let (mut min_online, mut max_online) = (first.online, first.online);
-    let mut busy = false;
-    for d in lanes.iter().take(n) {
-        start = start.min(d.start);
-        last_start = last_start.max(d.start);
-        min_online = min_online.min(d.online);
-        max_online = max_online.max(d.online);
-        busy |= d.busy_cores != 0;
-    }
-    // A block of idle runs that all start together (every parked block)
-    // runs the aligned all-idle loop; a busy core or a staggered start
-    // needs the steady one.
-    let steady = busy || start != last_start;
-    // xtask-allow-region: no-panic-lib -- every lane index is `j < W` (`k < n <= W` when scattering) into `[_; W]` lanes, and every core index `c < STEADY_BUSY_CORES`: statically in bounds
-    l.temp_c = from_fn(|j| lanes[j].thermal.temp_c());
-    l.energy_j = from_fn(|j| lanes[j].acc.energy_j);
-    l.throttled = from_fn(|j| f64::from(u8::from(lanes[j].thermal.is_throttled())));
-    l.uncore_w = from_fn(|j| lanes[j].lut.uncore_w);
-    l.idle_coeff = from_fn(|j| lanes[j].lut.idle_coeff);
-    l.leak_base = from_fn(|j| lanes[j].lut.leak_base);
-    l.level = from_fn(|j| lanes[j].level as f64);
-    l.transitions = from_fn(|j| f64::from(lanes[j].acc.transitions));
-    // Span open: every lane starts with its stall flag clear (see the
-    // kernel docs).
-    l.stall_armed = [0.0; W];
-    l.leak_temp_coeff = from_fn(|j| lanes[j].power.leak_temp_coeff);
-    l.leak_t_ref_c = from_fn(|j| lanes[j].power.leak_t_ref_c);
-    l.transition_energy_j = from_fn(|j| lanes[j].power.transition_energy_j);
-    l.ambient_c = from_fn(|j| lanes[j].thermal.ambient_c);
-    l.r_th_c_per_w = from_fn(|j| lanes[j].thermal.r_th_c_per_w);
-    l.decay = from_fn(|j| lanes[j].decay);
-    l.trip_c = from_fn(|j| lanes[j].thermal.throttle_temp_c);
-    l.release_c = from_fn(|j| lanes[j].thermal.release_temp_c);
-    l.online = from_fn(|j| f64::from(lanes[j].online));
-    l.max_level = from_fn(|j| lanes[j].max_level as f64);
-    l.clamp_level = from_fn(|j| lanes[j].clamp_level as f64);
-    l.clamp_uncore_w = from_fn(|j| lanes[j].clamp_lut.uncore_w);
-    l.clamp_idle_coeff = from_fn(|j| lanes[j].clamp_lut.idle_coeff);
-    l.clamp_leak_base = from_fn(|j| lanes[j].clamp_lut.leak_base);
-    if steady {
-        l.start = from_fn(|j| f64::from(lanes[j].start));
-        l.util_avg = from_fn(|j| lanes[j].acc.util_avg_sum);
-        l.util_max = from_fn(|j| lanes[j].acc.util_max_sum);
-        l.util_avg_step = from_fn(|j| lanes[j].util_avg_step);
-        l.util_max_step = from_fn(|j| lanes[j].util_max_step);
-        // A busy core's clock term, or an idle one's: `idle_coeff · 1.0`,
-        // the coefficient itself.
-        for (c, clock) in l.clock.iter_mut().enumerate().take(max_online as usize) {
-            *clock = from_fn(|j| {
-                let d = lanes[j];
-                if (d.busy_cores >> c) & 1 != 0 {
-                    d.busy_clock_w
-                } else {
-                    d.lut.idle_coeff
-                }
-            });
+    // The block's span and kind, in the load pass.
+    let (mut start, mut last_start, mut busy) = (u32::MAX, 0, false);
+    for j in 0..n.min(W) {
+        if let Some(d) = domains.get(pick(j)) {
+            l.load(j, d);
+            start = start.min(d.start);
+            last_start = last_start.max(d.start);
+            busy |= d.busy_cores != 0;
         }
     }
-    // Common-case specialisations, both value-preserving: with one online
-    // count the add predicates are uniformly true, and when no lane can
-    // clamp — at or below its targets, or, in a wide block, too cool to
-    // trip — the fire block is select-only no-ops for the whole span, so
-    // skipping it changes nothing. One or two lanes pay less for the fire
-    // block than for the trip test.
-    let uniform = min_online == max_online;
-    let no_fire = lanes
-        .iter()
-        .take(n)
-        .all(|d| d.below_clamp() || (W > 2 && d.stays_below_trip()));
-    let (from, cores) = (u64::from(start), max_online);
-    match (uniform, no_fire, steady) {
-        (true, true, false) => steady_substeps::<W, true, true, false>(l, dt_s, from, steps, cores),
-        (true, false, false) => {
-            steady_substeps::<W, true, false, false>(l, dt_s, from, steps, cores)
-        }
-        (false, true, false) => {
-            steady_substeps::<W, false, true, false>(l, dt_s, from, steps, cores)
-        }
-        (false, false, false) => {
-            steady_substeps::<W, false, false, false>(l, dt_s, from, steps, cores)
-        }
-        (true, true, true) => steady_substeps::<W, true, true, true>(l, dt_s, from, steps, cores),
-        (true, false, true) => steady_substeps::<W, true, false, true>(l, dt_s, from, steps, cores),
-        (false, true, true) => steady_substeps::<W, false, true, true>(l, dt_s, from, steps, cores),
-        (false, false, true) => {
-            steady_substeps::<W, false, false, true>(l, dt_s, from, steps, cores)
+    // A block of idle runs that all start together runs the aligned
+    // all-idle loop; a busy core or a staggered start needs the steady
+    // one.
+    l.run(
+        n,
+        busy || start != last_start,
+        dt_s,
+        u64::from(start),
+        steps,
+    );
+    for k in 0..n.min(W) {
+        if let Some(d) = domains.get_mut(pick(k)) {
+            l.store(k, d);
+            d.acc.substeps += d.run_len(steps) as u32;
         }
     }
-    // Scatter the mutable lane state back to the real lanes only.
-    for k in 0..n {
-        let Some(d) = domains.get_mut(pick(k)) else {
-            continue;
-        };
-        d.thermal
-            .restore_batched(l.temp_c[k], l.throttled[k] != 0.0);
-        d.acc.energy_j = l.energy_j[k];
-        // Lossless round-trips: levels and transition counts are small
-        // integers, far below `f64`'s exact-integer range. A level the
-        // clamp moved is the staged target, whose constants the lanes
-        // switched to.
-        if l.level[k] as OppLevel != d.level {
-            d.level = l.level[k] as OppLevel;
-            d.lut = d.clamp_lut;
-        }
-        d.acc.transitions = l.transitions[k] as u32;
-        d.stall_armed = l.stall_armed[k] != 0.0;
-        if steady {
-            d.acc.util_avg_sum = l.util_avg[k];
-            d.acc.util_max_sum = l.util_max[k];
-        }
-        d.acc.substeps += d.run_len(steps) as u32;
-    }
-    // xtask-allow-region: end no-panic-lib
 }
 
-/// The vectorised sub-step loop over one [`SteadyLanes`] block, from
-/// sub-step `from` to `steps`.
+/// The vectorised sub-step loop over the first `V` lanes of one
+/// [`SteadyLanes`] block, from sub-step `from` to `steps`.
 ///
 /// `UNIFORM` (every lane shares `max_online`) drops the per-core add
 /// predicates; `NO_FIRE` (no lane's level exceeds a clamp target) drops
 /// the clamp block. Both are pure specialisations — see
-/// [`advance_block`]. `STEADY` is off for a block of idle runs that all
+/// [`SteadyLanes::run`]. `STEADY` is off for a block of idle runs that all
 /// start at `from`: every lane then runs every sub-step and every core
 /// adds the one idle term. On, each lane holds its state until its own
 /// start, each of its first cores adds its own clock term plus the
@@ -1338,7 +1525,13 @@ fn advance_block<const W: usize>(
 /// fires the clamp (its level is at or below the target).
 #[allow(clippy::needless_range_loop)] // fixed-width lane loops vectorise as written
 #[inline(always)]
-fn steady_substeps<const W: usize, const UNIFORM: bool, const NO_FIRE: bool, const STEADY: bool>(
+fn steady_substeps<
+    const W: usize,
+    const V: usize,
+    const UNIFORM: bool,
+    const NO_FIRE: bool,
+    const STEADY: bool,
+>(
     l: &mut SteadyLanes<W>,
     dt_s: f64,
     from: u64,
@@ -1351,15 +1544,18 @@ fn steady_substeps<const W: usize, const UNIFORM: bool, const NO_FIRE: bool, con
     } else {
         0
     };
-    // xtask-allow-region: no-panic-lib -- every index is `j < W` into `[f64; W]` lanes (or a fixed `[_; W]` scratch) and `c < clocked <= STEADY_BUSY_CORES` into the clock rows: statically in bounds
+    // The lanes stepped: `V`, within the block (a narrow variant of a
+    // one-lane block is never called, but is still built).
+    let lanes = V.min(W);
+    // xtask-allow-region: no-panic-lib -- every index is `j < lanes = min(V, W)` into `[f64; W]` lanes (or a fixed `[_; V]` scratch) and `c < clocked <= STEADY_BUSY_CORES` into the clock rows: statically in bounds
     // xtask-hotpath: begin
     for i in from..steps {
         let last = if i + 1 == steps { 1.0f64 } else { 0.0 };
         let i_f = i as f64;
-        let mut leak_w = [0.0; W];
-        let mut idle_term = [0.0; W];
-        let mut power_w = [0.0; W];
-        for j in 0..W {
+        let mut leak_w = [0.0; V];
+        let mut idle_term = [0.0; V];
+        let mut power_w = [0.0; V];
+        for j in 0..lanes {
             leak_w[j] = PowerModel::leakage_w_from_parts(
                 l.leak_base[j],
                 l.temp_c[j],
@@ -1376,7 +1572,7 @@ fn steady_substeps<const W: usize, const UNIFORM: bool, const NO_FIRE: bool, con
         // rest with the idle term.
         for (c, clock) in l.clock.iter().enumerate().take(clocked as usize) {
             let c_f = c as f64;
-            for j in 0..W {
+            for j in 0..lanes {
                 let term = PowerModel::core_w_from_clock(clock[j], leak_w[j], 1.0);
                 power_w[j] = if UNIFORM || c_f < l.online[j] {
                     power_w[j] + term
@@ -1387,7 +1583,7 @@ fn steady_substeps<const W: usize, const UNIFORM: bool, const NO_FIRE: bool, con
         }
         for c in clocked..max_online {
             let c_f = f64::from(c);
-            for j in 0..W {
+            for j in 0..lanes {
                 power_w[j] = if UNIFORM || c_f < l.online[j] {
                     power_w[j] + idle_term[j]
                 } else {
@@ -1395,7 +1591,7 @@ fn steady_substeps<const W: usize, const UNIFORM: bool, const NO_FIRE: bool, con
                 };
             }
         }
-        for j in 0..W {
+        for j in 0..lanes {
             // A lane runs from its own start; before it, every update is
             // discarded by a select.
             let on = !STEADY || i_f >= l.start[j];
@@ -1431,8 +1627,8 @@ fn steady_substeps<const W: usize, const UNIFORM: bool, const NO_FIRE: bool, con
             continue;
         }
         // Whether each lane's clamp fired, as `0.0`/`1.0`.
-        let mut fired = [0.0; W];
-        for j in 0..W {
+        let mut fired = [0.0; V];
+        for j in 0..lanes {
             let clamp = if l.throttled[j] != 0.0 {
                 l.clamp_level[j]
             } else {
@@ -1472,7 +1668,7 @@ fn steady_substeps<const W: usize, const UNIFORM: bool, const NO_FIRE: bool, con
         }
         // Only an idle lane fires, so every clock term it has is idle.
         for clock in l.clock.iter_mut().take(clocked as usize) {
-            for j in 0..W {
+            for j in 0..lanes {
                 clock[j] = if fired[j] != 0.0 {
                     l.clamp_idle_coeff[j]
                 } else {

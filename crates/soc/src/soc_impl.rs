@@ -3,7 +3,7 @@
 
 use simkit::{obs, EventQueue, SimDuration, SimTime};
 
-use crate::cluster::{advance_steady_batch, synth_parked_report, ParkedObsConsts, SteadyDomain};
+use crate::cluster::{advance_steady_batch, ParkedLanes, ParkedObsConsts, SteadyDomain};
 use crate::{
     Cluster, ClusterObservation, ClusterReport, CompletedJob, Job, OppLevel, Scheduler, SocConfig,
     SocError,
@@ -440,32 +440,33 @@ impl Soc {
         }
     }
 
-    /// Parks the SoC: detaches every cluster into a [`SteadyDomain`] for
-    /// the batched steady kernel (appending to `out` in cluster order) and
-    /// stages the observation constants. The domains stay resident across
-    /// epochs until [`Soc::parked_exit`]; while parked, only
-    /// [`Soc::parked_commit_epoch`] advances this SoC.
+    /// Parks the SoC: detaches every cluster into a [`SteadyDomain`] that
+    /// loads the next slot of the batch's resident `parked` lanes (in
+    /// cluster order), and stages the observation constants. The slots
+    /// stay resident across epochs until [`Soc::parked_exit`]; while
+    /// parked, only [`Soc::parked_commit_epoch`] advances this SoC.
     pub(crate) fn parked_enter(
         &mut self,
-        out: &mut Vec<SteadyDomain>,
+        parked: &mut ParkedLanes,
         consts: &mut Vec<ParkedObsConsts>,
     ) {
         let substep = self.config.substep;
         for (id, cluster) in self.clusters.iter_mut().enumerate() {
             consts.push(cluster.parked_obs_consts());
-            out.push(cluster.steady_begin(substep, 0, id));
+            parked.push(cluster.steady_begin(substep, 0, id));
         }
     }
 
-    /// Closes one parked epoch from the kernel-evolved domains: the
-    /// resident equivalent of [`Soc::run_epoch_suffix`] after the whole
-    /// epoch ran as one all-idle tail per cluster, with the cluster slots
-    /// synthesised from the domains (see
-    /// [`crate::cluster::synth_parked_report`]) instead of read from the
-    /// untouched `Cluster` structs, and the same epoch-close fold.
+    /// Closes one parked epoch from the kernel-evolved slots from `first`
+    /// on: the resident equivalent of [`Soc::run_epoch_suffix`] after the
+    /// whole epoch ran as one all-idle tail per cluster, with the cluster
+    /// slots closed from the lanes (see [`ParkedLanes::close_epoch`])
+    /// instead of from the untouched `Cluster` structs, and the same
+    /// epoch-close fold.
     pub(crate) fn parked_commit_epoch(
         &mut self,
-        domains: &mut [SteadyDomain],
+        parked: &mut ParkedLanes,
+        first: usize,
         report: &mut EpochReport,
     ) {
         let steps = self.config.substeps_per_epoch();
@@ -474,8 +475,8 @@ impl Soc {
         report
             .clusters
             .resize_with(self.clusters.len(), ClusterReport::default);
-        for (domain, slot) in domains.iter_mut().zip(report.clusters.iter_mut()) {
-            synth_parked_report(domain, slot);
+        for (c, slot) in report.clusters.iter_mut().enumerate() {
+            parked.close_epoch(first + c, steps, slot);
         }
         self.commit_epoch(started_at, steps, report);
     }

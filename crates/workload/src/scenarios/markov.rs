@@ -125,6 +125,9 @@ impl Scenario for MarkovMix {
     }
 
     fn arrivals(&mut self, from: SimTime, to: SimTime) -> Vec<(SimTime, Job)> {
+        // Phases dwell at least `DWELL_MIN_S`, so one phase nearly always
+        // covers the window: its component's `Vec` is the output, and a
+        // window that crosses a phase end appends the next phase's jobs.
         let mut out = Vec::new();
         let mut cursor = from;
         while cursor < to {
@@ -133,7 +136,12 @@ impl Scenario for MarkovMix {
             }
             let slice_end = to.min(self.phase_ends);
             if let Some(component) = self.components.get_mut(self.current) {
-                out.extend(component.arrivals(cursor, slice_end));
+                let slice = component.arrivals(cursor, slice_end);
+                if out.is_empty() {
+                    out = slice;
+                } else {
+                    out.extend(slice);
+                }
             }
             cursor = slice_end;
         }
