@@ -132,7 +132,8 @@ fn main() {
 
     let fleet_secs = fleet_secs.unwrap_or(if quick { 20 } else { 60 });
     eprintln!(
-        "measuring fleet rates: {lanes} lanes x {fleet_secs} s, looped vs batched, best of {repeat} ..."
+        "measuring fleet rates: {lanes} lanes x {fleet_secs} s, looped vs batched, \
+         median of {repeat} interleaved pairs ..."
     );
     let batch = measure_fleet(
         &bench::soc_under_test(),

@@ -209,8 +209,11 @@ pub const FLEET_WORKLOADS: [ScenarioKind; 3] = [
 /// thread, and the batched side runs at one shard (`RLPM_THREADS=1`).
 /// So the ratio measures the batched engine, not the host's core count;
 /// the sharded rate, at the process's own budget, is measured on top
-/// ([`FleetRate::sharded`]). `repeat` keeps the fastest wall time per
-/// side (see [`measure`]).
+/// ([`FleetRate::sharded`]). The two gated sides run as `repeat`
+/// interleaved pairs, the side that goes first flipping each pair, and
+/// each side's rate is from its median wall time: a host that drifts
+/// during the measurement moves both sides alike, so their ratio holds
+/// where keeping each side's best of a block of runs would not.
 pub fn measure_fleet(
     soc_config: &SocConfig,
     lanes: u32,
@@ -219,67 +222,70 @@ pub fn measure_fleet(
     label: &str,
     repeat: u32,
 ) -> BatchMeasurement {
-    let repeat = repeat.max(1);
     let device_secs = f64::from(lanes) * fleet_secs as f64;
     let mut fleets = Vec::new();
     for kind in FLEET_WORKLOADS {
-        let mut looped_wall = f64::INFINITY;
-        let mut looped_energy: Vec<u64> = Vec::new();
-        for _ in 0..repeat {
-            let mut energies = Vec::with_capacity(lanes as usize);
+        // One looped pass: its wall time and each lane's energy bits.
+        let looped = || {
             let start = Instant::now();
-            for i in 0..lanes {
-                let mut soc = Soc::new(soc_config.clone()).expect("validated config");
-                let mut scenario = kind.build(fleet_lane_seed(seed, u64::from(i)));
-                let mut governor = GovernorKind::Ondemand.build(soc_config);
-                let metrics = run(
-                    &mut soc,
-                    scenario.as_mut(),
-                    governor.as_mut(),
-                    RunConfig::seconds(fleet_secs),
+            let energies: Vec<u64> = (0..lanes)
+                .map(|i| {
+                    let mut soc = Soc::new(soc_config.clone()).expect("validated config");
+                    let mut scenario = kind.build(fleet_lane_seed(seed, u64::from(i)));
+                    let mut governor = GovernorKind::Ondemand.build(soc_config);
+                    let config = RunConfig::seconds(fleet_secs);
+                    run(&mut soc, scenario.as_mut(), governor.as_mut(), config)
+                        .energy_j
+                        .to_bits()
+                })
+                .collect();
+            (start.elapsed().as_secs_f64().max(1e-9), energies)
+        };
+        // One batched pass, every lane checked against its looped run.
+        let batched = |looped_energy: &[u64]| {
+            let start = Instant::now();
+            let (mut batch, mut batch_lanes) = build_fleet(
+                soc_config,
+                kind,
+                PolicyKind::Baseline(GovernorKind::Ondemand),
+                TrainingProtocol::quick(),
+                lanes as usize,
+                seed,
+            )
+            .expect("validated config");
+            let metrics = run_batch(&mut batch, &mut batch_lanes, RunConfig::seconds(fleet_secs));
+            let wall = start.elapsed().as_secs_f64().max(1e-9);
+            for (lane, m) in metrics.iter().enumerate() {
+                assert_eq!(
+                    m.energy_j.to_bits(),
+                    looped_energy[lane],
+                    "lane {lane} of {kind} diverged from its looped run"
                 );
-                energies.push(metrics.energy_j.to_bits());
-            }
-            looped_wall = looped_wall.min(start.elapsed().as_secs_f64().max(1e-9));
-            looped_energy = energies;
-        }
-
-        // Fastest wall time of one batched pass, every lane checked
-        // against its looped run.
-        let best_batched = || {
-            let mut wall = f64::INFINITY;
-            for _ in 0..repeat {
-                let start = Instant::now();
-                let (mut batch, mut batch_lanes) = build_fleet(
-                    soc_config,
-                    kind,
-                    PolicyKind::Baseline(GovernorKind::Ondemand),
-                    TrainingProtocol::quick(),
-                    lanes as usize,
-                    seed,
-                )
-                .expect("validated config");
-                let metrics =
-                    run_batch(&mut batch, &mut batch_lanes, RunConfig::seconds(fleet_secs));
-                wall = wall.min(start.elapsed().as_secs_f64().max(1e-9));
-                for (lane, m) in metrics.iter().enumerate() {
-                    assert_eq!(
-                        m.energy_j.to_bits(),
-                        looped_energy[lane],
-                        "lane {lane} of {kind} diverged from its looped run"
-                    );
-                }
             }
             wall
         };
-        let batched_wall = with_threads("1", best_batched);
-        let sharded_wall = best_batched();
+        let (mut looped_walls, mut batched_walls, mut energy) =
+            (Vec::new(), Vec::new(), Vec::new());
+        for pair in 0..repeat.max(1) {
+            // Pair 0 runs looped first, so the energies are there to check.
+            let looped_first = pair.is_multiple_of(2);
+            if looped_first {
+                let (wall, energies) = looped();
+                looped_walls.push(wall);
+                energy = energies;
+            }
+            batched_walls.push(with_threads("1", || batched(&energy)));
+            if !looped_first {
+                looped_walls.push(looped().0);
+            }
+        }
+        let sharded_walls: Vec<f64> = (0..repeat.max(1)).map(|_| batched(&energy)).collect();
 
         fleets.push(FleetRate {
             name: kind.name().to_owned(),
-            looped: device_secs / looped_wall,
-            batched: device_secs / batched_wall,
-            sharded: Some(device_secs / sharded_wall),
+            looped: device_secs / median(looped_walls),
+            batched: device_secs / median(batched_walls),
+            sharded: Some(device_secs / median(sharded_walls)),
         });
     }
     BatchMeasurement {
@@ -287,6 +293,17 @@ pub fn measure_fleet(
         lanes,
         fleet_secs,
         fleets,
+    }
+}
+
+/// The median of `walls` (the mean of the middle two for an even count).
+fn median(mut walls: Vec<f64>) -> f64 {
+    walls.sort_by(f64::total_cmp);
+    let mid = walls.len() / 2;
+    if walls.len().is_multiple_of(2) {
+        (walls[mid - 1] + walls[mid]) / 2.0
+    } else {
+        walls[mid]
     }
 }
 

@@ -330,8 +330,11 @@ pub fn run(
 ///
 /// This is the single-device stepper over the loop [`run_batch`] runs
 /// per lane. It steps the `Soc` directly rather than as a one-lane
-/// batch, which would pad the lone lane to the batch's 32-wide idle
-/// block.
+/// batch because it borrows its scenario and governor, which a
+/// [`BatchLane`] owns; speed does not decide it: a one-lane
+/// [`run_batch`] took 0.88–0.92× this stepper's time on a 120 s `idle`
+/// run, 0.96–1.00× on `mixed` and 1.00–1.07× on `audio`, `video` and
+/// `gaming` (ondemand, median of 7 alternating pairs, 2-vCPU VM).
 pub fn run_with_faults(
     soc: &mut Soc,
     scenario: &mut dyn Scenario,
@@ -530,8 +533,9 @@ fn run_shard(
             }
         }
 
-        // Lockstep step: parked lanes share one idle-kernel dispatch,
-        // the rest run the scalar epoch path. Arity is correct by
+        // Lockstep step: live lanes run their epochs' scalar parts, then
+        // parked lanes and every live lane's steady tails share one
+        // steady-kernel pass. Arity is correct by
         // construction, so an error here is unreachable; treat it as
         // "no lane stepped" and end the run with partial metrics.
         if batch

@@ -5,9 +5,9 @@
 //! single-device epoch loop thousands of times, and most of those lanes
 //! spend most epochs fully idle. [`DeviceBatch`] exploits that with a
 //! **parked** mode: a lane whose clusters are all quiescent (no cpuidle
-//! table, no arrival due within the epoch) detaches its per-cluster hot
+//! table, no arrival due within the epoch) loads each cluster's hot
 //! state — thermal node, frequency level, epoch sums, power constants —
-//! into slots of the steady kernel's own structure-of-arrays lanes
+//! into a slot of the steady kernel's own structure-of-arrays lanes
 //! ([`crate::cluster::ParkedLanes`], 32-lane blocks, one slot per
 //! cluster), and *stays* there across epochs. Each epoch the kernel runs
 //! every parked block in place, and the per-lane epoch report, governor
@@ -15,12 +15,14 @@
 //! slots, without touching the parked `Cluster`/core structures or
 //! moving any state in or out of the lanes. Lanes with queued work,
 //! imminent arrivals, cpuidle tables, or a level-change request unpark
-//! (the slots are stored back) and run live: each runs the scalar part
-//! of [`Soc::run_epoch_into`] up to its clusters' steady tails (from the
-//! last dispatch and last completion to the epoch's end), every live
-//! lane's tails then run through the same kernel, loaded into lanes and
-//! stored back, sorted by start so each block's lanes start together,
-//! and each live lane closes its epoch as [`Soc::run_epoch_into`] does.
+//! (the slots are stored back into their clusters) and run live: each
+//! runs the scalar part of [`Soc::run_epoch_into`] up to its clusters'
+//! steady tails (from the last dispatch and last completion to the
+//! epoch's end), noting each tail as a (lane, cluster, start) id; every
+//! live lane's tails then run through the same kernel, sorted by start
+//! so each block's lanes start together, each cluster loaded into a lane
+//! and stored back around its block; and each live lane closes its epoch
+//! as [`Soc::run_epoch_into`] does.
 //!
 //! Two effects make this fast. The interleaved kernel fills the FP
 //! pipeline: a single cluster's idle span is one serial floating-point
@@ -44,7 +46,8 @@
 
 use simkit::{obs, SimTime};
 
-use crate::cluster::{advance_steady_tails, ParkedLanes, ParkedObsConsts, SteadyDomain};
+use crate::cluster::{ParkedLanes, ParkedObsConsts};
+use crate::soc_impl::Tails;
 use crate::{EpochObservation, EpochReport, Job, LevelRequest, Soc, SocError};
 
 /// Epochs that took the parked (batched steady kernel) fast path.
@@ -96,22 +99,10 @@ pub struct DeviceBatch {
     meta: Vec<LaneMeta>,
     /// Per-lane error from the most recent epoch (`None` = stepped OK).
     errors: Vec<Option<SocError>>,
-    /// Scratch of one epoch step: the live lanes' steady tails, each
-    /// lane's contiguous in cluster order ...
-    tails: Vec<SteadyDomain>,
-    /// ... the kernel's start-sorted order over them ...
-    tail_order: Vec<u32>,
-    /// ... and each live lane's epoch start and tail range.
-    live: Vec<LiveLane>,
-}
-
-/// A lane that runs its epoch live: its index, the epoch's start and its
-/// tails' range in the batch's tail scratch.
-#[derive(Debug, Clone, Copy)]
-struct LiveLane {
-    lane: usize,
-    started_at: SimTime,
-    tails: (usize, usize),
+    /// Scratch of one epoch step: the live lanes' steady tails ...
+    tails: Tails,
+    /// ... and each live lane's index and epoch start.
+    live: Vec<(usize, SimTime)>,
 }
 
 /// Checks that `lane` (batch index `i`) shares `first`'s epoch and
@@ -151,8 +142,7 @@ impl DeviceBatch {
             order: Vec::new(),
             meta: (0..n).map(|_| LaneMeta::default()).collect(),
             errors: vec![None; n],
-            tails: Vec::new(),
-            tail_order: Vec::new(),
+            tails: Tails::default(),
             live: Vec::new(),
         })
     }
@@ -287,8 +277,7 @@ impl DeviceBatch {
             order: Vec::new(),
             meta: self.meta.split_off(at),
             errors: self.errors.split_off(at),
-            tails: Vec::new(),
-            tail_order: Vec::new(),
+            tails: Tails::default(),
             live: Vec::new(),
         }
     }
@@ -367,7 +356,8 @@ impl DeviceBatch {
     /// the fleet. Moving the tail chunk to the freed slots keeps `order`
     /// sorted by `first_slot`: entries before `pos` hold smaller slots,
     /// entries after hold larger ones, and the moved lane takes exactly
-    /// the freed slots and position. No-op for live lanes.
+    /// the freed slots and position. Each move goes through the moved
+    /// lane's own clusters ([`Soc::parked_move`]). No-op for live lanes.
     fn unpark(&mut self, lane: usize) {
         let Some(meta) = self.meta.get_mut(lane) else {
             return;
@@ -383,7 +373,7 @@ impl DeviceBatch {
             meta.epochs_parked,
         );
         if let Some(soc) = self.lanes.get_mut(lane) {
-            soc.parked_exit(self.parked.unload(start, clusters), epochs);
+            soc.parked_exit(&self.parked, start, epochs);
         }
         let Some(&last) = self.order.last() else {
             debug_assert!(false, "unpark({lane}): lane parked but `order` empty");
@@ -391,32 +381,31 @@ impl DeviceBatch {
         };
         if last == lane {
             self.order.pop();
-            self.parked.remove(start, clusters);
+            self.parked.truncate(start);
             return;
         }
-        let (last_start, last_clusters) = self
-            .meta
-            .get(last)
-            .map_or((0, 0), |m| (m.first_slot, m.obs.len()));
-        if last_clusters == clusters {
-            self.parked.move_tail(last_start, start, clusters);
-            self.order.swap_remove(pos);
-            if let Some(m) = self.meta.get_mut(last) {
+        let len = self.parked.len();
+        if self.meta.get(last).is_some_and(|m| m.obs.len() == clusters) {
+            if let (Some(m), Some(soc)) = (self.meta.get_mut(last), self.lanes.get_mut(last)) {
+                soc.parked_move(&mut self.parked, m.first_slot, start);
                 m.first_slot = start;
                 m.order_pos = pos;
             }
+            self.order.swap_remove(pos);
         } else {
             // Mixed cluster counts in one batch: chunk widths differ, so
-            // fall back to a linear shift of everything after the gap.
-            self.parked.remove(start, clusters);
+            // fall back to a linear shift of everything after the gap, in
+            // slot order, so no lane lands on slots not yet moved.
             self.order.remove(pos);
             for (p, &l) in self.order.iter().enumerate().skip(pos) {
-                if let Some(m) = self.meta.get_mut(l) {
+                if let (Some(m), Some(soc)) = (self.meta.get_mut(l), self.lanes.get_mut(l)) {
+                    soc.parked_move(&mut self.parked, m.first_slot, m.first_slot - clusters);
                     m.first_slot -= clusters;
                     m.order_pos = p;
                 }
             }
         }
+        self.parked.truncate(len - clusters);
     }
 
     /// Whether a parked lane can stay parked for the coming epoch: no
@@ -476,7 +465,6 @@ impl DeviceBatch {
         // the scalar part of their epoch right here, leaving their steady
         // tails for the kernel. The order change relative to looped
         // execution is immaterial — lanes never read each other's state.
-        self.tails.clear();
         self.live.clear();
         for (i, (request, &is_active)) in requests.iter().zip(active).enumerate() {
             if let Some(slot) = self.errors.get_mut(i) {
@@ -501,17 +489,11 @@ impl DeviceBatch {
                 lane.apply_levels(request).map(|()| None)
             } else {
                 SCALAR_EPOCHS.inc();
-                let from = self.tails.len();
-                lane.run_epoch_prefix(request, &mut self.tails)
-                    .map(|started_at| Some((started_at, from)))
+                lane.run_epoch_prefix(request, i, &mut self.tails).map(Some)
             };
             match outcome {
                 Ok(None) => self.park(i),
-                Ok(Some((started_at, from))) => self.live.push(LiveLane {
-                    lane: i,
-                    started_at,
-                    tails: (from, self.tails.len()),
-                }),
+                Ok(Some(started_at)) => self.live.push((i, started_at)),
                 Err(e) => {
                     if let Some(slot) = self.errors.get_mut(i) {
                         *slot = Some(e);
@@ -529,7 +511,7 @@ impl DeviceBatch {
         let (substep, steps) = (config.substep, config.substeps_per_epoch());
         // xtask-hotpath: begin (lockstep steady kernel dispatch, no allocation)
         self.parked.advance(substep, steps);
-        advance_steady_tails(&mut self.tails, &mut self.tail_order, substep, steps);
+        self.tails.run(&mut self.lanes, substep, steps);
         for &i in &self.order {
             PARKED_EPOCHS.inc();
             let Some(meta) = self.meta.get_mut(i) else {
@@ -540,14 +522,9 @@ impl DeviceBatch {
                 soc.parked_commit_epoch(&mut self.parked, meta.first_slot, report);
             }
         }
-        for live in &self.live {
-            let (from, to) = live.tails;
-            if let (Some(soc), Some(tails), Some(report)) = (
-                self.lanes.get_mut(live.lane),
-                self.tails.get(from..to),
-                reports.get_mut(live.lane),
-            ) {
-                soc.run_epoch_suffix(live.started_at, tails, report);
+        for &(i, started_at) in &self.live {
+            if let (Some(soc), Some(report)) = (self.lanes.get_mut(i), reports.get_mut(i)) {
+                soc.run_epoch_suffix(started_at, report);
             }
         }
         // xtask-hotpath: end

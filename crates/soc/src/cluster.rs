@@ -11,17 +11,15 @@
 //! when nothing but its power and thermal chain moves: every online core
 //! idle, or busy on a front job that outlasts the run at a level the clamp
 //! cannot lower. Steady runs go through the batched steady kernel
-//! ([`advance_steady_batch`]), one lane per cluster, each online core
-//! adding one constant clock term to the leakage. A lone cluster's
-//! mid-epoch idle run goes one lane wide; an epoch's tail (from its last
-//! dispatch and last completion to its end) goes in one call with the
-//! SoC's other tails, and in a batch with every live lane's tails. Each
-//! of those calls loads its domains into lanes and stores them back; a
-//! batch's parked clusters stay in lanes across epochs
-//! ([`ParkedLanes`]). The kernel and [`crate::ThermalModel::step`] share
-//! the thermal relax and hysteresis.
-
-use std::ops::Range;
+//! ([`SteadyLanes`]), one lane per cluster, each online core adding one
+//! constant clock term to the leakage. [`SteadyLanes::load`] and
+//! [`SteadyLanes::store`] are the one mapping between a cluster and a
+//! lane. A lone cluster's mid-epoch idle run goes one lane wide; an
+//! epoch's tail (from its last dispatch and last completion to its end)
+//! goes in one call with the SoC's other tails, and in a batch with every
+//! live lane's tails (`Tails` in `soc_impl.rs`); a batch's parked
+//! clusters stay in lanes across epochs ([`ParkedLanes`]). The kernel and
+//! [`crate::ThermalModel::step`] share the thermal relax and hysteresis.
 
 use simkit::{SimDuration, SimTime};
 
@@ -517,44 +515,24 @@ impl Cluster {
     /// loop and the utilisation folds (`x += 0.0` on non-negative sums is
     /// a bitwise no-op).
     pub(crate) fn advance_span(&mut self, start: SimTime, dt: SimDuration, steps: u64) {
-        let busy = self.advance_busy_substeps(start, dt, steps, false);
-        let idle = steps - busy;
+        let idle = steps - self.advance_busy_substeps(start, dt, steps, false);
         if idle > 0 {
-            let mut lane = [self.steady_begin(dt, 0, 0)];
-            advance_steady_batch(&mut lane, dt, idle);
-            let [domain] = &lane;
-            self.steady_restore(domain, idle, dt);
+            let mut lane = SteadyLanes::<1>::new();
+            lane.load(0, self, dt, 0);
+            lane.run(1, dt.as_secs_f64(), idle);
+            lane.store(0, self, dt, idle);
         }
     }
 
-    /// The last span of an epoch: `steps` sub-steps from `start`, sub-step
-    /// `offset` of the epoch, to its end, under the same dispatch-horizon
-    /// guarantee as [`Cluster::advance_span`]. Runs the busy kernel until
-    /// the rest of the epoch is steady, then detaches that rest into a
-    /// [`SteadyDomain`] on `tails` (as cluster `id` of its SoC), for the
-    /// SoC to run with its other tails in one kernel call and write back
-    /// through [`Cluster::steady_restore`].
-    pub(crate) fn advance_to_epoch_end(
-        &mut self,
-        start: SimTime,
-        dt: SimDuration,
-        steps: u64,
-        offset: u64,
-        id: usize,
-        tails: &mut Vec<SteadyDomain>,
-    ) {
-        let done = self.advance_busy_substeps(start, dt, steps, true);
-        if done < steps {
-            tails.push(self.tail_begin(dt, offset + done, id));
-        }
-    }
-
-    /// The busy kernel of [`Cluster::advance_span`] and
-    /// [`Cluster::advance_to_epoch_end`]: runs sub-steps from `start` until
-    /// `steps` are done or, without a cpuidle table, the rest is for the
-    /// steady kernel — from the first sub-step that starts with every
-    /// core quiescent or, `until_steady`, with the rest of the span steady
-    /// ([`Cluster::steady_for`]) — and returns how many it ran.
+    /// The busy kernel: runs sub-steps from `start` until `steps` are done
+    /// or, without a cpuidle table, the rest is for the steady kernel —
+    /// from the first sub-step that starts with every core quiescent or,
+    /// `until_steady`, with the rest of the span steady
+    /// ([`Cluster::steady_for`]) — and returns how many it ran. Under the
+    /// dispatch-horizon guarantee of [`Cluster::advance_span`], which
+    /// runs it first, the SoC runs the last span of an epoch through it
+    /// `until_steady`: the rest of that span is the cluster's tail, which
+    /// the SoC runs with its other tails in one kernel call.
     ///
     /// Each sub-step is [`Cluster::advance_substep`] with its invariants
     /// hoisted: the OPP's power constants and the cores'
@@ -562,7 +540,7 @@ impl Cluster {
     /// thermal clamp lowers the level, and the [`StepState`] lives in a
     /// local. Leakage is evaluated straight-line (the temperature moves
     /// every busy sub-step, so the one-entry memo would miss).
-    fn advance_busy_substeps(
+    pub(crate) fn advance_busy_substeps(
         &mut self,
         start: SimTime,
         dt: SimDuration,
@@ -689,111 +667,6 @@ impl Cluster {
             })
     }
 
-    /// Detaches the state the steady kernel needs into a flat
-    /// [`SteadyDomain`] record for an all-idle run from sub-step `start`
-    /// of the kernel call's span, as cluster `id` of its SoC: the thermal
-    /// node, level and power constants, and the epoch accumulator,
-    /// *moved* into the record (a parked lane's domain carries it across
-    /// epochs, and the per-epoch synthesis closes it exactly where
-    /// `end_epoch_into` would). Callers guarantee the cluster is
-    /// quiescent with no cpuidle table ([`Cluster::tail_begin`] adds a
-    /// tail's busy cores); [`Cluster::steady_restore`] writes the evolved
-    /// state back.
-    pub(crate) fn steady_begin(&mut self, dt: SimDuration, start: u64, id: usize) -> SteadyDomain {
-        debug_assert!(self.config.idle.is_none(), "steady run with cpuidle");
-        // The stepped loop zeroes the stall at the top of every sub-step;
-        // an idle run never uses it (`stall = pending_stall.min(dt)` only
-        // shrinks an execution window) and a busy run starts without one.
-        // Only the thermal clamp re-arms it, so zeroing once up front and
-        // re-arming on a final-sub-step clamp (tracked via `stall_armed`)
-        // leaves the identical state.
-        self.st.pending_stall = SimDuration::ZERO;
-        let max_level = self.config.opps.max_level();
-        // `level > clamp` fires at most once per run (the clamp never
-        // lowers further), so the constants at the clamped level can be
-        // staged up front. A busy run sits at or below the target and
-        // never fires.
-        let clamp_level = self.clamp_target();
-        SteadyDomain {
-            power: self.config.power,
-            decay: self.st.thermal.decay_for(dt),
-            thermal: self.st.thermal,
-            acc: std::mem::take(&mut self.st.acc),
-            stall_armed: false,
-            online: self.online as u32,
-            level: self.st.level,
-            max_level,
-            clamp_level,
-            lut: self.lut(self.st.level),
-            clamp_lut: self.lut(clamp_level),
-            start: start as u32,
-            cluster: id as u32,
-            busy_cores: 0,
-            busy_clock_w: 0.0,
-            util_avg_step: 0.0,
-            util_max_step: 0.0,
-        }
-    }
-
-    /// [`Cluster::steady_begin`] for a tail (see [`Cluster::steady_for`]):
-    /// also records which online cores are busy, with the clock term and
-    /// the utilisation increments they add each sub-step.
-    fn tail_begin(&mut self, dt: SimDuration, start: u64, id: usize) -> SteadyDomain {
-        let mut d = self.steady_begin(dt, start, id);
-        let mut full_busy = None;
-        let (mut busy_sum, mut busy_max) = (0.0, 0.0);
-        // The busy kernel's utilisation folds, in core order.
-        for (c, core) in self.cores.iter().take(self.online).enumerate() {
-            if !core.is_quiescent() {
-                let busy = *full_busy.get_or_insert_with(|| {
-                    ExecConsts::new(d.lut.freq_hz, self.config.ipc, dt).full_busy()
-                });
-                d.busy_cores |= 1 << c;
-                busy_sum += busy;
-                busy_max = f64::max(busy_max, busy);
-            }
-        }
-        if let Some(busy) = full_busy {
-            d.busy_clock_w = PowerModel::core_clock_w(d.lut.dyn_w, d.lut.idle_coeff, busy, 1.0);
-            d.util_avg_step = busy_sum / self.online as f64;
-            d.util_max_step = busy_max;
-        }
-        d
-    }
-
-    /// Reattaches a domain after the kernel ran it for `ran` sub-steps of
-    /// length `dt`: thermal node, level, epoch accumulator, a stall armed
-    /// by a final-sub-step clamp, and the cores' deferred updates — each
-    /// busy core's `ran` full-budget sub-steps
-    /// ([`CoreModel::run_full_substeps`]) and every other core's idle
-    /// residency (integer nanoseconds, so one batched add equals the
-    /// per-sub-step adds exactly). A parked lane restores at an epoch
-    /// boundary, after the last epoch synthesis reset its accumulator.
-    pub(crate) fn steady_restore(&mut self, d: &SteadyDomain, ran: u64, dt: SimDuration) {
-        self.st.thermal = d.thermal;
-        self.st.acc = d.acc;
-        self.st.level = d.level;
-        if d.stall_armed {
-            self.st.pending_stall = self.config.transition_latency;
-        }
-        let idle_span = dt * ran;
-        if d.busy_cores == 0 {
-            for core in &mut self.cores {
-                core.note_idle(idle_span);
-            }
-            return;
-        }
-        // A busy run never clamps, so it ran at the level it started at.
-        let exec = ExecConsts::new(d.lut.freq_hz, self.config.ipc, dt);
-        for (c, core) in self.cores.iter_mut().enumerate() {
-            if c < STEADY_BUSY_CORES && (d.busy_cores >> c) & 1 != 0 {
-                core.run_full_substeps(&exec, ran, dt);
-            } else {
-                core.note_idle(idle_span);
-            }
-        }
-    }
-
     /// Stages the table constants needed to synthesise
     /// [`ClusterObservation`]s for a parked cluster without touching it:
     /// everything [`Cluster::observe`] reads that its parked slot does not
@@ -866,68 +739,6 @@ impl Cluster {
     }
 }
 
-/// One cluster's state for a steady run of the batched steady kernel: its
-/// thermal node, level and epoch sums, the constants its sub-steps read,
-/// and which cores are busy, detached from the `Cluster` so many domains
-/// can advance in one interleaved loop. Produced by
-/// [`Cluster::steady_begin`], advanced by [`advance_steady_batch`] (or
-/// [`advance_steady_tails`]), written back by [`Cluster::steady_restore`].
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct SteadyDomain {
-    /// The cluster's power model: the kernel routes leakage through
-    /// [`PowerModel::leakage_w_from_parts`] so the expression cannot drift
-    /// from the scalar path, and charges its transition energy.
-    power: PowerModel,
-    /// The thermal node. The kernel carries its temperature (the serial
-    /// dependency chain) and throttle flag in lanes and writes them back.
-    thermal: ThermalModel,
-    /// `exp(−dt/τ)` of the node for the kernel's sub-step.
-    decay: f64,
-    /// The cluster's epoch accumulator: the kernel adds the run's energy,
-    /// utilisation, sub-steps and the clamp's transitions.
-    acc: EpochAcc,
-    /// Whether a final-sub-step clamp left the transition stall armed.
-    stall_armed: bool,
-    /// Online cores: each adds its clock term and the leakage, in order.
-    online: u32,
-    level: OppLevel,
-    max_level: OppLevel,
-    /// The staged clamp target (see `steady_begin`).
-    clamp_level: OppLevel,
-    /// Power constants of `level` and of `clamp_level`.
-    lut: OppPowerLut,
-    clamp_lut: OppPowerLut,
-    /// The sub-step of the kernel call's span the run starts at: 0 for a
-    /// parked epoch or a mid-epoch idle run, the tail's offset in the
-    /// epoch for a tail. Every run ends with the span.
-    start: u32,
-    /// The cluster's index in its SoC, for a tail's way back.
-    cluster: u32,
-    /// Bit `c` set: online core `c` is busy the whole run, by the
-    /// full-budget fraction. Zero for an all-idle run.
-    busy_cores: u8,
-    /// A busy core's clock term, `core_clock_w` at that fraction.
-    busy_clock_w: f64,
-    /// What each sub-step adds to the utilisation sums: the busy cores'
-    /// fractions summed in core order over the online count, and their
-    /// maximum (`+0.0` for an all-idle run).
-    util_avg_step: f64,
-    util_max_step: f64,
-}
-
-impl SteadyDomain {
-    /// The index of the domain's cluster in its SoC.
-    pub(crate) fn cluster(&self) -> usize {
-        self.cluster as usize
-    }
-
-    /// The sub-steps the domain runs in a kernel call over a span of
-    /// `steps`.
-    pub(crate) fn run_len(&self, steps: u64) -> u64 {
-        steps - u64::from(self.start)
-    }
-}
-
 /// Everything [`Cluster::observe`] reads that a parked slot of
 /// [`ParkedLanes`] does not carry, staged once when a lane parks. See
 /// [`Cluster::parked_obs_consts`].
@@ -942,114 +753,26 @@ pub(crate) struct ParkedObsConsts {
     clamp_freq_hz: u64,
 }
 
-/// Advances every domain through a span of `steps` sub-steps of length
-/// `dt`, each from its own start to the span's end, in lockstep. Each
-/// domain opens with its stall flag clear: the previous epoch's flag has
-/// been consumed by the unpark restore, or is discarded exactly as the
-/// stepped loop zeroes the stall at the top of every sub-step. Per domain
-/// this is **bit-identical** to stepped execution: each domain evaluates
-/// the same straight-line sequence as the busy kernel's core loop and
-/// [`StepState::close`] — leakage from the hoisted base, each online
-/// core's clock term plus the leakage added in core order, energy, the
-/// thermal relax and hysteresis [`crate::ThermalModel::step`] runs, the
-/// clamp, and the constant utilisation increments — only the schedule
-/// across (independent) domains changes.
-///
-/// The schedule is blocked: [`STEADY_BLOCK`] domains at a time are
-/// loaded into structure-of-arrays lanes ([`SteadyLanes`]), stepped from
-/// the block's earliest start through the span while the lanes sit in
-/// L1, and stored back; a lane waits, unchanged, until its own start. One
-/// or two domains (a lone SoC's runs) go one or two lanes wide instead of
-/// padded. A batch's parked clusters skip the load and store: they stay
-/// in lanes across epochs ([`ParkedLanes`]). The sub-step loops are
-/// fixed-width and branch-free — every conditional update is a lane-wise
-/// select that reproduces the branch outcome value exactly — so they
-/// vectorise, and the serial per-domain thermal recurrence amortises its
-/// latency across the block.
-pub(crate) fn advance_steady_batch(domains: &mut [SteadyDomain], dt: SimDuration, steps: u64) {
-    let dt_s = dt.as_secs_f64();
-    match domains.len() {
-        0 => {}
-        1 => run_blocks::<1>(domains, |k| k, 1, dt_s, steps),
-        2 => run_blocks::<2>(domains, |k| k, 2, dt_s, steps),
-        n => run_blocks::<STEADY_BLOCK>(domains, |k| k, n, dt_s, steps),
-    }
-}
-
-/// [`advance_steady_batch`] over epoch tails in order of their starts, so
-/// that each block's lanes start close together and seldom wait. `order`
-/// is scratch space, its contents discarded.
-pub(crate) fn advance_steady_tails(
-    domains: &mut [SteadyDomain],
-    order: &mut Vec<u32>,
-    dt: SimDuration,
-    steps: u64,
-) {
-    // A counting sort by start, every start below `steps`: `next[s]`
-    // counts the tails starting before `s`, then hands out their slots.
-    let buckets = steps as usize + 1;
-    order.clear();
-    order.resize(buckets + domains.len(), 0);
-    let (next, sorted) = order.split_at_mut(buckets);
-    for d in domains.iter() {
-        if let Some(count) = next.get_mut(d.start as usize + 1) {
-            *count += 1;
-        }
-    }
-    let mut before = 0;
-    for count in next.iter_mut() {
-        before += *count;
-        *count = before;
-    }
-    for (i, d) in domains.iter().enumerate() {
-        if let Some(slot) = next.get_mut(d.start as usize) {
-            if let Some(lane) = sorted.get_mut(*slot as usize) {
-                *lane = i as u32;
-            }
-            *slot += 1;
-        }
-    }
-    let pick = |k: usize| sorted.get(k).map_or(usize::MAX, |&i| i as usize);
-    run_blocks::<STEADY_BLOCK>(domains, pick, sorted.len(), dt.as_secs_f64(), steps);
-}
-
 /// SoA lane width of the steady kernel: wide enough that the vectorised
 /// sub-step chain amortises its latency across many lanes, small enough
 /// that the hot lanes stay in L1.
-const STEADY_BLOCK: usize = 32;
-
-/// Runs the `n` domains `pick(0..n)` through the kernel in blocks of `W`
-/// lanes, one set of lanes reused by every block.
-fn run_blocks<const W: usize>(
-    domains: &mut [SteadyDomain],
-    pick: impl Fn(usize) -> usize,
-    n: usize,
-    dt_s: f64,
-    steps: u64,
-) {
-    let mut lanes = SteadyLanes::<W>::new();
-    let mut from = 0;
-    while from < n {
-        let len = (n - from).min(W);
-        advance_block(&mut lanes, domains, |k| pick(from + k), len, dt_s, steps);
-        from += len;
-    }
-}
+pub(crate) const STEADY_BLOCK: usize = 32;
 
 /// Structure-of-arrays lanes of one kernel block, `W` wide. Integer and
-/// boolean domain state rides in `f64` lanes — the values are small
+/// boolean cluster state rides in `f64` lanes — the values are small
 /// integers and 0.0/1.0 flags, all exactly representable — so every
 /// select in the sub-step loop is over one element type and the loops
 /// vectorise clean. The lanes from `start` on are read by steady blocks
 /// only.
 ///
 /// [`SteadyLanes::load`] and [`SteadyLanes::store`] are the one mapping
-/// between a [`SteadyDomain`] and a lane: loading a domain, stepping, and
-/// storing it back leaves the domain as the kernel ran it, and loading a
-/// domain that a lane was stored into reproduces every value the kernel
-/// reads of that lane.
+/// between a [`Cluster`] and a lane: loading a cluster, running the lane,
+/// and storing it back leaves the cluster as the kernel ran it, and
+/// loading a cluster that a lane was stored into reproduces every value
+/// the kernel reads of that lane. Each pass over a lane's clusters is one
+/// block call: load, [`SteadyLanes::run`], store.
 #[derive(Debug)]
-struct SteadyLanes<const W: usize> {
+pub(crate) struct SteadyLanes<const W: usize> {
     // Mutable lane state.
     temp_c: [f64; W],
     energy_j: [f64; W],
@@ -1075,11 +798,12 @@ struct SteadyLanes<const W: usize> {
     clamp_uncore_w: [f64; W],
     clamp_idle_coeff: [f64; W],
     clamp_leak_base: [f64; W],
-    // Steady blocks: each lane's start, utilisation sums and their
-    // increments, and the clock term of each of its first
-    // `STEADY_BUSY_CORES` cores (the clamp moves an idle one with
-    // `idle_coeff`).
+    // Each lane's start and epoch sub-step count (added per run, not per
+    // sub-step); steady blocks: its utilisation sums and their increments,
+    // and the clock term of each of its first `STEADY_BUSY_CORES` cores
+    // (the clamp moves an idle one with `idle_coeff`).
     start: [f64; W],
+    substeps: [f64; W],
     util_avg: [f64; W],
     util_max: [f64; W],
     util_avg_step: [f64; W],
@@ -1088,7 +812,7 @@ struct SteadyLanes<const W: usize> {
 }
 
 impl<const W: usize> SteadyLanes<W> {
-    fn new() -> Self {
+    pub(crate) fn new() -> Self {
         let z = [0.0; W];
         SteadyLanes {
             temp_c: z,
@@ -1115,6 +839,7 @@ impl<const W: usize> SteadyLanes<W> {
             clamp_idle_coeff: z,
             clamp_leak_base: z,
             start: z,
+            substeps: z,
             util_avg: z,
             util_max: z,
             util_avg_step: z,
@@ -1123,69 +848,118 @@ impl<const W: usize> SteadyLanes<W> {
         }
     }
 
-    // xtask-allow-region: no-panic-lib -- every caller passes a lane `j < W` (a loop bound `k < n <= W`, or `i % STEADY_BLOCK` into a `STEADY_BLOCK`-wide block) into `[f64; W]` lanes: in bounds
-    /// Loads domain `d` into lane `j`.
+    // xtask-allow-region: no-panic-lib -- every caller passes a lane `j < W` (a block position below `W`, or `i % STEADY_BLOCK` into a `STEADY_BLOCK`-wide block) into `[f64; W]` lanes: in bounds
+    /// Loads `c` into lane `j` for a steady run (see
+    /// [`Cluster::steady_for`]) of sub-steps of length `dt`, from sub-step
+    /// `start` of the span the lane runs in: the thermal node, level and
+    /// epoch sums, the power constants of the level and of the clamp target
+    /// (`level > clamp` fires at most once per run — the clamp never
+    /// lowers further — so those of the clamped level can be staged up
+    /// front; a busy run sits at or below the target and never fires), and
+    /// each online core's clock term with the utilisation increments of
+    /// the busy ones. A pending stall moves into the lane's stall flag: an
+    /// idle run never uses it (`stall = pending_stall.min(dt)` only shrinks
+    /// an execution window), a busy run starts without one, and
+    /// [`SteadyLanes::run`] clears the flag when it opens a span, so only a
+    /// final-sub-step clamp re-arms it for [`SteadyLanes::store`].
     #[inline(always)]
-    fn load(&mut self, j: usize, d: &SteadyDomain) {
-        self.temp_c[j] = d.thermal.temp_c();
-        self.energy_j[j] = d.acc.energy_j;
-        self.throttled[j] = f64::from(u8::from(d.thermal.is_throttled()));
-        self.uncore_w[j] = d.lut.uncore_w;
-        self.idle_coeff[j] = d.lut.idle_coeff;
-        self.leak_base[j] = d.lut.leak_base;
-        self.level[j] = d.level as f64;
-        self.transitions[j] = f64::from(d.acc.transitions);
-        self.stall_armed[j] = f64::from(u8::from(d.stall_armed));
-        self.leak_temp_coeff[j] = d.power.leak_temp_coeff;
-        self.leak_t_ref_c[j] = d.power.leak_t_ref_c;
-        self.transition_energy_j[j] = d.power.transition_energy_j;
-        self.ambient_c[j] = d.thermal.ambient_c;
-        self.r_th_c_per_w[j] = d.thermal.r_th_c_per_w;
-        self.decay[j] = d.decay;
-        self.trip_c[j] = d.thermal.throttle_temp_c;
-        self.release_c[j] = d.thermal.release_temp_c;
-        self.online[j] = f64::from(d.online);
-        self.max_level[j] = d.max_level as f64;
-        self.clamp_level[j] = d.clamp_level as f64;
-        self.clamp_uncore_w[j] = d.clamp_lut.uncore_w;
-        self.clamp_idle_coeff[j] = d.clamp_lut.idle_coeff;
-        self.clamp_leak_base[j] = d.clamp_lut.leak_base;
-        self.start[j] = f64::from(d.start);
-        self.util_avg[j] = d.acc.util_avg_sum;
-        self.util_max[j] = d.acc.util_max_sum;
-        self.util_avg_step[j] = d.util_avg_step;
-        self.util_max_step[j] = d.util_max_step;
-        // A busy core's clock term, or an idle one's: `idle_coeff · 1.0`,
-        // the coefficient itself. Rows past the online count are never
-        // read for this lane.
-        for (c, clock) in self.clock.iter_mut().enumerate().take(d.online as usize) {
-            clock[j] = if (d.busy_cores >> c) & 1 != 0 {
-                d.busy_clock_w
+    pub(crate) fn load(&mut self, j: usize, c: &mut Cluster, dt: SimDuration, start: u64) {
+        debug_assert!(c.config.idle.is_none(), "steady run with cpuidle");
+        self.decay[j] = c.st.thermal.decay_for(dt);
+        let (power, thermal, acc) = (&c.config.power, &c.st.thermal, &c.st.acc);
+        let (lut, clamp_level) = (c.lut(c.st.level), c.clamp_target());
+        let clamp_lut = c.lut(clamp_level);
+        self.temp_c[j] = thermal.temp_c();
+        self.energy_j[j] = acc.energy_j;
+        self.throttled[j] = f64::from(u8::from(thermal.is_throttled()));
+        self.uncore_w[j] = lut.uncore_w;
+        self.idle_coeff[j] = lut.idle_coeff;
+        self.leak_base[j] = lut.leak_base;
+        self.level[j] = c.st.level as f64;
+        self.transitions[j] = f64::from(acc.transitions);
+        self.stall_armed[j] = f64::from(u8::from(!c.st.pending_stall.is_zero()));
+        self.leak_temp_coeff[j] = power.leak_temp_coeff;
+        self.leak_t_ref_c[j] = power.leak_t_ref_c;
+        self.transition_energy_j[j] = power.transition_energy_j;
+        self.ambient_c[j] = thermal.ambient_c;
+        self.r_th_c_per_w[j] = thermal.r_th_c_per_w;
+        self.trip_c[j] = thermal.throttle_temp_c;
+        self.release_c[j] = thermal.release_temp_c;
+        self.online[j] = c.online as f64;
+        self.max_level[j] = c.config.opps.max_level() as f64;
+        self.clamp_level[j] = clamp_level as f64;
+        self.clamp_uncore_w[j] = clamp_lut.uncore_w;
+        self.clamp_idle_coeff[j] = clamp_lut.idle_coeff;
+        self.clamp_leak_base[j] = clamp_lut.leak_base;
+        self.start[j] = start as f64;
+        self.substeps[j] = f64::from(acc.substeps);
+        self.util_avg[j] = acc.util_avg_sum;
+        self.util_max[j] = acc.util_max_sum;
+        // An idle core's clock term is `idle_coeff · 1.0`, the coefficient
+        // itself; a busy one's is at the full-budget busy fraction, and the
+        // increments are the busy kernel's utilisation folds, in core
+        // order. Rows past the online count are never read for this lane.
+        let mut full_busy = None;
+        let (mut busy_sum, mut busy_max) = (0.0, 0.0);
+        for (k, core) in c.cores.iter().take(c.online).enumerate() {
+            let clock_w = if core.is_quiescent() {
+                lut.idle_coeff
             } else {
-                d.lut.idle_coeff
+                debug_assert!(k < STEADY_BUSY_CORES, "busy core {k} has no clock row");
+                let (busy, clock_w) = *full_busy.get_or_insert_with(|| {
+                    let busy = ExecConsts::new(lut.freq_hz, c.config.ipc, dt).full_busy();
+                    (
+                        busy,
+                        PowerModel::core_clock_w(lut.dyn_w, lut.idle_coeff, busy, 1.0),
+                    )
+                });
+                busy_sum += busy;
+                busy_max = f64::max(busy_max, busy);
+                clock_w
             };
+            if let Some(row) = self.clock.get_mut(k) {
+                row[j] = clock_w;
+            }
         }
+        self.util_avg_step[j] = busy_sum / c.online as f64;
+        self.util_max_step[j] = busy_max;
+        c.st.pending_stall = SimDuration::ZERO;
     }
 
-    /// Stores the state the kernel evolves in lane `j` back into `d`, the
-    /// domain the lane was loaded from.
+    /// Stores lane `j` back into `c`, the cluster it was loaded from, after
+    /// the lane ran `ran` sub-steps of length `dt`: thermal node, level,
+    /// epoch sums, a stall armed by a final-sub-step clamp, and the cores'
+    /// deferred updates — each busy core's `ran` full-budget sub-steps
+    /// ([`CoreModel::run_full_substeps`]) and every other core's idle
+    /// residency (integer nanoseconds, so one batched add equals the
+    /// per-sub-step adds exactly).
     #[inline(always)]
-    fn store(&self, j: usize, d: &mut SteadyDomain) {
-        d.thermal
+    pub(crate) fn store(&self, j: usize, c: &mut Cluster, dt: SimDuration, ran: u64) {
+        c.st.thermal
             .restore_batched(self.temp_c[j], self.throttled[j] != 0.0);
-        d.acc.energy_j = self.energy_j[j];
-        // Lossless round-trips: levels and transition counts are small
-        // integers, far below `f64`'s exact-integer range. A level the
-        // clamp moved is the staged target, whose constants the lanes
-        // switched to.
-        if self.level[j] as OppLevel != d.level {
-            d.level = self.level[j] as OppLevel;
-            d.lut = d.clamp_lut;
+        // Lossless round-trips: levels and counts are small integers, far
+        // below `f64`'s exact-integer range.
+        c.st.level = self.level[j] as OppLevel;
+        let acc = &mut c.st.acc;
+        acc.energy_j = self.energy_j[j];
+        acc.transitions = self.transitions[j] as u32;
+        acc.substeps = self.substeps[j] as u32;
+        acc.util_avg_sum = self.util_avg[j];
+        acc.util_max_sum = self.util_max[j];
+        if self.stall_armed[j] != 0.0 {
+            c.st.pending_stall = c.config.transition_latency;
         }
-        d.acc.transitions = self.transitions[j] as u32;
-        d.stall_armed = self.stall_armed[j] != 0.0;
-        d.acc.util_avg_sum = self.util_avg[j];
-        d.acc.util_max_sum = self.util_max[j];
+        // A busy run never clamps, so it ran at the level it started at.
+        let (freq_hz, ipc) = (c.lut(c.st.level).freq_hz, c.config.ipc);
+        let (idle_span, mut exec) = (dt * ran, None);
+        for core in &mut c.cores {
+            if core.is_quiescent() {
+                core.note_idle(idle_span);
+            } else {
+                let k = exec.get_or_insert_with(|| ExecConsts::new(freq_hz, ipc, dt));
+                core.run_full_substeps(k, ran, dt);
+            }
+        }
     }
 
     /// Whether lane `j`'s clamp cannot fire in this run: its level is at
@@ -1220,27 +994,53 @@ impl<const W: usize> SteadyLanes<W> {
             && self.ambient_c[j] + most_w * self.r_th_c_per_w[j] <= below
     }
 
-    /// Runs lanes `0..n` (`n <= W`) from a clear stall flag through
-    /// sub-steps `from..steps`, `steady` or not (see [`steady_substeps`]),
-    /// in the fastest variant that gives them the same values. Lanes from
-    /// `n` on hold stale values: they are stepped, never read, and do not
-    /// pick the variant.
-    fn run(&mut self, n: usize, steady: bool, dt_s: f64, from: u64, steps: u64) {
-        // Span open: see the kernel docs.
+    /// Runs lanes `0..n` (`n <= W`), each from its start to the end of a
+    /// span of `steps` sub-steps of `dt_s` seconds, in the fastest variant
+    /// of [`steady_substeps`] that gives them the same values, and adds
+    /// the sub-steps each ran to its count. Each lane opens with its stall
+    /// flag clear: a flag armed before has been consumed by a store, or is
+    /// discarded exactly as the stepped loop zeroes the stall at the top of
+    /// every sub-step. Lanes from `n` on hold stale values: they are
+    /// stepped, never read, and do not pick the variant.
+    ///
+    /// Per lane this is **bit-identical** to stepped execution: each lane
+    /// evaluates the same straight-line sequence as the busy kernel's core
+    /// loop and [`StepState::close`] — leakage from the hoisted base, each
+    /// online core's clock term plus the leakage added in core order,
+    /// energy, the thermal relax and hysteresis
+    /// [`crate::ThermalModel::step`] runs, the clamp, and the constant
+    /// utilisation increments — only the schedule across (independent)
+    /// lanes changes. A lane waits, unchanged, until its own start. The
+    /// sub-step loops are fixed-width and branch-free — every conditional
+    /// update is a lane-wise select that reproduces the branch outcome
+    /// value exactly — so they vectorise, and the serial per-lane thermal
+    /// recurrence amortises its latency across the block.
+    pub(crate) fn run(&mut self, n: usize, dt_s: f64, steps: u64) {
         self.stall_armed = [0.0; W];
-        // Common-case specialisations, both value-preserving: with one
-        // online count the add predicates are uniformly true, and when no
-        // lane can clamp the fire block is select-only no-ops for the
-        // whole span, so skipping it changes nothing.
+        // Common-case specialisations, all value-preserving: with one
+        // online count the add predicates are uniformly true; when no lane
+        // can clamp the fire block is select-only no-ops for the whole
+        // span, so skipping it changes nothing; and lanes that all start
+        // together without a utilisation increment (so every core's clock
+        // term is bitwise the idle one) run the aligned all-idle loop.
         let (mut min_online, mut max_online) = (f64::INFINITY, 0.0);
-        let mut no_fire = true;
+        let (mut from, mut last_start) = (f64::INFINITY, 0.0);
+        let (mut no_fire, mut busy) = (true, false);
         for j in 0..n.min(W) {
             min_online = f64::min(min_online, self.online[j]);
             max_online = f64::max(max_online, self.online[j]);
+            from = f64::min(from, self.start[j]);
+            last_start = f64::max(last_start, self.start[j]);
             no_fire = no_fire && self.cannot_fire(j);
+            busy |= self.util_max_step[j] != 0.0;
+            self.substeps[j] += steps as f64 - self.start[j];
         }
-        let variant = (min_online == max_online, no_fire, steady);
-        let span = (dt_s, from, steps, max_online as u32);
+        let variant = (
+            min_online == max_online,
+            no_fire,
+            busy || from != last_start,
+        );
+        let span = (dt_s, from as u64, steps, max_online as u32);
         // One or two runs in a wide block step only their own lanes, as a
         // lone SoC's one or two do: stepping the whole block costs more.
         if W > 2 && n <= 2 {
@@ -1294,99 +1094,69 @@ impl<const W: usize> SteadyLanes<W> {
 /// `i % STEADY_BLOCK` of block `i / STEADY_BLOCK`; slots `0..len` are in
 /// use. Every slot is an all-idle run from its epoch's start, so each
 /// epoch runs the blocks in place ([`ParkedLanes::advance`]) and closes,
-/// observes and re-checks each slot from its lanes: a parked epoch loads
-/// and stores no domain.
+/// observes and re-checks each slot from its lanes: a parked epoch
+/// touches no cluster.
 ///
-/// Each slot keeps the [`SteadyDomain`] it was loaded from. Its constants
-/// stay valid; the state the kernel evolves is stale there until the slot
-/// is stored back into it, when the slot leaves ([`ParkedLanes::unload`])
-/// or moves, which costs O(the slots moved).
+/// A slot keeps no record of its cluster: it is loaded from the cluster
+/// when its lane parks and stored back into it when the lane unparks, and
+/// a move stores it into its cluster and loads it at the new slot, which
+/// costs O(the slots moved).
 #[derive(Debug, Default)]
 pub(crate) struct ParkedLanes {
     blocks: Vec<SteadyLanes<STEADY_BLOCK>>,
-    domains: Vec<SteadyDomain>,
+    len: usize,
 }
 
 impl ParkedLanes {
     /// Slots in use.
     pub(crate) fn len(&self) -> usize {
-        self.domains.len()
+        self.len
     }
 
-    /// Appends a slot loaded from `d`, a parked epoch's all-idle run from
-    /// [`Cluster::steady_begin`].
-    pub(crate) fn push(&mut self, d: SteadyDomain) {
-        // A lane parks at an epoch boundary, whose close left no sub-steps
-        // in the sums, and without cpuidle states it has no residency: a
-        // parked epoch's sums are the slot's lanes and its own sub-steps
-        // (see `close_epoch`).
-        debug_assert!(d.acc.substeps == 0 && d.busy_cores == 0 && d.start == 0);
-        let i = self.domains.len();
-        if self.blocks.len() <= i / STEADY_BLOCK {
+    /// Appends a slot loaded from `c`, a quiescent cluster at an epoch
+    /// boundary, with sub-steps of length `dt`.
+    pub(crate) fn push(&mut self, c: &mut Cluster, dt: SimDuration) {
+        if self.blocks.len() <= self.len / STEADY_BLOCK {
             self.blocks.push(SteadyLanes::new());
         }
+        self.len += 1;
+        self.load(self.len - 1, c, dt);
+    }
+
+    /// Loads slot `i` from `c`, a quiescent cluster at an epoch boundary:
+    /// its epoch sums are empty, and without cpuidle states it has no
+    /// residency to add (see [`ParkedLanes::close_epoch`]).
+    pub(crate) fn load(&mut self, i: usize, c: &mut Cluster, dt: SimDuration) {
+        debug_assert!(c.is_quiescent() && c.st.acc.substeps == 0);
         if let Some(l) = self.blocks.get_mut(i / STEADY_BLOCK) {
-            l.load(i % STEADY_BLOCK, &d);
-        }
-        self.domains.push(d);
-    }
-
-    /// Stores slots `range` back into their domains.
-    fn store(&mut self, range: Range<usize>) {
-        for i in range {
-            if let (Some(l), Some(d)) = (self.blocks.get(i / STEADY_BLOCK), self.domains.get_mut(i))
-            {
-                l.store(i % STEADY_BLOCK, d);
-            }
+            l.load(i % STEADY_BLOCK, c, dt, 0);
         }
     }
 
-    /// Loads slots `range` from their domains.
-    fn load(&mut self, range: Range<usize>) {
-        for i in range {
-            if let (Some(l), Some(d)) = (self.blocks.get_mut(i / STEADY_BLOCK), self.domains.get(i))
-            {
-                l.load(i % STEADY_BLOCK, d);
-            }
+    /// Stores slot `i` back into `c`, the cluster it was loaded from, with
+    /// the idle residency of `ran` sub-steps of length `dt`.
+    pub(crate) fn store(&self, i: usize, c: &mut Cluster, dt: SimDuration, ran: u64) {
+        if let Some(l) = self.blocks.get(i / STEADY_BLOCK) {
+            l.store(i % STEADY_BLOCK, c, dt, ran);
         }
     }
 
-    /// Stores the `n` slots from `start` back into their domains and
-    /// returns those, for a lane that unparks.
-    pub(crate) fn unload(&mut self, start: usize, n: usize) -> &[SteadyDomain] {
-        self.store(start..start + n);
-        self.domains.get(start..start + n).unwrap_or(&[])
-    }
-
-    /// Moves the last `n` slots, from `from` on, down to `to`, the slots
-    /// an unparked lane of as many clusters left.
-    pub(crate) fn move_tail(&mut self, from: usize, to: usize, n: usize) {
-        debug_assert_eq!(from + n, self.domains.len(), "not the tail chunk");
-        self.store(from..from + n);
-        self.domains.copy_within(from..from + n, to);
-        self.domains.truncate(from);
-        self.load(to..to + n);
-    }
-
-    /// Removes the `n` slots from `start`, shifting every later slot down.
-    pub(crate) fn remove(&mut self, start: usize, n: usize) {
-        let len = self.domains.len();
-        self.store(start + n..len);
-        self.domains.drain(start..start + n);
-        self.load(start..len - n);
+    /// Drops the slots from `len` on.
+    pub(crate) fn truncate(&mut self, len: usize) {
+        self.len = self.len.min(len);
     }
 
     /// Runs every slot through one epoch of `steps` sub-steps of length
     /// `dt`, block by block in place.
     pub(crate) fn advance(&mut self, dt: SimDuration, steps: u64) {
         let dt_s = dt.as_secs_f64();
-        let mut left = self.domains.len();
+        let mut left = self.len;
         for l in &mut self.blocks {
             if left == 0 {
                 break;
             }
             let n = left.min(STEADY_BLOCK);
-            l.run(n, false, dt_s, 0, steps);
+            l.run(n, dt_s, steps);
             left -= n;
         }
     }
@@ -1397,19 +1167,19 @@ impl ParkedLanes {
         (&self.blocks[i / STEADY_BLOCK], i % STEADY_BLOCK)
     }
 
-    /// Closes the epoch of slot `i`, which ran parked through all its
-    /// `steps` sub-steps, through the fold [`Cluster::end_epoch_into`]
-    /// uses, and resets the slot's sums. An all-idle epoch's utilisation
-    /// sums are exactly `+0.0` (folding `+0.0` is a bitwise no-op),
-    /// nothing is queued or completed on a quiescent cluster, and there is
-    /// no cpuidle residency without a cpuidle table. The stall flag is NOT
-    /// cleared: a final-sub-step clamp stays visible until the next
-    /// epoch's pre-pass, which either restores it on unpark or lets the
-    /// next [`ParkedLanes::advance`] drop it.
-    pub(crate) fn close_epoch(&mut self, i: usize, steps: u64, report: &mut ClusterReport) {
+    /// Closes the epoch of slot `i`, which ran parked through the whole
+    /// epoch, through the fold [`Cluster::end_epoch_into`] uses, and resets
+    /// the slot's sums. An all-idle epoch's utilisation sums are exactly
+    /// `+0.0` (folding `+0.0` is a bitwise no-op), nothing is queued or
+    /// completed on a quiescent cluster, and there is no cpuidle residency
+    /// without a cpuidle table. The stall flag is NOT cleared: a
+    /// final-sub-step clamp stays visible until the next epoch's pre-pass,
+    /// which either stores it on unpark or lets the next
+    /// [`ParkedLanes::advance`] drop it.
+    pub(crate) fn close_epoch(&mut self, i: usize, report: &mut ClusterReport) {
         let (l, j) = (&mut self.blocks[i / STEADY_BLOCK], i % STEADY_BLOCK);
         let mut acc = EpochAcc {
-            substeps: steps as u32,
+            substeps: l.substeps[j] as u32,
             util_avg_sum: l.util_avg[j],
             util_max_sum: l.util_max[j],
             energy_j: l.energy_j[j],
@@ -1418,6 +1188,7 @@ impl ParkedLanes {
         };
         acc.close_into(l.temp_c[j], l.level[j] as OppLevel, 0, report);
         report.completed.clear();
+        l.substeps[j] = 0.0;
         l.util_avg[j] = 0.0;
         l.util_max[j] = 0.0;
         l.energy_j[j] = 0.0;
@@ -1469,46 +1240,6 @@ impl ParkedLanes {
         requested <= max_level && requested.min(clamp_max) == l.level[j] as OppLevel
     }
     // xtask-allow-region: end no-panic-lib
-}
-
-/// One load → step → store block over the `n` (1..=`W`) domains
-/// `pick(0..n)`; lanes from `n` on keep stale values, stepped and never
-/// stored.
-#[inline(always)]
-fn advance_block<const W: usize>(
-    l: &mut SteadyLanes<W>,
-    domains: &mut [SteadyDomain],
-    pick: impl Fn(usize) -> usize,
-    n: usize,
-    dt_s: f64,
-    steps: u64,
-) {
-    // The block's span and kind, in the load pass.
-    let (mut start, mut last_start, mut busy) = (u32::MAX, 0, false);
-    for j in 0..n.min(W) {
-        if let Some(d) = domains.get(pick(j)) {
-            l.load(j, d);
-            start = start.min(d.start);
-            last_start = last_start.max(d.start);
-            busy |= d.busy_cores != 0;
-        }
-    }
-    // A block of idle runs that all start together runs the aligned
-    // all-idle loop; a busy core or a staggered start needs the steady
-    // one.
-    l.run(
-        n,
-        busy || start != last_start,
-        dt_s,
-        u64::from(start),
-        steps,
-    );
-    for k in 0..n.min(W) {
-        if let Some(d) = domains.get_mut(pick(k)) {
-            l.store(k, d);
-            d.acc.substeps += d.run_len(steps) as u32;
-        }
-    }
 }
 
 /// The vectorised sub-step loop over the first `V` lanes of one

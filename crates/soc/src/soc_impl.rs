@@ -3,7 +3,7 @@
 
 use simkit::{obs, EventQueue, SimDuration, SimTime};
 
-use crate::cluster::{advance_steady_batch, ParkedLanes, ParkedObsConsts, SteadyDomain};
+use crate::cluster::{ParkedLanes, ParkedObsConsts, SteadyLanes, STEADY_BLOCK};
 use crate::{
     Cluster, ClusterObservation, ClusterReport, CompletedJob, Job, OppLevel, Scheduler, SocConfig,
     SocError,
@@ -99,7 +99,99 @@ pub struct Soc {
     idle_fast_forward: bool,
     /// The epoch tails [`Soc::run_epoch_into`] runs in one kernel call:
     /// scratch, empty between epochs.
-    tails: Vec<SteadyDomain>,
+    tails: Tails,
+}
+
+/// An epoch step's steady tails, waiting for one steady-kernel call: each
+/// is `(lane, cluster, start)`, cluster `cluster` of SoC `lane` (0 for a
+/// lone SoC) from sub-step `start` of the epoch to its end. Scratch reused
+/// across epochs, with the kernel's start-sorted order over the tails.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Tails {
+    ids: Vec<(usize, usize, u64)>,
+    order: Vec<u32>,
+}
+
+impl Tails {
+    /// Runs every tail of `socs` through the steady kernel to the end of
+    /// an epoch of `steps` sub-steps of length `dt` — loading each tail's
+    /// cluster into a lane, running the block, storing it back — and
+    /// clears the tails. One or two tails (a lone SoC's) go one or two
+    /// lanes wide; more go in [`STEADY_BLOCK`]-lane blocks in order of
+    /// their starts, so that each block's lanes start close together and
+    /// seldom wait.
+    pub(crate) fn run(&mut self, socs: &mut [Soc], dt: SimDuration, steps: u64) {
+        let Tails { ids, order } = self;
+        match ids.len() {
+            0 => {}
+            1 => run_tail_blocks::<1>(socs, ids, &[0], dt, steps),
+            2 => run_tail_blocks::<2>(socs, ids, &[0, 1], dt, steps),
+            _ => {
+                let sorted = sort_by_start(ids, order, steps);
+                run_tail_blocks::<STEADY_BLOCK>(socs, ids, sorted, dt, steps);
+            }
+        }
+        ids.clear();
+    }
+}
+
+/// Orders `ids` by start into `order`, every start below `steps`, and
+/// returns the sorted indices: a counting sort, where `next[s]` counts the
+/// tails starting before `s`, then hands out their places.
+fn sort_by_start<'a>(
+    ids: &[(usize, usize, u64)],
+    order: &'a mut Vec<u32>,
+    steps: u64,
+) -> &'a [u32] {
+    let buckets = steps as usize + 1;
+    order.clear();
+    order.resize(buckets + ids.len(), 0);
+    let (next, sorted) = order.split_at_mut(buckets);
+    for &(_, _, start) in ids {
+        if let Some(count) = next.get_mut(start as usize + 1) {
+            *count += 1;
+        }
+    }
+    let mut before = 0;
+    for count in next.iter_mut() {
+        before += *count;
+        *count = before;
+    }
+    for (i, &(_, _, start)) in ids.iter().enumerate() {
+        if let Some(slot) = next.get_mut(start as usize) {
+            if let Some(place) = sorted.get_mut(*slot as usize) {
+                *place = i as u32;
+            }
+            *slot += 1;
+        }
+    }
+    sorted
+}
+
+/// Runs the tails `ids` of `socs`, in `order`, in blocks of `W` lanes, one
+/// set of lanes reused by every block.
+fn run_tail_blocks<const W: usize>(
+    socs: &mut [Soc],
+    ids: &[(usize, usize, u64)],
+    order: &[u32],
+    dt: SimDuration,
+    steps: u64,
+) {
+    let mut lanes = SteadyLanes::<W>::new();
+    for block in order.chunks(W) {
+        let tails = block.iter().filter_map(|&k| ids.get(k as usize));
+        for (j, &(lane, id, start)) in tails.clone().enumerate() {
+            if let Some(cluster) = socs.get_mut(lane).and_then(|s| s.clusters.get_mut(id)) {
+                lanes.load(j, cluster, dt, start);
+            }
+        }
+        lanes.run(block.len(), dt.as_secs_f64(), steps);
+        for (j, &(lane, id, start)) in tails.enumerate() {
+            if let Some(cluster) = socs.get_mut(lane).and_then(|s| s.clusters.get_mut(id)) {
+                lanes.store(j, cluster, dt, steps - start);
+            }
+        }
+    }
 }
 
 impl Soc {
@@ -121,7 +213,7 @@ impl Soc {
             epochs_run: 0,
             jobs_submitted: 0,
             idle_fast_forward: true,
-            tails: Vec::new(),
+            tails: Tails::default(),
         })
     }
 
@@ -260,24 +352,22 @@ impl Soc {
         report: &mut EpochReport,
     ) -> Result<(), SocError> {
         let mut tails = std::mem::take(&mut self.tails);
-        let started = self.run_epoch_prefix(request, &mut tails);
+        let started = self.run_epoch_prefix(request, 0, &mut tails);
         if let Ok(started_at) = started {
-            // One call for every cluster's tail: as many lanes as tails.
             let (substep, steps) = (self.config.substep, self.config.substeps_per_epoch());
-            advance_steady_batch(&mut tails, substep, steps);
-            self.run_epoch_suffix(started_at, &tails, report);
+            tails.run(std::slice::from_mut(self), substep, steps);
+            self.run_epoch_suffix(started_at, report);
         }
-        tails.clear();
         self.tails = tails;
         started.map(|_| ())
     }
 
     /// The scalar part of an epoch: applies the request's levels and
     /// advances the clusters to the epoch's end, except that each
-    /// cluster's steady tail (see [`Cluster::advance_to_epoch_end`]) is
-    /// detached onto `tails` instead of run. Returns the epoch's start;
-    /// the caller runs the tails through the steady kernel and closes the
-    /// epoch with [`Soc::run_epoch_suffix`].
+    /// cluster's steady tail (see [`Cluster::advance_busy_substeps`]) is
+    /// left for the kernel, noted on `tails` as a tail of SoC `lane`.
+    /// Returns the epoch's start; the caller runs the tails
+    /// ([`Tails::run`]) and closes the epoch with [`Soc::run_epoch_suffix`].
     ///
     /// # Errors
     ///
@@ -285,7 +375,8 @@ impl Soc {
     pub(crate) fn run_epoch_prefix(
         &mut self,
         request: &LevelRequest,
-        tails: &mut Vec<SteadyDomain>,
+        lane: usize,
+        tails: &mut Tails,
     ) -> Result<SimTime, SocError> {
         self.apply_levels(request)?;
 
@@ -326,7 +417,10 @@ impl Soc {
                 if step + span < steps {
                     cluster.advance_span(self.now, substep, span);
                 } else {
-                    cluster.advance_to_epoch_end(self.now, substep, span, step, id, tails);
+                    let done = cluster.advance_busy_substeps(self.now, substep, span, true);
+                    if done < span {
+                        tails.ids.push((lane, id, step + done));
+                    }
                 }
             }
             self.now += substep * span;
@@ -337,21 +431,10 @@ impl Soc {
     }
 
     /// Closes an epoch that [`Soc::run_epoch_prefix`] began at
-    /// `started_at`, once the steady kernel ran its `tails`: writes each
-    /// tail back into its cluster with the cores' deferred updates, then
-    /// the per-cluster epoch fold and [`Soc::commit_epoch`].
-    pub(crate) fn run_epoch_suffix(
-        &mut self,
-        started_at: SimTime,
-        tails: &[SteadyDomain],
-        report: &mut EpochReport,
-    ) {
-        let (substep, steps) = (self.config.substep, self.config.substeps_per_epoch());
-        for tail in tails {
-            if let Some(cluster) = self.clusters.get_mut(tail.cluster()) {
-                cluster.steady_restore(tail, tail.run_len(steps), substep);
-            }
-        }
+    /// `started_at`, once the steady kernel ran its tails: the per-cluster
+    /// epoch fold and [`Soc::commit_epoch`].
+    pub(crate) fn run_epoch_suffix(&mut self, started_at: SimTime, report: &mut EpochReport) {
+        let steps = self.config.substeps_per_epoch();
         report
             .clusters
             .resize_with(self.clusters.len(), ClusterReport::default);
@@ -440,20 +523,20 @@ impl Soc {
         }
     }
 
-    /// Parks the SoC: detaches every cluster into a [`SteadyDomain`] that
-    /// loads the next slot of the batch's resident `parked` lanes (in
-    /// cluster order), and stages the observation constants. The slots
-    /// stay resident across epochs until [`Soc::parked_exit`]; while
-    /// parked, only [`Soc::parked_commit_epoch`] advances this SoC.
+    /// Parks the SoC: loads every cluster into the next slot of the
+    /// batch's resident `parked` lanes (in cluster order), and stages the
+    /// observation constants. The slots stay resident across epochs until
+    /// [`Soc::parked_exit`]; while parked, only
+    /// [`Soc::parked_commit_epoch`] advances this SoC.
     pub(crate) fn parked_enter(
         &mut self,
         parked: &mut ParkedLanes,
         consts: &mut Vec<ParkedObsConsts>,
     ) {
         let substep = self.config.substep;
-        for (id, cluster) in self.clusters.iter_mut().enumerate() {
+        for cluster in &mut self.clusters {
             consts.push(cluster.parked_obs_consts());
-            parked.push(cluster.steady_begin(substep, 0, id));
+            parked.push(cluster, substep);
         }
     }
 
@@ -476,18 +559,29 @@ impl Soc {
             .clusters
             .resize_with(self.clusters.len(), ClusterReport::default);
         for (c, slot) in report.clusters.iter_mut().enumerate() {
-            parked.close_epoch(first + c, steps, slot);
+            parked.close_epoch(first + c, slot);
         }
         self.commit_epoch(started_at, steps, report);
     }
 
-    /// Unparks the SoC at an epoch boundary: writes the kernel-evolved
-    /// domain state back into the clusters, including the idle residency
-    /// owed for the whole stay (`epochs_parked` epochs).
-    pub(crate) fn parked_exit(&mut self, domains: &[SteadyDomain], epochs_parked: u64) {
+    /// Unparks the SoC at an epoch boundary: stores its slots from `first`
+    /// on back into the clusters, with the idle residency owed for the
+    /// whole stay (`epochs_parked` epochs).
+    pub(crate) fn parked_exit(&mut self, parked: &ParkedLanes, first: usize, epochs_parked: u64) {
         let (substep, steps) = (self.config.substep, self.config.substeps_per_epoch());
-        for (cluster, domain) in self.clusters.iter_mut().zip(domains) {
-            cluster.steady_restore(domain, steps * epochs_parked, substep);
+        for (c, cluster) in self.clusters.iter_mut().enumerate() {
+            parked.store(first + c, cluster, substep, steps * epochs_parked);
+        }
+    }
+
+    /// Moves the parked SoC's slots from `from` on to `to` on: stores each
+    /// into its cluster and loads it at its new place. The residency owed
+    /// stays owed until [`Soc::parked_exit`].
+    pub(crate) fn parked_move(&mut self, parked: &mut ParkedLanes, from: usize, to: usize) {
+        self.parked_exit(parked, from, 0);
+        let substep = self.config.substep;
+        for (c, cluster) in self.clusters.iter_mut().enumerate() {
+            parked.load(to + c, cluster, substep);
         }
     }
 

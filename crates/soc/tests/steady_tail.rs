@@ -15,10 +15,13 @@
 //! in flight (a tail must not start with a transition stall pending), and
 //! half of them run cores of off-grid IPC, whose per-sub-step budgets
 //! have a fraction (so a busy core's deferred updates must replay each
-//! subtraction rather than fold them). Two pinned lanes reach the clamp: an all-idle tail whose
-//! clamp trips on the epoch's last sub-step, arming the stall a job waits
-//! out in the next, and a busy tail above the clamp target, which must
-//! stay with the busy kernel because the clamp fires in it.
+//! subtraction rather than fold them). Four more random lanes have clusters
+//! wider than the kernel's per-core clock rows. Pinned lanes reach the
+//! clamp: an all-idle tail whose clamp trips on the epoch's last sub-step,
+//! arming the stall a job waits out in the next; the same on a parked
+//! lane whose slots move before it unparks; and a busy tail above the
+//! clamp target, which must stay with the busy kernel because the clamp
+//! fires in it.
 
 use proptest::prelude::*;
 use simkit::{SimDuration, SimRng, SimTime};
@@ -102,6 +105,15 @@ fn random_lane(rng: &mut SimRng, epochs: usize) -> Lane {
         levels,
         jobs,
     }
+}
+
+/// `lane` with 9 LITTLE and 12 big cores: more than the steady kernel's
+/// per-core clock rows, so busy cores past them stay with the busy kernel
+/// and idle ones add the idle term.
+fn wide(mut lane: Lane) -> Lane {
+    lane.config.clusters[0].cores = 9;
+    lane.config.clusters[BIG].cores = 12;
+    lane
 }
 
 fn build(lane: &Lane, fast: bool) -> Soc {
@@ -243,7 +255,8 @@ fn assert_paths_agree(lanes: &[Lane]) -> Vec<(Vec<EpochReport>, Soc)> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Random lanes beside two that park agree on all three paths.
+    /// Random lanes, four of them wide, beside two that park agree on all
+    /// three paths.
     #[test]
     fn prop_random_tails_match_the_stepped_reference(seed in proptest::arbitrary::any::<u64>()) {
         const EPOCHS: usize = 10;
@@ -251,6 +264,8 @@ proptest! {
         let mut lanes: Vec<Lane> = (0..4).map(|_| random_lane(&mut rng, EPOCHS)).collect();
         lanes.insert(1, idle_lane(EPOCHS));
         lanes.push(idle_lane(EPOCHS));
+        // Drawn last, so the lanes above stay as they were.
+        lanes.extend((0..4).map(|_| wide(random_lane(&mut rng, EPOCHS))));
         assert_paths_agree(&lanes);
     }
 }
@@ -324,6 +339,76 @@ fn idle_tail_clamps_on_its_last_substep_and_arms_the_stall() {
         done >= SimTime::from_micros(start_us + 100),
         "the job did not wait out the stall: {done}"
     );
+}
+
+/// The trip point a `hot` big cluster, idle at the top level from cold,
+/// crosses on the last sub-step of epoch `epoch`: the midpoint of its
+/// temperatures after the last two, read from one-sub-step epochs on a
+/// node that never trips (the calibration of the test above).
+fn trip_on_last_substep_of(epoch: usize) -> f64 {
+    let mut probe_config = hot(200.0);
+    probe_config.epoch = probe_config.substep;
+    let mut probe = Soc::new(probe_config).expect("config is valid");
+    let temps: Vec<f64> = (0..20 * (epoch + 1))
+        .map(|_| {
+            probe
+                .run_epoch(&LevelRequest::new(vec![0, TOP]))
+                .expect("levels in range")
+                .clusters[BIG]
+                .temp_c
+        })
+        .collect();
+    let last = 20 * epoch + 19;
+    assert!(temps[last - 1] < temps[last], "the node is still heating");
+    (temps[last - 1] + temps[last]) / 2.0
+}
+
+/// `first` and a hot lane both park in epoch 0, the hot one second, so
+/// its slots are the batch's tail chunk; its clamp trips on the last
+/// sub-step of parked epoch 3. A job on each lane at the start of epoch 4
+/// unparks `first`, which moves the hot lane's slots, and then the hot
+/// lane, whose heavy job must wait out the stall the clamp armed.
+fn assert_moved_slots_keep_the_stall(mut first: Lane) {
+    const EPOCH: usize = 3;
+    let start_us = (EPOCH as u64 + 1) * EPOCH_US;
+    first.jobs = vec![(start_us, 300_000, JobClass::Light)];
+    let hot_lane = Lane {
+        config: hot(trip_on_last_substep_of(EPOCH)),
+        hotplug: None,
+        levels: vec![vec![0, TOP]; EPOCH + 3],
+        jobs: vec![(start_us, 200_000, JobClass::Heavy)],
+    };
+    let reference = assert_paths_agree(&[first, hot_lane]);
+    let (reports, _) = &reference[1];
+    let clamped = &reports[EPOCH].clusters[BIG];
+    assert_eq!(
+        (clamped.level, clamped.transitions),
+        (TOP - THROTTLE_LEVELS, 1)
+    );
+    // 200 k instructions at 1.6 GHz × IPC 2 take 62.5 µs; the 100 µs
+    // stall comes first.
+    let done = reports[EPOCH + 1].clusters[BIG].completed[0].completed_at;
+    assert!(
+        done >= SimTime::from_micros(start_us + 100),
+        "the job did not wait out the stall: {done}"
+    );
+}
+
+#[test]
+fn parked_clamp_stall_survives_the_tail_chunk_move() {
+    assert_moved_slots_keep_the_stall(idle_lane(6));
+}
+
+#[test]
+fn parked_clamp_stall_survives_the_shift() {
+    // One cluster against the hot lane's two: the chunks differ in width,
+    // so the unpark shifts the hot lane's slots instead.
+    let tiny = Lane {
+        config: SocConfig::tiny_test().expect("preset is valid"),
+        levels: vec![vec![0]; 6],
+        ..idle_lane(6)
+    };
+    assert_moved_slots_keep_the_stall(tiny);
 }
 
 #[test]
