@@ -8,12 +8,23 @@
 //! threads, so that idle lanes share one kernel dispatch. Both make the
 //! same calls in the same order for every device, which is why a
 //! batched lane's metrics are bit-identical to the same device run
-//! alone.
+//! alone. Both skip the arrival call for a window that ends by the
+//! scenario's quiet horizon ([`Scenario::quiet_until`]), where it would
+//! return nothing and change nothing.
+//!
+//! One call differs: a batched lane that ran its epoch parked, has no
+//! fault harness, and whose governor certifies the parked request as
+//! its fixed point ([`Governor::decide_parked`]) *sleeps* for the epoch.
+//! [`run_batch`] then skips its observation and decision, which would
+//! rewrite the request unchanged and leave the governor unchanged, and
+//! the observation is read by nothing else. The epoch's accounting still
+//! runs, in order, so every sum and trace row is the same. A lone [`Soc`]
+//! never parks, so [`run`] never sleeps.
 
 use governors::{Governor, QosFeedback, SystemState};
 use simkit::trace::Trace;
 use simkit::{obs, FaultCounts, SimDuration, SimTime};
-use soc::{DeviceBatch, EpochObservation, EpochReport, LevelRequest, Soc};
+use soc::{DeviceBatch, EpochObservation, EpochReport, Job, LevelRequest, Soc};
 use workload::{QosReport, QosTracker, Scenario};
 
 use crate::resilience::FaultHarness;
@@ -101,10 +112,10 @@ pub struct RunMetrics {
 /// dispatch.
 ///
 /// A stepper opens one per device with [`LaneLoop::new`]. Each epoch it
-/// feeds the arrivals, steps the device into the report, writes the
-/// observation into `state.soc`, and calls [`LaneLoop::finish_epoch`]
-/// then [`LaneLoop::decide`]. After the last epoch,
-/// [`LaneLoop::finalize`] reads the metrics off the device.
+/// feeds the arrivals through [`LaneLoop::feed_arrivals`], steps the
+/// device into the report, writes the observation into `state.soc`, and
+/// calls [`LaneLoop::finish_epoch`] then [`LaneLoop::decide`]. After the
+/// last epoch, [`LaneLoop::finalize`] reads the metrics off the device.
 struct LaneLoop {
     tracker: QosTracker,
     prev_snapshot: QosReport,
@@ -125,6 +136,9 @@ struct LaneLoop {
     start_jobs: u64,
     epochs_done: u64,
     trace: Option<Trace>,
+    /// The scenario's quiet horizon as of its last arrival call; `ZERO`
+    /// until the first, so the first window is always called.
+    quiet_until: SimTime,
 }
 
 impl LaneLoop {
@@ -168,6 +182,7 @@ impl LaneLoop {
                     .chain(["power_w".to_owned(), "qos_units".to_owned()]);
                 Trace::new("run", columns)
             }),
+            quiet_until: SimTime::ZERO,
         };
         // The report's per-cluster slots (and their completed-job pools)
         // and the observation's cluster buffer are reused across epochs
@@ -181,6 +196,26 @@ impl LaneLoop {
             energy_j: 0.0,
         };
         (lane, request, report)
+    }
+
+    /// Hands `scenario`'s arrivals in `[from, from + epoch)` to
+    /// `schedule`, unless the window ends by the scenario's quiet horizon,
+    /// where the call would return nothing and change nothing.
+    fn feed_arrivals(
+        &mut self,
+        scenario: &mut dyn Scenario,
+        from: SimTime,
+        epoch: SimDuration,
+        mut schedule: impl FnMut(SimTime, Job),
+    ) {
+        let to = from + epoch;
+        if to <= self.quiet_until {
+            return;
+        }
+        for (at, job) in scenario.arrivals(from, to) {
+            schedule(at, job);
+        }
+        self.quiet_until = scenario.quiet_until();
     }
 
     /// Accounts the epoch `report` describes and sets the QoS half of
@@ -331,10 +366,12 @@ pub fn run(
 /// This is the single-device stepper over the loop [`run_batch`] runs
 /// per lane. It steps the `Soc` directly rather than as a one-lane
 /// batch because it borrows its scenario and governor, which a
-/// [`BatchLane`] owns; speed does not decide it: a one-lane
-/// [`run_batch`] took 0.88–0.92× this stepper's time on a 120 s `idle`
-/// run, 0.96–1.00× on `mixed` and 1.00–1.07× on `audio`, `video` and
-/// `gaming` (ondemand, median of 7 alternating pairs, 2-vCPU VM).
+/// [`BatchLane`] owns; speed does not decide it. A lone `Soc` never
+/// parks, so this stepper never sleeps a lane, and a one-lane
+/// [`run_batch`], which does, took 0.76–0.85× this stepper's time on a
+/// 120 s `idle` run, 0.92–0.96× on `mixed` and 1.02–1.07× on `audio`,
+/// `video` and `gaming` (ondemand, median of 7 alternating pairs, two
+/// runs, 2-vCPU VM).
 pub fn run_with_faults(
     soc: &mut Soc,
     scenario: &mut dyn Scenario,
@@ -353,10 +390,9 @@ pub fn run_with_faults(
         // xtask-hotpath: end
 
         // Feed the next epoch's arrivals before running it.
-        let from = soc.now();
-        for (at, job) in scenario.arrivals(from, from + epoch) {
+        lane.feed_arrivals(scenario, soc.now(), epoch, |at, job| {
             soc.schedule_job(at, job);
-        }
+        });
 
         // The request is validated by construction (governors and the
         // fault harness only produce in-range levels); a rejection ends
@@ -406,6 +442,12 @@ impl std::fmt::Debug for BatchLane {
 /// work across independent lanes so that fully-idle epochs from many
 /// devices collapse into one interleaved kernel dispatch
 /// (see [`DeviceBatch`]); `golden_bits` pins the equivalence end-to-end.
+/// The one difference is that a lane sleeps through an epoch that ran
+/// parked when it has no fault harness and its governor certifies the
+/// request ([`Governor::decide_parked`]): its observation and decision
+/// are skipped, since the decision would write the request back
+/// unchanged and leave the governor as it was (the module docs say why
+/// that keeps the bits).
 ///
 /// The lanes are split into `min(threads, lanes)` contiguous shards,
 /// `threads` being `RLPM_THREADS` or, unset, the machine's available
@@ -514,8 +556,12 @@ fn run_shard(
         // Pre-step pass: per-lane fault application and arrival feeding,
         // in lane order. Each lane sees the identical call sequence a
         // standalone run would make.
-        for (i, ((lane, request), &is_active)) in
-            lanes.iter_mut().zip(&mut requests).zip(&active).enumerate()
+        for (i, (((lane, request), &is_active), lane_loop)) in lanes
+            .iter_mut()
+            .zip(&mut requests)
+            .zip(&active)
+            .zip(loops.iter_mut())
+            .enumerate()
         {
             if !is_active {
                 continue;
@@ -526,11 +572,11 @@ fn run_shard(
                 harness.begin_epoch(batch.lane_mut(i), request);
             }
             let from = batch.lane(i).now();
-            for (at, job) in lane.scenario.arrivals(from, from + epoch) {
+            lane_loop.feed_arrivals(lane.scenario.as_mut(), from, epoch, |at, job| {
                 // Feeds the arrival queue without unparking the lane; the
                 // batch re-checks parkability against it next step.
                 batch.schedule_job(i, at, job);
-            }
+            });
         }
 
         // Lockstep step: live lanes run their epochs' scalar parts, then
@@ -564,8 +610,17 @@ fn run_shard(
                 *is_active = false;
                 continue;
             }
+            let parked = batch.lane_parked(i);
+            // A sleeping lane: its next decision would rewrite the request
+            // unchanged, so the observation it would read is skipped too.
+            // A fault harness corrupts telemetry and flips table bits in
+            // its decision, so a faulted lane always decides.
+            if parked && lane.faults.is_none() && lane.governor.decide_parked(request) {
+                lane_loop.finish_epoch(report, true, 0);
+                continue;
+            }
             batch.observe_lane_into(i, report, &mut lane_loop.state.soc);
-            lane_loop.finish_epoch(report, batch.lane_parked(i), batch.lane_queued_jobs(i));
+            lane_loop.finish_epoch(report, parked, batch.lane_queued_jobs(i));
             lane_loop.decide(lane.governor.as_mut(), lane.faults.as_mut(), request);
         }
     }

@@ -17,6 +17,15 @@ pub(crate) fn note_decision() {
     DECISIONS.inc();
 }
 
+/// Passes a [`Governor::decide_parked`] answer through, noting the
+/// decision it stands for when it certifies one.
+pub(crate) fn note_if_parked(fixed: bool) -> bool {
+    if fixed {
+        note_decision();
+    }
+    fixed
+}
+
 /// A DVFS policy: observes the system at each epoch boundary and picks the
 /// per-cluster frequency levels for the next epoch.
 pub trait Governor: Send {
@@ -32,6 +41,18 @@ pub trait Governor: Send {
     /// override it to avoid the per-epoch allocation.
     fn decide_into(&mut self, state: &SystemState, request: &mut LevelRequest) {
         *request = self.decide(state);
+    }
+
+    /// Certifies that the next decision of a lane parked on `request`
+    /// would change nothing: [`Governor::decide_into`] would write
+    /// `request` back unchanged and leave the governor unchanged, on
+    /// every observation such a lane can produce (every cluster at zero
+    /// utilisation with an empty queue, at any temperature and either
+    /// throttle flag). A control loop may then skip the observation and
+    /// the decision. A `true` answer counts as a decision, as
+    /// `decide_into` would. The default, `false`, certifies nothing.
+    fn decide_parked(&mut self, _request: &LevelRequest) -> bool {
+        false
     }
 
     /// Clears internal state between runs/episodes (hold timers, history);

@@ -98,6 +98,18 @@ impl Governor for Ondemand {
             }));
     }
 
+    /// With a hold slot per cluster and none running, zero load stays
+    /// at or under a non-negative threshold and targets frequency zero,
+    /// the bottom level, so only an all-bottom request is fixed.
+    fn decide_parked(&mut self, request: &LevelRequest) -> bool {
+        crate::governor::note_if_parked(
+            self.tunables.up_threshold >= 0.0
+                && self.hold.len() >= request.levels.len()
+                && self.hold.iter().all(|&hold| hold == 0)
+                && request.levels.iter().all(|&level| level == 0),
+        )
+    }
+
     fn reset(&mut self) {
         self.hold.iter_mut().for_each(|h| *h = 0);
     }

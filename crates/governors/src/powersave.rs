@@ -34,6 +34,10 @@ impl Governor for Powersave {
         request.levels.resize(state.num_clusters(), 0);
     }
 
+    fn decide_parked(&mut self, request: &LevelRequest) -> bool {
+        crate::governor::note_if_parked(request.levels.iter().all(|&level| level == 0))
+    }
+
     fn reset(&mut self) {}
 }
 

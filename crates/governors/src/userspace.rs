@@ -52,6 +52,12 @@ impl Governor for Userspace {
         );
     }
 
+    /// A lane parked on the configured levels runs them, so they are in
+    /// its tables and the clamp above keeps them.
+    fn decide_parked(&mut self, request: &LevelRequest) -> bool {
+        crate::governor::note_if_parked(request.levels == self.levels)
+    }
+
     fn reset(&mut self) {}
 }
 

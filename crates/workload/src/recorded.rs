@@ -234,6 +234,14 @@ impl Scenario for RecordedTrace {
             .unwrap_or_default()
     }
 
+    /// The next entry's time: a window that ends by it neither skips nor
+    /// emits an entry.
+    fn quiet_until(&self) -> SimTime {
+        self.entries
+            .get(self.cursor)
+            .map_or(SimTime::MAX, |(at, _)| *at)
+    }
+
     fn reset(&mut self) {
         self.cursor = 0;
     }

@@ -26,6 +26,16 @@ pub trait Scenario: Send {
     /// Job arrivals in `[from, to)`, sorted by arrival time.
     fn arrivals(&mut self, from: SimTime, to: SimTime) -> Vec<(SimTime, Job)>;
 
+    /// The quiet horizon: a time `T` such that [`Scenario::arrivals`] on
+    /// any window `[from, to)` with `to <= T` returns nothing and changes
+    /// no state. `T` holds until the next `arrivals` or `reset` call, so
+    /// a control loop may skip every window that ends by it and refresh
+    /// `T` after the next call it does make. The default,
+    /// [`SimTime::ZERO`], lets no window qualify.
+    fn quiet_until(&self) -> SimTime {
+        SimTime::ZERO
+    }
+
     /// Restores the scenario phase to time zero for a fresh episode.
     ///
     /// The internal random stream *continues* (it is not rewound), so

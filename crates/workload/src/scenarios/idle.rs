@@ -80,6 +80,13 @@ impl Scenario for Idle {
         out
     }
 
+    /// Both next times: a window that ends by them is before either, so
+    /// neither loop runs, and the fast-forward and the notify redraw
+    /// fire only for a time before the window's start.
+    fn quiet_until(&self) -> SimTime {
+        self.next_sync.min(self.next_notify)
+    }
+
     fn reset(&mut self) {
         self.next_sync = SimTime::ZERO;
         self.next_notify = SimTime::ZERO

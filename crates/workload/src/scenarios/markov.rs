@@ -154,6 +154,16 @@ impl Scenario for MarkovMix {
         out
     }
 
+    /// The current component's horizon, up to the phase end: a window
+    /// that ends by the phase end never switches phase, so it is one
+    /// call to the current component.
+    fn quiet_until(&self) -> SimTime {
+        self.components
+            .get(self.current)
+            .map_or(SimTime::ZERO, |c| c.quiet_until())
+            .min(self.phase_ends)
+    }
+
     fn reset(&mut self) {
         for c in &mut self.components {
             c.reset();

@@ -42,6 +42,10 @@ impl Scenario for Standby {
         Vec::new()
     }
 
+    fn quiet_until(&self) -> SimTime {
+        SimTime::MAX
+    }
+
     fn reset(&mut self) {}
 }
 
