@@ -140,7 +140,7 @@ fn main() {
         lanes,
         fleet_secs,
         config.seed,
-        "SoA steady kernel: resident parked lanes, live tails and sleeping parked lanes, ondemand per lane",
+        "SoA steady kernel: two-pass live epochs, resident and sleeping parked lanes, ondemand per lane",
         repeat,
     );
     for fleet in &batch.fleets {

@@ -74,6 +74,11 @@ pub struct Measurement {
     pub per_scenario: Vec<(String, f64)>,
     /// Per-cell rates (`scenario/policy`), scenario-major.
     pub per_cell: Vec<(String, f64)>,
+    /// Whether the measuring binary was built with the `obs` feature
+    /// ([`simkit::obs::enabled`]), whose instrumented build reads
+    /// 30–50% slower. Files written before the field existed read as
+    /// `false`.
+    pub obs: bool,
 }
 
 /// Runs the measurement matrix sequentially (stable wall-clock numbers;
@@ -144,6 +149,7 @@ pub fn measure(
         e1_matrix: total_sim / total_wall,
         per_scenario,
         per_cell,
+        obs: simkit::obs::enabled(),
     }
 }
 
@@ -185,6 +191,9 @@ pub struct BatchMeasurement {
     pub fleet_secs: u64,
     /// Per-workload rates, standby first (the headline row).
     pub fleets: Vec<FleetRate>,
+    /// Whether the measuring binary was built with the `obs` feature, as
+    /// [`Measurement::obs`].
+    pub obs: bool,
 }
 
 /// The fleet workloads the batch section measures: the deep-idle regime
@@ -293,6 +302,7 @@ pub fn measure_fleet(
         lanes,
         fleet_secs,
         fleets,
+        obs: simkit::obs::enabled(),
     }
 }
 
@@ -409,6 +419,7 @@ impl Report {
             s.push_str(&format!("    \"label\": \"{}\",\n", b.label));
             s.push_str(&format!("    \"lanes\": {},\n", b.lanes));
             s.push_str(&format!("    \"fleet_secs\": {},\n", b.fleet_secs));
+            s.push_str(&format!("    \"obs\": {},\n", b.obs));
             s.push_str(&format!(
                 "    \"target_speedup\": {},\n",
                 json_num(BATCH_TARGET_SPEEDUP)
@@ -463,6 +474,7 @@ impl Report {
                 e1_matrix: extract_number(&block, "e1_matrix")?,
                 per_scenario: extract_pairs(&extract_object(&block, "per_scenario")?),
                 per_cell: extract_pairs(&extract_object(&block, "per_cell")?),
+                obs: extract_bool(&block, "obs").unwrap_or(false),
             })
         };
         let batch = extract_object(text, "device_seconds_per_wall_second").and_then(|block| {
@@ -483,6 +495,7 @@ impl Report {
                 label: extract_string(&block, "label")?,
                 lanes: extract_number(&block, "lanes")? as u32,
                 fleet_secs: extract_number(&block, "fleet_secs")? as u64,
+                obs: extract_bool(&block, "obs").unwrap_or(false),
                 fleets,
             })
         });
@@ -505,6 +518,7 @@ fn json_measurement(m: &Measurement) -> String {
     let mut s = String::new();
     s.push_str("{\n");
     s.push_str(&format!("    \"label\": \"{}\",\n", m.label));
+    s.push_str(&format!("    \"obs\": {},\n", m.obs));
     s.push_str(&format!("    \"e1_matrix\": {},\n", json_num(m.e1_matrix)));
     for (name, pairs) in [("per_scenario", &m.per_scenario), ("per_cell", &m.per_cell)] {
         s.push_str(&format!("    \"{name}\": {{\n"));
@@ -562,6 +576,20 @@ pub(crate) fn extract_string(text: &str, key: &str) -> Option<String> {
     Some(rest[..rest.find('"')?].to_owned())
 }
 
+/// The boolean value bound to `"key"`, searched like
+/// [`extract_string`].
+pub(crate) fn extract_bool(text: &str, key: &str) -> Option<bool> {
+    let pat = format!("\"{key}\": ");
+    let rest = &text[text.find(&pat)? + pat.len()..];
+    if rest.starts_with("true") {
+        Some(true)
+    } else if rest.starts_with("false") {
+        Some(false)
+    } else {
+        None
+    }
+}
+
 /// All `"key": number` pairs of a flat object body, in order.
 pub(crate) fn extract_pairs(body: &str) -> Vec<(String, f64)> {
     let mut out = Vec::new();
@@ -595,6 +623,7 @@ mod tests {
                     ("idle/powersave".into(), 500.0),
                     ("video/rlpm".into(), 60.0),
                 ],
+                obs: false,
             }),
             current: Some(Measurement {
                 label: "optimised".into(),
@@ -604,6 +633,7 @@ mod tests {
                     ("idle/powersave".into(), 2800.0),
                     ("video/rlpm".into(), 200.0),
                 ],
+                obs: true,
             }),
             batch: Some(BatchMeasurement {
                 label: "batched idle kernel".into(),
@@ -623,6 +653,7 @@ mod tests {
                         sharded: None,
                     },
                 ],
+                obs: false,
             }),
         }
     }
@@ -643,6 +674,7 @@ mod tests {
             e1_matrix: 500.0,
             per_scenario: vec![("idle".into(), 3000.0)],
             per_cell: vec![("idle/powersave".into(), 4000.0)],
+            obs: false,
         });
         let reparsed = Report::from_json(&report.to_json()).unwrap();
         assert_eq!(reparsed.baseline, baseline);
@@ -695,6 +727,24 @@ mod tests {
         assert!(parsed.batch.is_none());
         let migrated = Report::from_json(&parsed.to_json()).unwrap();
         assert_eq!(migrated, parsed);
+    }
+
+    #[test]
+    fn obs_flag_round_trips_in_every_section() {
+        let mut report = sample();
+        if let Some(b) = report.batch.as_mut() {
+            b.obs = true;
+        }
+        let text = report.to_json();
+        assert_eq!(text.matches("\"obs\": true").count(), 2, "{text}");
+        assert_eq!(text.matches("\"obs\": false").count(), 1, "{text}");
+        let parsed = Report::from_json(&text).expect("own output parses");
+        assert!(!parsed.baseline.unwrap().obs);
+        assert!(parsed.current.unwrap().obs);
+        assert!(parsed.batch.unwrap().obs);
+        // A file written before the field existed reads as obs-free.
+        let legacy = text.replace("    \"obs\": true,\n", "");
+        assert!(!Report::from_json(&legacy).unwrap().current.unwrap().obs);
     }
 
     #[test]

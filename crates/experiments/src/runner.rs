@@ -368,10 +368,10 @@ pub fn run(
 /// batch because it borrows its scenario and governor, which a
 /// [`BatchLane`] owns; speed does not decide it. A lone `Soc` never
 /// parks, so this stepper never sleeps a lane, and a one-lane
-/// [`run_batch`], which does, took 0.76–0.85× this stepper's time on a
-/// 120 s `idle` run, 0.92–0.96× on `mixed` and 1.02–1.07× on `audio`,
-/// `video` and `gaming` (ondemand, median of 7 alternating pairs, two
-/// runs, 2-vCPU VM).
+/// [`run_batch`], which does, took 0.76× this stepper's time on a 120 s
+/// `idle` run, 0.96× on `mixed`, 1.09× on `audio` and `video` and 1.01×
+/// on `gaming` (ondemand, median of 7 alternating pairs, 2-vCPU VM),
+/// both running live epochs in two passes.
 pub fn run_with_faults(
     soc: &mut Soc,
     scenario: &mut dyn Scenario,

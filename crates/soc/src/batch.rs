@@ -15,44 +15,49 @@
 //! slots, without touching the parked `Cluster`/core structures or
 //! moving any state in or out of the lanes. Lanes with queued work,
 //! imminent arrivals, cpuidle tables, or a level-change request unpark
-//! (the slots are stored back into their clusters) and run live: each
-//! runs the scalar part of [`Soc::run_epoch_into`] up to its clusters'
-//! steady tails (from the last dispatch and last completion to the
-//! epoch's end), noting each tail as a (lane, cluster, start) id; every
-//! live lane's tails then run through the same kernel, sorted by start
-//! so each block's lanes start together, each cluster loaded into a lane
-//! and stored back around its block; and each live lane closes its epoch
-//! as [`Soc::run_epoch_into`] does.
+//! (the slots are stored back into their clusters) and run live, in two
+//! passes block by block: each live lane applies its levels, admits the
+//! clusters whose clamp certificate holds into the live block's lanes
+//! (the clamp provably cannot fire this epoch), and runs its execution
+//! pass, recording every core's busy fraction per sub-step; whenever the
+//! next lane might not fit, and after the last, the block's thermal pass
+//! runs every admitted cluster's whole power and thermal chain in the
+//! kernel, 32 clusters a call, stores each back, and each lane in the
+//! block closes its epoch as [`Soc::run_epoch_into`] does.
 //!
 //! Two effects make this fast. The interleaved kernel fills the FP
-//! pipeline: a single cluster's idle span is one serial floating-point
-//! recurrence (each sub-step's temperature feeds the next), but across
-//! lanes the recurrences are independent. And resident parking removes
-//! the per-epoch load and store: a parked lane's epoch touches its own
-//! lane of a few dense rows instead of its whole simulator object graph,
-//! and a park or unpark moves O(the lane's clusters) slots.
+//! pipeline: a single cluster's thermal chain is one serial
+//! floating-point recurrence (each sub-step's temperature feeds the
+//! next), but across lanes the recurrences are independent. And resident
+//! parking removes the per-epoch load and store: a parked lane's epoch
+//! touches its own lane of a few dense rows instead of its whole
+//! simulator object graph, and a park or unpark moves O(the lane's
+//! clusters) slots.
 //!
 //! Batching is a pure scheduling optimisation: every lane produces
 //! **bit-identical** state, reports and metrics to running it alone. The
-//! parked path and the live tails run the very kernel a lone [`Soc`] runs
-//! its tails and idle spans through (one or two lanes wide there), and
+//! parked path and the live thermal passes run the very kernel a lone
+//! [`Soc`] runs its thermal pass through (two lanes wide there), and
 //! close each epoch through the same fold as the scalar epilogue (whose
 //! idle-epoch inputs are all exactly `+0.0`/empty); the live path *is*
-//! the single-device path, split around the kernel call. The equivalence
-//! is pinned per-epoch by unit tests here, end-to-end by the
+//! the single-device path, with its thermal pass shared by a block. The
+//! equivalence is pinned per-epoch by unit tests here, end-to-end by the
 //! `golden_bits` batch-vs-looped cases, against golden bits with the
 //! thermal clamp firing inside the kernel by `tests/thermal_clamp.rs`,
-//! and for tails beside parked and live lanes by `tests/steady_tail.rs`.
+//! and for epoch ends beside parked and live lanes by
+//! `tests/steady_tail.rs`.
 
 use simkit::{obs, SimTime};
 
+use simkit::SimDuration;
+
 use crate::cluster::{ParkedLanes, ParkedObsConsts};
-use crate::soc_impl::Tails;
+use crate::soc_impl::LiveBlock;
 use crate::{EpochObservation, EpochReport, Job, LevelRequest, Soc, SocError};
 
 /// Epochs that took the parked (batched steady kernel) fast path.
 static PARKED_EPOCHS: obs::Counter = obs::Counter::new("soc.batch.parked_epochs");
-/// Epochs that ran live: the scalar prefix, tails in the kernel pass.
+/// Epochs that ran live: the execution pass, then a block's thermal pass.
 static SCALAR_EPOCHS: obs::Counter = obs::Counter::new("soc.batch.scalar_epochs");
 
 /// Per-lane batch bookkeeping: whether the lane is parked, where its
@@ -99,9 +104,10 @@ pub struct DeviceBatch {
     meta: Vec<LaneMeta>,
     /// Per-lane error from the most recent epoch (`None` = stepped OK).
     errors: Vec<Option<SocError>>,
-    /// Scratch of one epoch step: the live lanes' steady tails ...
-    tails: Tails,
-    /// ... and each live lane's index and epoch start.
+    /// Scratch of one epoch step: the live block, built on the first live
+    /// epoch for the lanes' widest cluster ...
+    block: Option<Box<LiveBlock>>,
+    /// ... and the index and epoch start of each lane in it.
     live: Vec<(usize, SimTime)>,
 }
 
@@ -142,7 +148,7 @@ impl DeviceBatch {
             order: Vec::new(),
             meta: (0..n).map(|_| LaneMeta::default()).collect(),
             errors: vec![None; n],
-            tails: Tails::default(),
+            block: None,
             live: Vec::new(),
         })
     }
@@ -277,7 +283,7 @@ impl DeviceBatch {
             order: Vec::new(),
             meta: self.meta.split_off(at),
             errors: self.errors.split_off(at),
-            tails: Tails::default(),
+            block: None,
             live: Vec::new(),
         }
     }
@@ -296,6 +302,8 @@ impl DeviceBatch {
             check_grid(first, theirs, self.lanes.len())?;
         }
         other.unpark_all();
+        // The moved lanes may have wider clusters: rebuild the block.
+        self.block = None;
         self.lanes.append(&mut other.lanes);
         self.meta.append(&mut other.meta);
         self.errors.append(&mut other.errors);
@@ -316,8 +324,8 @@ impl DeviceBatch {
 
     /// Whether one lane is currently parked. After a
     /// [`DeviceBatch::run_epoch_into`] call this tells the caller the
-    /// lane's whole epoch ran parked in the kernel (a live lane's tails
-    /// run there too, but it is not parked) — which implies it completed
+    /// lane's whole epoch ran parked in the kernel (a live lane's thermal
+    /// pass runs there too, but it is not parked) — which implies it completed
     /// no jobs and queued none, letting control loops skip QoS
     /// bookkeeping whose deltas are exactly zero.
     ///
@@ -459,12 +467,24 @@ impl DeviceBatch {
             });
         }
 
+        let Some(config) = self.lanes.first().map(Soc::config) else {
+            return Ok(());
+        };
+        // All lanes share the grid (validated in `new`).
+        let (substep, steps) = (config.substep, config.substeps_per_epoch());
+        let mut block = match self.block.take() {
+            Some(block) => block,
+            None => LiveBlock::new(&self.lanes),
+        };
+
         // Pre-pass: decide each lane's path for this epoch. Parked lanes
         // re-check the parked condition against the new request and
         // arrivals; live lanes either park (all-idle epoch ahead) or run
-        // the scalar part of their epoch right here, leaving their steady
-        // tails for the kernel. The order change relative to looped
-        // execution is immaterial — lanes never read each other's state.
+        // their execution pass right here into the live block, whose
+        // thermal pass and epoch closes run whenever the next lane might
+        // not fit, and after the last. The order change relative to
+        // looped execution is immaterial — lanes never read each other's
+        // state.
         self.live.clear();
         for (i, (request, &is_active)) in requests.iter().zip(active).enumerate() {
             if let Some(slot) = self.errors.get_mut(i) {
@@ -489,7 +509,19 @@ impl DeviceBatch {
                 lane.apply_levels(request).map(|()| None)
             } else {
                 SCALAR_EPOCHS.inc();
-                lane.run_epoch_prefix(request, i, &mut self.tails).map(Some)
+                if !block.has_room(lane.clusters().len()) {
+                    close_block(
+                        &mut block,
+                        &mut self.lanes,
+                        &mut self.live,
+                        reports,
+                        (substep, steps),
+                    );
+                }
+                match self.lanes.get_mut(i) {
+                    Some(lane) => lane.run_epoch_prefix(request, i, &mut block).map(Some),
+                    None => continue,
+                }
             };
             match outcome {
                 Ok(None) => self.park(i),
@@ -501,17 +533,19 @@ impl DeviceBatch {
                 }
             }
         }
+        close_block(
+            &mut block,
+            &mut self.lanes,
+            &mut self.live,
+            reports,
+            (substep, steps),
+        );
+        self.block = Some(block);
 
-        // All lanes share the grid (validated in `new`), so one kernel
-        // pass advances every parked slot through the whole epoch and
-        // every live tail from its start to the epoch's end.
-        let Some(config) = self.lanes.first().map(Soc::config) else {
-            return Ok(());
-        };
-        let (substep, steps) = (config.substep, config.substeps_per_epoch());
+        // One kernel pass advances every parked slot through the whole
+        // epoch.
         // xtask-hotpath: begin (lockstep steady kernel dispatch, no allocation)
         self.parked.advance(substep, steps);
-        self.tails.run(&mut self.lanes, substep, steps);
         for &i in &self.order {
             PARKED_EPOCHS.inc();
             let Some(meta) = self.meta.get_mut(i) else {
@@ -522,21 +556,36 @@ impl DeviceBatch {
                 soc.parked_commit_epoch(&mut self.parked, meta.first_slot, report);
             }
         }
-        for &(i, started_at) in &self.live {
-            if let (Some(soc), Some(report)) = (self.lanes.get_mut(i), reports.get_mut(i)) {
-                soc.run_epoch_suffix(started_at, report);
-            }
-        }
         // xtask-hotpath: end
         Ok(())
     }
+}
+
+/// Closes the live block: its thermal pass through an epoch of `steps`
+/// sub-steps of length `substep`, then the epoch close of each lane in it
+/// (`live`, which it empties) into its report.
+fn close_block(
+    block: &mut LiveBlock,
+    lanes: &mut [Soc],
+    live: &mut Vec<(usize, SimTime)>,
+    reports: &mut [EpochReport],
+    (substep, steps): (SimDuration, u64),
+) {
+    // xtask-hotpath: begin
+    block.finish(lanes, substep, steps);
+    for &(i, started_at) in live.iter() {
+        if let (Some(soc), Some(report)) = (lanes.get_mut(i), reports.get_mut(i)) {
+            soc.run_epoch_suffix(started_at, report);
+        }
+    }
+    // xtask-hotpath: end
+    live.clear();
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::{JobClass, SocConfig};
-    use simkit::SimDuration;
 
     fn lane(config: SocConfig) -> Soc {
         Soc::new(config).unwrap()

@@ -2,24 +2,31 @@
 //! voltage domain, a power model and a thermal node.
 //!
 //! Each sub-step update is written once. [`StepState::close`] ends a
-//! sub-step — energy, thermal step, throttle clamp and its transition
-//! charge — and `cpuidle_scales` is the per-core cpuidle term; the stepped
-//! reference [`Cluster::advance_substep`] and the busy kernel both call
-//! them.
+//! sub-step of the stepped reference [`Cluster::advance_substep`] —
+//! energy, thermal step, throttle clamp and its transition charge — and
+//! `cpuidle_scales` is the per-core cpuidle term the reference and the
+//! execution pass share.
 //!
-//! A run of sub-steps on a cluster without cpuidle states is *steady*
-//! when nothing but its power and thermal chain moves: every online core
-//! idle, or busy on a front job that outlasts the run at a level the clamp
-//! cannot lower. Steady runs go through the batched steady kernel
-//! ([`SteadyLanes`]), one lane per cluster, each online core adding one
-//! constant clock term to the leakage. [`SteadyLanes::load`] and
-//! [`SteadyLanes::store`] are the one mapping between a cluster and a
-//! lane. A lone cluster's mid-epoch idle run goes one lane wide; an
-//! epoch's tail (from its last dispatch and last completion to its end)
-//! goes in one call with the SoC's other tails, and in a batch with every
-//! live lane's tails (`Tails` in `soc_impl.rs`); a batch's parked
-//! clusters stay in lanes across epochs ([`ParkedLanes`]). The kernel and
-//! [`crate::ThermalModel::step`] share the thermal relax and hysteresis.
+//! **Two passes.** Temperature reaches back into execution only through
+//! the throttle clamp: dispatch reads backlog and level, and a core's
+//! execution reads its queue, its stall and the level. So an epoch whose
+//! clamp provably cannot fire ([`Cluster::clamp_cannot_fire`], the *clamp
+//! certificate*) keeps one level throughout, and runs as two passes: an
+//! *execution pass* ([`Cluster::execute`]) dispatches and retires work
+//! sub-step by sub-step exactly as the reference does, touching no power
+//! or thermal state, and writes each online core's busy fraction (and on
+//! a cluster with cpuidle states its two power scales) per sub-step into
+//! [`SteadyLanes`]' rows; then a *thermal pass* runs the epoch's whole power
+//! and thermal chain from sub-step 0 in the batched steady kernel
+//! ([`SteadyLanes`]), one lane per cluster, evaluating per lane the
+//! reference's expressions in the reference's order. An uncertified
+//! cluster-epoch steps the reference.
+//!
+//! [`SteadyLanes::load`] and [`SteadyLanes::store`] are the one mapping
+//! between a cluster's power and thermal state and a lane. A batch's
+//! parked clusters stay in lanes across epochs ([`ParkedLanes`]), every
+//! core idle. The kernel and [`crate::ThermalModel::step`] share the
+//! thermal relax and hysteresis.
 
 use simkit::{SimDuration, SimTime};
 
@@ -29,11 +36,6 @@ use crate::{
     ClusterConfig, CompletedJob, CoreModel, IdleDepth, IdleStates, Job, OppLevel, PowerModel,
     SocError, ThermalModel,
 };
-
-/// Online cores a steady run can keep busy: the steady kernel carries a
-/// clock term of its own for each of a lane's first eight cores, and
-/// every later one is idle.
-const STEADY_BUSY_CORES: usize = 8;
 
 /// Per-epoch aggregate report for one cluster.
 #[derive(Debug, Clone, PartialEq, Default)]
@@ -161,8 +163,7 @@ impl EpochAcc {
 }
 
 /// Everything a sub-step updates in a cluster outside its cores, in one
-/// `Copy` value: the busy kernel holds it in a local for a whole span and
-/// writes it back once.
+/// `Copy` value.
 #[derive(Debug, Clone, Copy, PartialEq)]
 struct StepState {
     level: OppLevel,
@@ -432,8 +433,9 @@ impl Cluster {
     ///
     /// This is the stepped reference: the SoC runs it once per cluster per
     /// sub-step (1 000 times per simulated second with the presets' 1 ms
-    /// sub-steps) when its fast paths are off, and the span kernels its
-    /// fast paths run are proven against it. It must not
+    /// sub-steps) when its fast paths are off, and for a cluster-epoch the
+    /// clamp certificate does not admit; the two passes its fast paths run
+    /// are proven against it. It must not
     /// allocate — completions drain into the pooled epoch buffer, busy
     /// fractions fold into scalars, and the per-OPP power constants come
     /// from the lookup table built at construction. Bit-identical to the
@@ -497,149 +499,198 @@ impl Cluster {
         self.cores.iter().all(CoreModel::is_quiescent)
     }
 
-    /// Advances `steps` sub-steps of length `dt` from `start` through the
-    /// fast paths: sub-steps with work through the busy kernel, and the
-    /// quiescent rest of a cluster without cpuidle states as one lane of
-    /// the steady kernel. A cluster with cpuidle states runs the whole
-    /// span in the busy kernel, since its cores' depths and residencies
-    /// keep changing while idle.
+    /// The clamp certificate: whether the throttle clamp provably cannot
+    /// fire in the coming epoch of `steps` sub-steps of length `dt`,
+    /// checked at the epoch's start once its levels are applied. Within an
+    /// epoch only the clamp moves the level, and only down, so a certified
+    /// epoch keeps one level throughout, and with it every input of its
+    /// execution pass: it may run as two passes (see the module docs).
     ///
-    /// Callers guarantee that no job arrives on this cluster before the
-    /// last of the `steps` sub-steps ends — the SoC's dispatch horizon.
-    /// Under that condition this is **bit-identical** to calling
-    /// [`Cluster::advance_substep`] `steps` times: a quiescent cluster
-    /// cannot wake without a dispatch, and every value the kernels hoist
-    /// is the expression the stepped loop evaluates, on the same inputs
-    /// (property tests pin the equivalence). With an empty queue the busy
-    /// fraction is exactly `+0.0`, so the idle lane drops the execution
-    /// loop and the utilisation folds (`x += 0.0` on non-negative sums is
-    /// a bitwise no-op).
-    pub(crate) fn advance_span(&mut self, start: SimTime, dt: SimDuration, steps: u64) {
-        let idle = steps - self.advance_busy_substeps(start, dt, steps, false);
-        if idle > 0 {
-            let mut lane = SteadyLanes::<1>::new();
-            lane.load(0, self, dt, 0);
-            lane.run(1, dt.as_secs_f64(), idle);
-            lane.store(0, self, dt, idle);
+    /// It holds when the level is at or below the clamp target: the clamp
+    /// lowers to the target, so it never fires there, and a node that
+    /// starts throttled was clamped there by [`Cluster::set_level`].
+    /// Otherwise it holds when the node is not throttled and stays below
+    /// its trip point through the epoch by the horizon bound of
+    /// [`stays_below_trip`]. Before a trip no sub-step draws more than
+    /// `uncore + online · (max(dyn_w, idle_coeff) + leakage at the trip
+    /// point)`: a core's clock term is a convex combination of `dyn_w` and
+    /// `idle_coeff` scaled by at most 1, its leakage is scaled by at most
+    /// 1, and leakage rises with temperature. A negative leakage
+    /// coefficient, leakage base or idle coefficient, or a cpuidle saving
+    /// below zero (a scale above 1), voids that argument, and leaves the
+    /// cluster uncertified.
+    pub(crate) fn clamp_cannot_fire(&mut self, dt: SimDuration, steps: u64) -> bool {
+        if self.st.level <= self.clamp_target() {
+            return true;
         }
+        let lut = self.lut(self.st.level);
+        let power = &self.config.power;
+        let scales_at_most_one = self
+            .config
+            .idle
+            .as_ref()
+            .is_none_or(|i| i.gate_dynamic_saving >= 0.0 && i.collapse_leakage_saving >= 0.0);
+        let sound = scales_at_most_one
+            && power.leak_temp_coeff >= 0.0
+            && lut.leak_base >= 0.0
+            && lut.idle_coeff >= 0.0;
+        if !sound || self.st.thermal.is_throttled() {
+            return false;
+        }
+        let decay = self.st.thermal.decay_for(dt);
+        let thermal = &self.st.thermal;
+        let leak_at_trip = PowerModel::leakage_w_from_parts(
+            lut.leak_base,
+            thermal.throttle_temp_c,
+            power.leak_temp_coeff,
+            power.leak_t_ref_c,
+        );
+        let most_w = lut.uncore_w
+            + self.online as f64 * (f64::max(lut.dyn_w, lut.idle_coeff) + leak_at_trip);
+        stays_below_trip(
+            thermal.temp_c(),
+            thermal.steady_state_c(most_w),
+            decay,
+            thermal.throttle_temp_c,
+            steps,
+        )
     }
 
-    /// The busy kernel: runs sub-steps from `start` until `steps` are done
-    /// or, without a cpuidle table, the rest is for the steady kernel —
-    /// from the first sub-step that starts with every core quiescent or,
-    /// `until_steady`, with the rest of the span steady
-    /// ([`Cluster::steady_for`]) — and returns how many it ran. Under the
-    /// dispatch-horizon guarantee of [`Cluster::advance_span`], which
-    /// runs it first, the SoC runs the last span of an epoch through it
-    /// `until_steady`: the rest of that span is the cluster's tail, which
-    /// the SoC runs with its other tails in one kernel call.
+    /// The execution pass of sub-steps `from..from + span` of an epoch the
+    /// clamp certificate admitted, this cluster in lane `j` of `lanes`:
+    /// each sub-step of [`Cluster::advance_substep`] without its power and
+    /// thermal chain, each online core's busy fraction written into its
+    /// row for the thermal pass. Returns whether a row may hold a busy
+    /// sub-step: `false` when every core was idle throughout.
     ///
-    /// Each sub-step is [`Cluster::advance_substep`] with its invariants
-    /// hoisted: the OPP's power constants and the cores'
-    /// [`ExecConsts`] are built once per span and refreshed only when the
-    /// thermal clamp lowers the level, and the [`StepState`] lives in a
-    /// local. Leakage is evaluated straight-line (the temperature moves
-    /// every busy sub-step, so the one-entry memo would miss).
-    pub(crate) fn advance_busy_substeps(
+    /// Callers guarantee that no job arrives on this cluster before the
+    /// span's last sub-step ends (the SoC's dispatch horizon), and start
+    /// with sub-step 0, which spends the pending transition stall; it is
+    /// zeroed whether or not a core runs. With the level fixed, the pass
+    /// keeps the reference's bits:
+    ///
+    /// - Each core runs ahead on its own ([`CoreModel::run_ahead`])
+    ///   through its idle and full-budget sub-steps, which complete
+    ///   nothing: one compare, subtract and add on its front job and
+    ///   retired count per sub-step, in order, and a store of its busy
+    ///   fraction; idle sub-steps store `+0.0` and add their residency
+    ///   in one integer add.
+    /// - Every other sub-step of a core is an *event* — a stall, a
+    ///   completion — and runs [`CoreModel::advance_hoisted`] at the
+    ///   level's [`ExecConsts`], bit-identical to the reference's
+    ///   execution. Events run in (sub-step, core) order, so completions
+    ///   enter the pooled buffer in the order the reference appends them.
+    /// - A cluster with cpuidle states (or more than [`EXEC_CORES`]
+    ///   online cores) runs every sub-step in that order instead, each
+    ///   online core's depth scales written into its rows and its
+    ///   residency credited as the reference credits it.
+    /// - Offline cores take their idle residency in one integer add.
+    pub(crate) fn execute<const W: usize>(
         &mut self,
+        lanes: &mut SteadyLanes<W>,
+        j: usize,
         start: SimTime,
         dt: SimDuration,
-        steps: u64,
-        until_steady: bool,
-    ) -> u64 {
-        let idle_cfg = self.config.idle.as_ref();
-        let mut quiescent = self.is_quiescent();
-        if quiescent && idle_cfg.is_none() {
-            return 0;
-        }
-        let mut s = self.st;
-        let mut lut = self.lut(s.level);
-        // Every core is built with the cluster's IPC (see `Cluster::new`).
-        let mut exec = ExecConsts::new(lut.freq_hz, self.config.ipc, dt);
-        let clamp_target = self.clamp_target();
-        let dt_s = dt.as_secs_f64();
-        let n = self.online as f64;
-        let mut t = start;
-        let mut done = 0;
-        // Whether the last sub-step could have made the rest steady.
-        let mut changed = true;
+        (from, span): (u64, u64),
+    ) -> bool {
+        let quiescent = self.is_quiescent();
+        let Cluster {
+            config,
+            cores,
+            online,
+            st,
+            completed,
+            ..
+        } = self;
+        let (online_cores, offline_cores) = cores.split_at_mut(*online);
+        let stall = st.pending_stall.min(dt);
+        st.pending_stall = SimDuration::ZERO;
+        let k = lanes.exec_consts(j);
         // xtask-hotpath: begin
-        while done < steps {
-            if idle_cfg.is_none()
-                && (quiescent
-                    || (until_steady
-                        && changed
-                        && self.steady_for(&s, &exec, clamp_target, steps - done)))
-            {
-                break;
+        for core in offline_cores.iter_mut() {
+            core.note_idle(dt * span);
+        }
+        let n = online_cores.len();
+        if config.idle.is_some() || n > EXEC_CORES {
+            let dt_s = dt.as_secs_f64();
+            let idle_cfg = config.idle.as_ref();
+            let mut stall = stall;
+            for i in 0..span {
+                let t = start + dt * i;
+                for (c, core) in online_cores.iter_mut().enumerate() {
+                    let scales = cpuidle_scales(idle_cfg, core.idle_for(), dt_s, &mut st.acc);
+                    let busy = core.advance_hoisted(t, dt, &k, stall, completed);
+                    lanes.write_busy(j, from + i, c, busy);
+                    lanes.write_scales(j, from + i, c, scales);
+                }
+                stall = SimDuration::ZERO;
             }
-            let completed = self.completed.len();
-            let stall = s.pending_stall.min(dt);
-            s.pending_stall = SimDuration::ZERO;
-            let leak_w = self
-                .config
-                .power
-                .leakage_w_from_base(lut.leak_base, s.thermal.temp_c());
-            let mut busy_sum = 0.0;
-            let mut busy_max = 0.0;
-            let mut power_w = lut.uncore_w;
-            quiescent = true;
-            let (online_cores, offline_cores) = self.cores.split_at_mut(self.online);
-            for core in online_cores.iter_mut() {
-                let (dyn_scale, leak_scale) =
-                    cpuidle_scales(idle_cfg, core.idle_for(), dt_s, &mut s.acc);
-                if core.is_quiescent() {
-                    // A quiescent core is busy exactly `+0.0`: its power
-                    // folds to the idle term (see
-                    // `PowerModel::idle_core_w_from_parts`), and folding
-                    // `+0.0` into the non-negative utilisation sums is a
-                    // bitwise no-op.
-                    core.note_idle(dt);
-                    power_w += PowerModel::idle_core_w_from_parts(
-                        lut.idle_coeff,
-                        leak_w,
-                        dyn_scale,
-                        leak_scale,
-                    );
-                } else {
-                    let busy = core.advance_hoisted(t, dt, &exec, stall, &mut self.completed);
-                    power_w += PowerModel::core_w_from_parts(
-                        lut.dyn_w,
-                        lut.idle_coeff,
-                        leak_w,
-                        busy,
-                        dyn_scale,
-                        leak_scale,
-                    );
-                    busy_sum += busy;
-                    busy_max = f64::max(busy_max, busy);
-                    quiescent &= core.is_quiescent();
+            return true;
+        }
+        // Each core's next sub-step of the span to run; a stall sends
+        // every core through sub-step 0 as an event.
+        let mut next = [0u64; EXEC_CORES];
+        if stall.is_zero() {
+            for (c, core) in online_cores.iter_mut().enumerate() {
+                let ahead = lanes.busy_run(j, from, c, span);
+                if let Some(next) = next.get_mut(c) {
+                    *next = core.run_ahead(&k, dt, ahead);
                 }
             }
-            // Offline cores are parked, hence quiescent: they never hold
-            // work, so `quiescent` covers the whole cluster.
-            for core in offline_cores.iter_mut() {
-                core.note_idle(dt);
+        }
+        loop {
+            let e = next.iter().take(n).copied().min().unwrap_or(span);
+            if e >= span {
+                break;
             }
-
-            let fired = s.close(&self.config, power_w, dt, dt_s);
-            if fired {
-                lut = self.lut(s.level);
-                exec = ExecConsts::new(lut.freq_hz, self.config.ipc, dt);
+            let t = start + dt * e;
+            let stall = if e == 0 { stall } else { SimDuration::ZERO };
+            for (c, (core, next)) in online_cores.iter_mut().zip(next.iter_mut()).enumerate() {
+                if *next != e {
+                    continue;
+                }
+                let busy = core.advance_hoisted(t, dt, &k, stall, completed);
+                lanes.write_busy(j, from + e, c, busy);
+                let ahead = lanes.busy_run(j, from + e + 1, c, span - e - 1);
+                *next = e + 1 + core.run_ahead(&k, dt, ahead);
             }
-            // Only a sub-step that finished a job, spent a stall or
-            // clamped can make the rest steady: after any other, each
-            // front job is one budget closer to the same completion.
-            changed = fired || !stall.is_zero() || self.completed.len() != completed;
-            s.acc.util_avg_sum += busy_sum / n;
-            s.acc.util_max_sum += busy_max;
-            s.acc.substeps += 1;
-            t += dt;
-            done += 1;
         }
         // xtask-hotpath: end
-        self.st = s;
-        done
+        !quiescent
+    }
+
+    /// Whether the execution pass may leave this cluster until its next
+    /// dispatch: every core quiescent, so each sub-step until a job
+    /// arrives is idle, and no cpuidle states, whose depths move while
+    /// idle. Dispatch reads no state such a cluster's idle sub-steps
+    /// change (its backlog stays zero and its level fixed), so
+    /// [`Cluster::idle_through`] may run them late.
+    pub(crate) fn stays_idle(&self) -> bool {
+        self.config.idle.is_none() && self.is_quiescent()
+    }
+
+    /// The execution pass of sub-steps `from..from + span` on a cluster
+    /// that [`Cluster::stays_idle`], this cluster in lane `j` of `lanes`:
+    /// every online core's rows `+0.0`, every core's residency in one
+    /// integer add, and the pending transition stall spent if the span
+    /// holds sub-step 0 (a stall only shrinks an execution window).
+    pub(crate) fn idle_through<const W: usize>(
+        &mut self,
+        lanes: &mut SteadyLanes<W>,
+        j: usize,
+        dt: SimDuration,
+        (from, span): (u64, u64),
+    ) {
+        if span == 0 {
+            return;
+        }
+        self.st.pending_stall = SimDuration::ZERO;
+        for (c, core) in self.cores.iter_mut().enumerate() {
+            if c < self.online {
+                lanes.busy_run(j, from, c, span).fill(0.0);
+            }
+            core.note_idle(dt * span);
+        }
     }
 
     /// The level the throttle clamp lowers to: a level at or below it
@@ -647,24 +698,6 @@ impl Cluster {
     fn clamp_target(&self) -> OppLevel {
         let max_level = self.config.opps.max_level();
         max_level.saturating_sub(self.st.thermal.throttle_levels)
-    }
-
-    /// Whether the `left` sub-steps from here to the end of the span are
-    /// steady, each repeating the last but for the power and thermal
-    /// chain: every online core idle, or — with no transition stall
-    /// pending, at a level the clamp cannot lower, and among the first
-    /// [`STEADY_BUSY_CORES`] — busy on a front job that outlasts all
-    /// `left` sub-steps ([`CoreModel::outlasts`]). Offline cores are
-    /// parked, hence idle.
-    fn steady_for(&self, s: &StepState, k: &ExecConsts, clamp_target: OppLevel, left: u64) -> bool {
-        let calm = s.pending_stall.is_zero() && s.level <= clamp_target;
-        self.cores
-            .iter()
-            .take(self.online)
-            .enumerate()
-            .all(|(c, core)| {
-                core.is_quiescent() || (calm && c < STEADY_BUSY_CORES && core.outlasts(k, left))
-            })
     }
 
     /// Stages the table constants needed to synthesise
@@ -753,24 +786,62 @@ pub(crate) struct ParkedObsConsts {
     clamp_freq_hz: u64,
 }
 
+/// Online cores a cluster's execution pass runs core by core: each keeps
+/// its next sub-step in a fixed array of this many. A wider cluster runs
+/// sub-step by sub-step.
+const EXEC_CORES: usize = 16;
+
 /// SoA lane width of the steady kernel: wide enough that the vectorised
 /// sub-step chain amortises its latency across many lanes, small enough
 /// that the hot lanes stay in L1.
 pub(crate) const STEADY_BLOCK: usize = 32;
 
+/// The horizon bound both clamp certificates share
+/// ([`Cluster::clamp_cannot_fire`] for live epochs, the parked lanes' own
+/// for all-idle ones): whether a node at `temp_c`, not throttled, stays
+/// below its trip point `trip_c` through `steps` sub-steps that each relax
+/// it by `decay` towards a steady state of at most `t_inf_max`. Each relax
+/// step lands between its start and its steady state, so by induction
+/// every sub-step's temperature is at most `temp_c + max(0, t_inf_max −
+/// temp_c) · (1 − decayⁿ)`.
+///
+/// That bound must clear the trip point by a margin above the epoch's
+/// roundings. Each sub-step's power is a sum of about `6 · online + 2`
+/// rounded non-negative terms and its relax rounds five times, so a
+/// sub-step adds at most `(6 · online + 7) · 2⁻⁵³ · M` to the error, where
+/// `M = |temp_c| + |t_inf_max| + |trip_c|` bounds every temperature in the
+/// chain; the relax contracts earlier errors (`decay ≤ 1`), so `n`
+/// sub-steps and the bound's own roundings stay below `(n + 1) · (6 ·
+/// online + 16) · 2⁻⁵³ · M`. The margin `(n + 1) · 10⁻⁹ · M` exceeds that
+/// for any cluster of fewer than a million cores.
+fn stays_below_trip(temp_c: f64, t_inf_max: f64, decay: f64, trip_c: f64, steps: u64) -> bool {
+    let n = i32::try_from(steps).unwrap_or(i32::MAX);
+    let bound = temp_c + f64::max(0.0, t_inf_max - temp_c) * (1.0 - decay.powi(n));
+    let margin = (steps as f64 + 1.0) * 1e-9 * (temp_c.abs() + t_inf_max.abs() + trip_c.abs());
+    bound + margin < trip_c
+}
+
 /// Structure-of-arrays lanes of one kernel block, `W` wide. Integer and
 /// boolean cluster state rides in `f64` lanes — the values are small
 /// integers and 0.0/1.0 flags, all exactly representable — so every
 /// select in the sub-step loop is over one element type and the loops
-/// vectorise clean. The lanes from `start` on are read by steady blocks
-/// only.
+/// vectorise clean.
+///
+/// A live block also carries the rows its execution passes write
+/// ([`Cluster::execute`]) and its thermal pass reads: online core `c`'s
+/// busy fraction at sub-step `i`, and with cpuidle states its two power
+/// scales, for each lane. They are lane-major — lane `j`'s value of core
+/// `c` at sub-step `i` sits at `(j · stride + c) · steps + i` — so a
+/// cluster's execution pass writes a few contiguous runs, and the thermal
+/// pass gathers each (sub-step, core) row across the lanes. The rows are
+/// bounded by one block, `W × sub-steps × cores`, and reused across
+/// epochs; a parked block has none.
 ///
 /// [`SteadyLanes::load`] and [`SteadyLanes::store`] are the one mapping
-/// between a [`Cluster`] and a lane: loading a cluster, running the lane,
-/// and storing it back leaves the cluster as the kernel ran it, and
-/// loading a cluster that a lane was stored into reproduces every value
-/// the kernel reads of that lane. Each pass over a lane's clusters is one
-/// block call: load, [`SteadyLanes::run`], store.
+/// between a [`Cluster`]'s power and thermal state and a lane: loading a
+/// cluster, running the lane, and storing it back leaves the cluster as
+/// the kernel ran it, and loading a cluster that a lane was stored into
+/// reproduces every value the kernel reads of that lane.
 #[derive(Debug)]
 pub(crate) struct SteadyLanes<const W: usize> {
     // Mutable lane state.
@@ -784,6 +855,7 @@ pub(crate) struct SteadyLanes<const W: usize> {
     transitions: [f64; W],
     stall_armed: [f64; W],
     // Per-lane constants.
+    dyn_w: [f64; W],
     leak_temp_coeff: [f64; W],
     leak_t_ref_c: [f64; W],
     transition_energy_j: [f64; W],
@@ -798,22 +870,36 @@ pub(crate) struct SteadyLanes<const W: usize> {
     clamp_uncore_w: [f64; W],
     clamp_idle_coeff: [f64; W],
     clamp_leak_base: [f64; W],
-    // Each lane's start and epoch sub-step count (added per run, not per
-    // sub-step); steady blocks: its utilisation sums and their increments,
-    // and the clock term of each of its first `STEADY_BUSY_CORES` cores
-    // (the clamp moves an idle one with `idle_coeff`).
-    start: [f64; W],
+    /// Whether the lane's cluster has cpuidle states (its scale rows).
+    scaled: [f64; W],
+    // Each lane's epoch sub-step count (added per run, not per sub-step)
+    // and utilisation sums.
     substeps: [f64; W],
     util_avg: [f64; W],
     util_max: [f64; W],
-    util_avg_step: [f64; W],
-    util_max_step: [f64; W],
-    clock: [[f64; W]; STEADY_BUSY_CORES],
+    /// Each live lane's execution constants at its level.
+    exec: [ExecConsts; W],
+    // A live block's rows: `stride` cores by `steps` sub-steps per lane.
+    stride: usize,
+    steps: usize,
+    busy: Vec<f64>,
+    dyn_scale: Vec<f64>,
+    leak_scale: Vec<f64>,
 }
 
 impl<const W: usize> SteadyLanes<W> {
+    /// Lanes without rows, for parked blocks.
     pub(crate) fn new() -> Self {
+        Self::with_rows(0, 0, false)
+    }
+
+    /// Lanes with rows for a live block: epochs of `steps` sub-steps on
+    /// clusters of at most `cores` cores, with scale rows when some cluster
+    /// has cpuidle states (`cpuidle`).
+    pub(crate) fn with_rows(cores: usize, steps: u64, cpuidle: bool) -> Self {
         let z = [0.0; W];
+        let rows = W * cores * steps as usize;
+        let scale_rows = if cpuidle { rows } else { 0 };
         SteadyLanes {
             temp_c: z,
             energy_j: z,
@@ -824,6 +910,7 @@ impl<const W: usize> SteadyLanes<W> {
             level: z,
             transitions: z,
             stall_armed: z,
+            dyn_w: z,
             leak_temp_coeff: z,
             leak_t_ref_c: z,
             transition_energy_j: z,
@@ -838,33 +925,87 @@ impl<const W: usize> SteadyLanes<W> {
             clamp_uncore_w: z,
             clamp_idle_coeff: z,
             clamp_leak_base: z,
-            start: z,
+            scaled: z,
             substeps: z,
             util_avg: z,
             util_max: z,
-            util_avg_step: z,
-            util_max_step: z,
-            clock: [z; STEADY_BUSY_CORES],
+            exec: [ExecConsts::default(); W],
+            stride: cores,
+            steps: steps as usize,
+            busy: vec![0.0; rows],
+            dyn_scale: vec![0.0; scale_rows],
+            leak_scale: vec![0.0; scale_rows],
         }
     }
 
-    // xtask-allow-region: no-panic-lib -- every caller passes a lane `j < W` (a block position below `W`, or `i % STEADY_BLOCK` into a `STEADY_BLOCK`-wide block) into `[f64; W]` lanes: in bounds
-    /// Loads `c` into lane `j` for a steady run (see
-    /// [`Cluster::steady_for`]) of sub-steps of length `dt`, from sub-step
-    /// `start` of the span the lane runs in: the thermal node, level and
-    /// epoch sums, the power constants of the level and of the clamp target
-    /// (`level > clamp` fires at most once per run — the clamp never
-    /// lowers further — so those of the clamped level can be staged up
-    /// front; a busy run sits at or below the target and never fires), and
-    /// each online core's clock term with the utilisation increments of
-    /// the busy ones. A pending stall moves into the lane's stall flag: an
-    /// idle run never uses it (`stall = pending_stall.min(dt)` only shrinks
-    /// an execution window), a busy run starts without one, and
-    /// [`SteadyLanes::run`] clears the flag when it opens a span, so only a
-    /// final-sub-step clamp re-arms it for [`SteadyLanes::store`].
+    /// Admits `c`, its levels applied at an epoch's start, into lane `j`
+    /// for that epoch of `steps` sub-steps of length `dt` in two passes:
+    /// when the clamp certificate holds and the lane and its rows fit the
+    /// cluster, loads it, stages its execution constants and returns
+    /// `true`; otherwise the caller steps the reference. The execution
+    /// pass leaves every value [`SteadyLanes::load`] reads as it was.
+    pub(crate) fn admit(&mut self, j: usize, c: &mut Cluster, dt: SimDuration, steps: u64) -> bool {
+        let fits = j < W
+            && c.online <= self.stride
+            && self.steps as u64 == steps
+            && self.busy.len() == W * self.stride * self.steps
+            && (c.config.idle.is_none() || self.dyn_scale.len() == self.busy.len());
+        if !fits || !c.clamp_cannot_fire(dt, steps) {
+            return false;
+        }
+        self.load(j, c, dt);
+        if let Some(k) = self.exec.get_mut(j) {
+            // Every core is built with the cluster's IPC (see `Cluster::new`).
+            *k = ExecConsts::new(c.lut(c.st.level).freq_hz, c.config.ipc, dt);
+        }
+        true
+    }
+
+    /// Lane `j`'s execution constants, staged by [`SteadyLanes::admit`].
+    pub(crate) fn exec_consts(&self, j: usize) -> ExecConsts {
+        self.exec.get(j).copied().unwrap_or_default()
+    }
+
+    /// Where lane `j`'s value of core `c` at sub-step `i` sits in the rows.
     #[inline(always)]
-    pub(crate) fn load(&mut self, j: usize, c: &mut Cluster, dt: SimDuration, start: u64) {
-        debug_assert!(c.config.idle.is_none(), "steady run with cpuidle");
+    fn row(&self, j: usize, c: usize, i: u64) -> usize {
+        (j * self.stride + c) * self.steps + i as usize
+    }
+
+    /// Writes lane `j`'s busy fraction of core `c` at sub-step `i`.
+    #[inline(always)]
+    fn write_busy(&mut self, j: usize, i: u64, c: usize, busy: f64) {
+        let at = self.row(j, c, i);
+        if let Some(slot) = self.busy.get_mut(at) {
+            *slot = busy;
+        }
+    }
+
+    /// Writes lane `j`'s cpuidle power scales of core `c` at sub-step `i`.
+    #[inline(always)]
+    fn write_scales(&mut self, j: usize, i: u64, c: usize, (dyn_scale, leak_scale): (f64, f64)) {
+        let at = self.row(j, c, i);
+        if let (Some(d), Some(l)) = (self.dyn_scale.get_mut(at), self.leak_scale.get_mut(at)) {
+            (*d, *l) = (dyn_scale, leak_scale);
+        }
+    }
+
+    /// Lane `j`'s busy fractions of core `c` at sub-steps `i..i + len`.
+    #[inline(always)]
+    pub(crate) fn busy_run(&mut self, j: usize, i: u64, c: usize, len: u64) -> &mut [f64] {
+        let at = self.row(j, c, i);
+        self.busy.get_mut(at..at + len as usize).unwrap_or_default()
+    }
+
+    // xtask-allow-region: no-panic-lib -- every caller passes a lane `j < W` (a block position below `W`, or `i % STEADY_BLOCK` into a `STEADY_BLOCK`-wide block) into `[f64; W]` lanes: in bounds
+    /// Loads `c` into lane `j` for a run of sub-steps of length `dt`: the
+    /// thermal node, level and epoch sums, and the power constants of the
+    /// level and of the clamp target (`level > clamp` fires at most once
+    /// per run — the clamp never lowers further — so those of the clamped
+    /// level can be staged up front). The pending stall stays with the
+    /// cluster.
+    #[inline(always)]
+    pub(crate) fn load(&mut self, j: usize, c: &mut Cluster, dt: SimDuration) {
         self.decay[j] = c.st.thermal.decay_for(dt);
         let (power, thermal, acc) = (&c.config.power, &c.st.thermal, &c.st.acc);
         let (lut, clamp_level) = (c.lut(c.st.level), c.clamp_target());
@@ -877,7 +1018,7 @@ impl<const W: usize> SteadyLanes<W> {
         self.leak_base[j] = lut.leak_base;
         self.level[j] = c.st.level as f64;
         self.transitions[j] = f64::from(acc.transitions);
-        self.stall_armed[j] = f64::from(u8::from(!c.st.pending_stall.is_zero()));
+        self.dyn_w[j] = lut.dyn_w;
         self.leak_temp_coeff[j] = power.leak_temp_coeff;
         self.leak_t_ref_c[j] = power.leak_t_ref_c;
         self.transition_energy_j[j] = power.transition_energy_j;
@@ -891,50 +1032,19 @@ impl<const W: usize> SteadyLanes<W> {
         self.clamp_uncore_w[j] = clamp_lut.uncore_w;
         self.clamp_idle_coeff[j] = clamp_lut.idle_coeff;
         self.clamp_leak_base[j] = clamp_lut.leak_base;
-        self.start[j] = start as f64;
+        self.scaled[j] = f64::from(u8::from(c.config.idle.is_some()));
         self.substeps[j] = f64::from(acc.substeps);
         self.util_avg[j] = acc.util_avg_sum;
         self.util_max[j] = acc.util_max_sum;
-        // An idle core's clock term is `idle_coeff · 1.0`, the coefficient
-        // itself; a busy one's is at the full-budget busy fraction, and the
-        // increments are the busy kernel's utilisation folds, in core
-        // order. Rows past the online count are never read for this lane.
-        let mut full_busy = None;
-        let (mut busy_sum, mut busy_max) = (0.0, 0.0);
-        for (k, core) in c.cores.iter().take(c.online).enumerate() {
-            let clock_w = if core.is_quiescent() {
-                lut.idle_coeff
-            } else {
-                debug_assert!(k < STEADY_BUSY_CORES, "busy core {k} has no clock row");
-                let (busy, clock_w) = *full_busy.get_or_insert_with(|| {
-                    let busy = ExecConsts::new(lut.freq_hz, c.config.ipc, dt).full_busy();
-                    (
-                        busy,
-                        PowerModel::core_clock_w(lut.dyn_w, lut.idle_coeff, busy, 1.0),
-                    )
-                });
-                busy_sum += busy;
-                busy_max = f64::max(busy_max, busy);
-                clock_w
-            };
-            if let Some(row) = self.clock.get_mut(k) {
-                row[j] = clock_w;
-            }
-        }
-        self.util_avg_step[j] = busy_sum / c.online as f64;
-        self.util_max_step[j] = busy_max;
-        c.st.pending_stall = SimDuration::ZERO;
     }
 
-    /// Stores lane `j` back into `c`, the cluster it was loaded from, after
-    /// the lane ran `ran` sub-steps of length `dt`: thermal node, level,
-    /// epoch sums, a stall armed by a final-sub-step clamp, and the cores'
-    /// deferred updates — each busy core's `ran` full-budget sub-steps
-    /// ([`CoreModel::run_full_substeps`]) and every other core's idle
-    /// residency (integer nanoseconds, so one batched add equals the
-    /// per-sub-step adds exactly).
+    /// Stores lane `j` back into `c`, the cluster it was loaded from:
+    /// thermal node, level, epoch sums, and a stall armed by a
+    /// final-sub-step clamp. The cores are not touched: a live cluster's
+    /// execution pass advanced them, and a parked one's owe only idle
+    /// residency ([`ParkedLanes::store`]).
     #[inline(always)]
-    pub(crate) fn store(&self, j: usize, c: &mut Cluster, dt: SimDuration, ran: u64) {
+    pub(crate) fn store(&self, j: usize, c: &mut Cluster) {
         c.st.thermal
             .restore_batched(self.temp_c[j], self.throttled[j] != 0.0);
         // Lossless round-trips: levels and counts are small integers, far
@@ -949,38 +1059,23 @@ impl<const W: usize> SteadyLanes<W> {
         if self.stall_armed[j] != 0.0 {
             c.st.pending_stall = c.config.transition_latency;
         }
-        // A busy run never clamps, so it ran at the level it started at.
-        let (freq_hz, ipc) = (c.lut(c.st.level).freq_hz, c.config.ipc);
-        let (idle_span, mut exec) = (dt * ran, None);
-        for core in &mut c.cores {
-            if core.is_quiescent() {
-                core.note_idle(idle_span);
-            } else {
-                let k = exec.get_or_insert_with(|| ExecConsts::new(freq_hz, ipc, dt));
-                core.run_full_substeps(k, ran, dt);
-            }
-        }
     }
 
-    /// Whether lane `j`'s clamp cannot fire in this run: its level is at
-    /// or below both clamp targets (every busy run's is), or — in a wide
-    /// block, where the test costs less than the fire block — it is an
-    /// all-idle run whose node stays below its trip point. That holds
-    /// when the temperature and the steady state of the most the run
-    /// could draw below the trip point — every core's leakage at the trip
-    /// point, leakage rising with temperature — both sit a degree below
-    /// it, since each relax step lands between its start and that steady
-    /// state, up to roundings far below the margin. A throttled node is
-    /// left to the level test.
+    /// Whether parked lane `j`'s clamp cannot fire in a run of `steps`
+    /// sub-steps: its level is at or below both clamp targets, or its
+    /// node, not throttled, stays below its trip point by the horizon
+    /// bound of [`stays_below_trip`]. An all-idle lane draws `uncore +
+    /// online · (idle_coeff + leakage)`, at most that with the leakage at
+    /// the trip point before a trip, leakage rising with temperature.
     #[inline(always)]
-    fn cannot_fire(&self, j: usize) -> bool {
+    fn cannot_fire(&self, j: usize, steps: u64) -> bool {
         if self.level[j] <= f64::min(self.clamp_level[j], self.max_level[j]) {
             return true;
         }
-        if W <= 2 || self.util_max_step[j] != 0.0 || self.throttled[j] != 0.0 {
+        let sound = self.leak_temp_coeff[j] >= 0.0 && self.leak_base[j] >= 0.0;
+        if !sound || self.throttled[j] != 0.0 {
             return false;
         }
-        let below = self.trip_c[j] - 1.0;
         let leak_at_trip = PowerModel::leakage_w_from_parts(
             self.leak_base[j],
             self.trip_c[j],
@@ -988,101 +1083,96 @@ impl<const W: usize> SteadyLanes<W> {
             self.leak_t_ref_c[j],
         );
         let most_w = self.uncore_w[j] + self.online[j] * (self.idle_coeff[j] + leak_at_trip);
-        self.leak_temp_coeff[j] >= 0.0
-            && self.leak_base[j] >= 0.0
-            && self.temp_c[j] <= below
-            && self.ambient_c[j] + most_w * self.r_th_c_per_w[j] <= below
+        stays_below_trip(
+            self.temp_c[j],
+            self.ambient_c[j] + most_w * self.r_th_c_per_w[j],
+            self.decay[j],
+            self.trip_c[j],
+            steps,
+        )
     }
 
-    /// Runs lanes `0..n` (`n <= W`), each from its start to the end of a
-    /// span of `steps` sub-steps of `dt_s` seconds, in the fastest variant
-    /// of [`steady_substeps`] that gives them the same values, and adds
-    /// the sub-steps each ran to its count. Each lane opens with its stall
-    /// flag clear: a flag armed before has been consumed by a store, or is
+    /// Opens a run of lanes `0..n` (`n <= W`) through an epoch of `steps`
+    /// sub-steps: adds the sub-steps to each lane's count, and clears every
+    /// stall flag — a flag armed before has been consumed by a store, or is
     /// discarded exactly as the stepped loop zeroes the stall at the top of
-    /// every sub-step. Lanes from `n` on hold stale values: they are
+    /// every sub-step. Returns whether the lanes share one online count,
+    /// and the largest. Lanes from `n` on hold stale values: they are
     /// stepped, never read, and do not pick the variant.
-    ///
-    /// Per lane this is **bit-identical** to stepped execution: each lane
-    /// evaluates the same straight-line sequence as the busy kernel's core
-    /// loop and [`StepState::close`] — leakage from the hoisted base, each
-    /// online core's clock term plus the leakage added in core order,
-    /// energy, the thermal relax and hysteresis
-    /// [`crate::ThermalModel::step`] runs, the clamp, and the constant
-    /// utilisation increments — only the schedule across (independent)
-    /// lanes changes. A lane waits, unchanged, until its own start. The
-    /// sub-step loops are fixed-width and branch-free — every conditional
-    /// update is a lane-wise select that reproduces the branch outcome
-    /// value exactly — so they vectorise, and the serial per-lane thermal
-    /// recurrence amortises its latency across the block.
-    pub(crate) fn run(&mut self, n: usize, dt_s: f64, steps: u64) {
+    fn open(&mut self, n: usize, steps: u64) -> (bool, u32) {
         self.stall_armed = [0.0; W];
-        // Common-case specialisations, all value-preserving: with one
-        // online count the add predicates are uniformly true; when no lane
-        // can clamp the fire block is select-only no-ops for the whole
-        // span, so skipping it changes nothing; and lanes that all start
-        // together without a utilisation increment (so every core's clock
-        // term is bitwise the idle one) run the aligned all-idle loop.
         let (mut min_online, mut max_online) = (f64::INFINITY, 0.0);
-        let (mut from, mut last_start) = (f64::INFINITY, 0.0);
-        let (mut no_fire, mut busy) = (true, false);
         for j in 0..n.min(W) {
             min_online = f64::min(min_online, self.online[j]);
             max_online = f64::max(max_online, self.online[j]);
-            from = f64::min(from, self.start[j]);
-            last_start = f64::max(last_start, self.start[j]);
-            no_fire = no_fire && self.cannot_fire(j);
-            busy |= self.util_max_step[j] != 0.0;
-            self.substeps[j] += steps as f64 - self.start[j];
+            self.substeps[j] += steps as f64;
         }
-        let variant = (
-            min_online == max_online,
-            no_fire,
-            busy || from != last_start,
-        );
-        let span = (dt_s, from as u64, steps, max_online as u32);
-        // One or two runs in a wide block step only their own lanes, as a
-        // lone SoC's one or two do: stepping the whole block costs more.
-        if W > 2 && n <= 2 {
-            self.run_variant::<2>(variant, span);
-        } else {
-            self.run_variant::<W>(variant, span);
+        (min_online == max_online, max_online as u32)
+    }
+
+    /// Runs parked lanes `0..n`, every core idle, through an epoch of
+    /// `steps` sub-steps of `dt_s` seconds, in the fastest variant of
+    /// [`steady_substeps`] that gives them the same values.
+    pub(crate) fn run_parked(&mut self, n: usize, dt_s: f64, steps: u64) {
+        let (uniform, cores) = self.open(n, steps);
+        let no_fire = (0..n.min(W)).all(|j| self.cannot_fire(j, steps));
+        self.run_variant::<false, false>(n, (uniform, no_fire), (dt_s, steps, cores));
+    }
+
+    /// The thermal pass of live lanes `0..n`, each admitted by the clamp
+    /// certificate, so the clamp fires in none: runs their whole epoch of
+    /// `steps` sub-steps of `dt_s` seconds from sub-step 0, reading the
+    /// rows their execution passes wrote. Without a busy row (`busy`) or a
+    /// scale row (`scaled`) the block runs the all-idle variant, whose
+    /// idle term is bitwise the busy-row term at `+0.0`.
+    pub(crate) fn run_live(&mut self, n: usize, dt_s: f64, steps: u64, busy: bool, scaled: bool) {
+        let (uniform, cores) = self.open(n, steps);
+        let variant = (uniform, true);
+        let span = (dt_s, steps, cores);
+        match (busy || scaled, scaled) {
+            (false, _) => self.run_variant::<false, false>(n, variant, span),
+            (true, false) => self.run_variant::<true, false>(n, variant, span),
+            (true, true) => self.run_variant::<true, true>(n, variant, span),
         }
     }
 
-    /// Runs lanes `0..V` (`V <= W`) through `span` — `(dt_s, from, steps,
-    /// max_online)` — in the `variant` `(UNIFORM, NO_FIRE, STEADY)` of
-    /// [`steady_substeps`].
-    fn run_variant<const V: usize>(
+    /// Runs lanes `0..n` through `span` — `(dt_s, steps, max_online)` — in
+    /// the `variant` `(UNIFORM, NO_FIRE)` of [`steady_substeps`] with
+    /// `LIVE` and `SCALED`. One or two lanes in a wide block step only
+    /// their own lanes, as a lone SoC's one or two do: stepping the whole
+    /// block costs more.
+    fn run_variant<const LIVE: bool, const SCALED: bool>(
         &mut self,
-        variant: (bool, bool, bool),
-        (dt_s, from, steps, cores): (f64, u64, u64, u32),
+        n: usize,
+        variant: (bool, bool),
+        span: (f64, u64, u32),
+    ) {
+        if W > 2 && n <= 2 {
+            self.run_width::<2, LIVE, SCALED>(variant, span);
+        } else {
+            self.run_width::<W, LIVE, SCALED>(variant, span);
+        }
+    }
+
+    /// [`SteadyLanes::run_variant`] over lanes `0..V` (`V <= W`).
+    fn run_width<const V: usize, const LIVE: bool, const SCALED: bool>(
+        &mut self,
+        variant: (bool, bool),
+        (dt_s, steps, cores): (f64, u64, u32),
     ) {
         let l = self;
         match variant {
-            (true, true, false) => {
-                steady_substeps::<W, V, true, true, false>(l, dt_s, from, steps, cores)
+            (true, true) => {
+                steady_substeps::<W, V, true, true, LIVE, SCALED>(l, dt_s, steps, cores)
             }
-            (true, false, false) => {
-                steady_substeps::<W, V, true, false, false>(l, dt_s, from, steps, cores)
+            (true, false) => {
+                steady_substeps::<W, V, true, false, LIVE, SCALED>(l, dt_s, steps, cores)
             }
-            (false, true, false) => {
-                steady_substeps::<W, V, false, true, false>(l, dt_s, from, steps, cores)
+            (false, true) => {
+                steady_substeps::<W, V, false, true, LIVE, SCALED>(l, dt_s, steps, cores)
             }
-            (false, false, false) => {
-                steady_substeps::<W, V, false, false, false>(l, dt_s, from, steps, cores)
-            }
-            (true, true, true) => {
-                steady_substeps::<W, V, true, true, true>(l, dt_s, from, steps, cores)
-            }
-            (true, false, true) => {
-                steady_substeps::<W, V, true, false, true>(l, dt_s, from, steps, cores)
-            }
-            (false, true, true) => {
-                steady_substeps::<W, V, false, true, true>(l, dt_s, from, steps, cores)
-            }
-            (false, false, true) => {
-                steady_substeps::<W, V, false, false, true>(l, dt_s, from, steps, cores)
+            (false, false) => {
+                steady_substeps::<W, V, false, false, LIVE, SCALED>(l, dt_s, steps, cores)
             }
         }
     }
@@ -1125,19 +1215,33 @@ impl ParkedLanes {
 
     /// Loads slot `i` from `c`, a quiescent cluster at an epoch boundary:
     /// its epoch sums are empty, and without cpuidle states it has no
-    /// residency to add (see [`ParkedLanes::close_epoch`]).
+    /// residency to add (see [`ParkedLanes::close_epoch`]). A pending
+    /// stall moves into the slot's stall flag: an idle run never uses it
+    /// (`stall = pending_stall.min(dt)` only shrinks an execution window),
+    /// and the next run clears the flag, so only a final-sub-step clamp
+    /// re-arms it for [`ParkedLanes::store`].
     pub(crate) fn load(&mut self, i: usize, c: &mut Cluster, dt: SimDuration) {
-        debug_assert!(c.is_quiescent() && c.st.acc.substeps == 0);
+        debug_assert!(c.is_quiescent() && c.st.acc.substeps == 0 && c.config.idle.is_none());
         if let Some(l) = self.blocks.get_mut(i / STEADY_BLOCK) {
-            l.load(i % STEADY_BLOCK, c, dt, 0);
+            let j = i % STEADY_BLOCK;
+            l.load(j, c, dt);
+            if let Some(armed) = l.stall_armed.get_mut(j) {
+                *armed = f64::from(u8::from(!c.st.pending_stall.is_zero()));
+            }
+            c.st.pending_stall = SimDuration::ZERO;
         }
     }
 
     /// Stores slot `i` back into `c`, the cluster it was loaded from, with
-    /// the idle residency of `ran` sub-steps of length `dt`.
+    /// the idle residency of `ran` sub-steps of length `dt` on every core
+    /// (integer nanoseconds, so one add equals the per-sub-step adds
+    /// exactly).
     pub(crate) fn store(&self, i: usize, c: &mut Cluster, dt: SimDuration, ran: u64) {
         if let Some(l) = self.blocks.get(i / STEADY_BLOCK) {
-            l.store(i % STEADY_BLOCK, c, dt, ran);
+            l.store(i % STEADY_BLOCK, c);
+            for core in &mut c.cores {
+                core.note_idle(dt * ran);
+            }
         }
     }
 
@@ -1156,7 +1260,7 @@ impl ParkedLanes {
                 break;
             }
             let n = left.min(STEADY_BLOCK);
-            l.run(n, dt_s, steps);
+            l.run_parked(n, dt_s, steps);
             left -= n;
         }
     }
@@ -1243,17 +1347,31 @@ impl ParkedLanes {
 }
 
 /// The vectorised sub-step loop over the first `V` lanes of one
-/// [`SteadyLanes`] block, from sub-step `from` to `steps`.
+/// [`SteadyLanes`] block, through an epoch of `steps` sub-steps from
+/// sub-step 0.
 ///
+/// Per lane this is **bit-identical** to stepped execution: each lane
+/// evaluates the straight-line sequence of [`Cluster::advance_substep`]
+/// and [`StepState::close`] — leakage from the hoisted base, each online
+/// core's term added in core order, energy, the thermal relax and
+/// hysteresis [`crate::ThermalModel::step`] runs, the clamp, and the
+/// utilisation folds — only the schedule across (independent) lanes
+/// changes. The loops are fixed-width and branch-free — every conditional
+/// update is a lane-wise select that reproduces the branch outcome value
+/// exactly — so they vectorise, and the serial per-lane thermal recurrence
+/// amortises its latency across the block.
+///
+/// `LIVE` lanes read each core's busy fraction `b` from the rows and add
+/// `core_w_from_clock(core_clock_w(dyn_w, idle_coeff, b, dyn_scale), leak,
+/// leak_scale)`, the reference's per-core expression; their utilisation
+/// sums fold `busy_sum / online` and `busy_max`, each folded from `+0.0`
+/// in core order. `SCALED` reads the scales of lanes with cpuidle states
+/// from their rows; every other lane's are `1.0`, as in the reference.
+/// Otherwise every core is idle and adds the one idle term, which is
+/// bitwise the busy-row term at `b = +0.0`, with the folds `+0.0` no-ops.
 /// `UNIFORM` (every lane shares `max_online`) drops the per-core add
-/// predicates; `NO_FIRE` (no lane's level exceeds a clamp target) drops
-/// the clamp block. Both are pure specialisations — see
-/// [`SteadyLanes::run`]. `STEADY` is off for a block of idle runs that all
-/// start at `from`: every lane then runs every sub-step and every core
-/// adds the one idle term. On, each lane holds its state until its own
-/// start, each of its first cores adds its own clock term plus the
-/// leakage, and it adds its utilisation increments; a busy lane never
-/// fires the clamp (its level is at or below the target).
+/// predicates; `NO_FIRE` (no lane's clamp can fire, as no live lane's can)
+/// drops the clamp block. All are pure specialisations.
 #[allow(clippy::needless_range_loop)] // fixed-width lane loops vectorise as written
 #[inline(always)]
 fn steady_substeps<
@@ -1261,31 +1379,29 @@ fn steady_substeps<
     const V: usize,
     const UNIFORM: bool,
     const NO_FIRE: bool,
-    const STEADY: bool,
+    const LIVE: bool,
+    const SCALED: bool,
 >(
     l: &mut SteadyLanes<W>,
     dt_s: f64,
-    from: u64,
     steps: u64,
     max_online: u32,
 ) {
-    // The cores with a clock term of their own; the rest add the idle term.
-    let clocked = if STEADY {
-        max_online.min(STEADY_BUSY_CORES as u32)
-    } else {
-        0
-    };
     // The lanes stepped: `V`, within the block (a narrow variant of a
     // one-lane block is never called, but is still built).
     let lanes = V.min(W);
-    // xtask-allow-region: no-panic-lib -- every index is `j < lanes = min(V, W)` into `[f64; W]` lanes (or a fixed `[_; V]` scratch) and `c < clocked <= STEADY_BUSY_CORES` into the clock rows: statically in bounds
+    let cores = max_online as usize;
+    // Lane `j`'s rows start at `j · lane_rows`.
+    let lane_rows = l.stride * l.steps;
+    // xtask-allow-region: no-panic-lib -- every lane index is `j < lanes = min(V, W)` into `[f64; W]` lanes or a fixed `[_; V]` scratch; a `LIVE` block's rows are `W × stride × steps` long with `max_online <= stride` and `steps` its epoch's (`SteadyLanes::admit`), so row `j · lane_rows + c · steps + i` with `i < steps`, `c < max_online` is in bounds
     // xtask-hotpath: begin
-    for i in from..steps {
+    for i in 0..steps {
         let last = if i + 1 == steps { 1.0f64 } else { 0.0 };
-        let i_f = i as f64;
         let mut leak_w = [0.0; V];
         let mut idle_term = [0.0; V];
         let mut power_w = [0.0; V];
+        let mut busy_sum = [0.0; V];
+        let mut busy_max = [0.0; V];
         for j in 0..lanes {
             leak_w[j] = PowerModel::leakage_w_from_parts(
                 l.leak_base[j],
@@ -1293,41 +1409,54 @@ fn steady_substeps<
                 l.leak_temp_coeff[j],
                 l.leak_t_ref_c[j],
             );
-            idle_term[j] = PowerModel::idle_core_w_from_parts(l.idle_coeff[j], leak_w[j], 1.0, 1.0);
+            if !LIVE {
+                idle_term[j] =
+                    PowerModel::idle_core_w_from_parts(l.idle_coeff[j], leak_w[j], 1.0, 1.0);
+            }
             power_w[j] = l.uncore_w[j];
         }
         // The scalar paths add one term per online core, in core order;
         // the predicated add replays that exact chain lane-wise (a
         // discarded `power + term` has no effect) with a uniform trip
-        // count: first the cores with a clock term of their own, then the
-        // rest with the idle term.
-        for (c, clock) in l.clock.iter().enumerate().take(clocked as usize) {
+        // count.
+        for c in 0..cores {
             let c_f = c as f64;
-            for j in 0..lanes {
-                let term = PowerModel::core_w_from_clock(clock[j], leak_w[j], 1.0);
-                power_w[j] = if UNIFORM || c_f < l.online[j] {
-                    power_w[j] + term
-                } else {
-                    power_w[j]
-                };
+            if !LIVE {
+                for j in 0..lanes {
+                    power_w[j] = if UNIFORM || c_f < l.online[j] {
+                        power_w[j] + idle_term[j]
+                    } else {
+                        power_w[j]
+                    };
+                }
+                continue;
             }
-        }
-        for c in clocked..max_online {
-            let c_f = f64::from(c);
+            // Gather the (sub-step, core) row across the lanes.
+            let at = c * l.steps + i as usize;
+            let (mut busy, mut dyn_scale, mut leak_scale) = ([0.0; V], [1.0; V], [1.0; V]);
             for j in 0..lanes {
-                power_w[j] = if UNIFORM || c_f < l.online[j] {
-                    power_w[j] + idle_term[j]
+                busy[j] = l.busy[j * lane_rows + at];
+                if SCALED && l.scaled[j] != 0.0 {
+                    dyn_scale[j] = l.dyn_scale[j * lane_rows + at];
+                    leak_scale[j] = l.leak_scale[j * lane_rows + at];
+                }
+            }
+            for j in 0..lanes {
+                let (b, ds, ls) = (busy[j], dyn_scale[j], leak_scale[j]);
+                let clock_w = PowerModel::core_clock_w(l.dyn_w[j], l.idle_coeff[j], b, ds);
+                let term = PowerModel::core_w_from_clock(clock_w, leak_w[j], ls);
+                let on = UNIFORM || c_f < l.online[j];
+                power_w[j] = if on { power_w[j] + term } else { power_w[j] };
+                busy_sum[j] = if on { busy_sum[j] + b } else { busy_sum[j] };
+                busy_max[j] = if on {
+                    f64::max(busy_max[j], b)
                 } else {
-                    power_w[j]
+                    busy_max[j]
                 };
             }
         }
         for j in 0..lanes {
-            // A lane runs from its own start; before it, every update is
-            // discarded by a select.
-            let on = !STEADY || i_f >= l.start[j];
-            let energy_j = l.energy_j[j] + power_w[j] * dt_s;
-            l.energy_j[j] = if on { energy_j } else { l.energy_j[j] };
+            l.energy_j[j] += power_w[j] * dt_s;
             // `ThermalModel::step` with the decay factor hoisted.
             let temp_c = relax(
                 l.temp_c[j],
@@ -1336,37 +1465,29 @@ fn steady_substeps<
                 l.r_th_c_per_w[j],
                 l.decay[j],
             );
-            let throttled = hysteresis(
+            l.throttled[j] = hysteresis(
                 temp_c,
                 l.trip_c[j],
                 l.release_c[j],
                 l.throttled[j],
                 [0.0, 1.0],
             );
-            l.temp_c[j] = if on { temp_c } else { l.temp_c[j] };
-            l.throttled[j] = if on { throttled } else { l.throttled[j] };
-            if STEADY {
-                // An idle lane adds `+0.0`, a bitwise no-op on its
-                // non-negative sums.
-                let util_avg = l.util_avg[j] + l.util_avg_step[j];
-                let util_max = l.util_max[j] + l.util_max_step[j];
-                l.util_avg[j] = if on { util_avg } else { l.util_avg[j] };
-                l.util_max[j] = if on { util_max } else { l.util_max[j] };
+            l.temp_c[j] = temp_c;
+            if LIVE {
+                l.util_avg[j] += busy_sum[j] / l.online[j];
+                l.util_max[j] += busy_max[j];
             }
         }
         if NO_FIRE {
             continue;
         }
-        // Whether each lane's clamp fired, as `0.0`/`1.0`.
-        let mut fired = [0.0; V];
         for j in 0..lanes {
             let clamp = if l.throttled[j] != 0.0 {
                 l.clamp_level[j]
             } else {
                 l.max_level[j]
             };
-            let fire = (!STEADY || i_f >= l.start[j]) && l.level[j] > clamp;
-            fired[j] = if fire { 1.0 } else { 0.0 };
+            let fire = l.level[j] > clamp;
             l.level[j] = if fire { clamp } else { l.level[j] };
             // The energy accumulator is a sum of non-negative terms, so
             // the discarded branch adds `+0.0` — exact — and the lane
@@ -1396,16 +1517,6 @@ fn steady_substeps<
             } else {
                 l.stall_armed[j]
             };
-        }
-        // Only an idle lane fires, so every clock term it has is idle.
-        for clock in l.clock.iter_mut().take(clocked as usize) {
-            for j in 0..lanes {
-                clock[j] = if fired[j] != 0.0 {
-                    l.clamp_idle_coeff[j]
-                } else {
-                    clock[j]
-                };
-            }
         }
     }
     // xtask-hotpath: end
@@ -1723,6 +1834,113 @@ mod tests {
         assert_eq!(c.capacity_ips(), full_capacity / 2.0);
         c.reset();
         assert_eq!(c.num_online(), 2);
+    }
+
+    /// A random cluster for the clamp certificate: either cluster of the
+    /// xu3 preset, or the `symmetric_quad` or `tiny_test` one, sometimes
+    /// with cpuidle states, on a random thermal node whose trip point may
+    /// sit a fraction of a degree over ambient and whose time constant may
+    /// be a few epochs, so that the clamp fires often and the horizon bound
+    /// (not only the level test) decides.
+    fn random_cluster(rng: &mut simkit::SimRng) -> Cluster {
+        let preset = match rng.uniform_usize(3) {
+            0 => SocConfig::odroid_xu3_like(),
+            1 => SocConfig::symmetric_quad(),
+            _ => SocConfig::tiny_test(),
+        }
+        .unwrap();
+        let n = preset.clusters.len();
+        let mut cfg = preset.clusters[rng.uniform_usize(n)].clone();
+        if rng.chance(0.25) {
+            cfg.idle = Some(crate::IdleStates::mobile_cpuidle());
+        }
+        let ambient = rng.uniform_in(15.0, 35.0);
+        let trip = ambient + rng.uniform_in(0.1, 10.0);
+        cfg.thermal = crate::ThermalModel::new(
+            rng.uniform_in(2.0, 20.0),
+            rng.uniform_in(0.002, 0.08),
+            ambient,
+            trip,
+            trip - rng.uniform_in(0.01, 0.5),
+            1 + rng.uniform_usize(4),
+        );
+        Cluster::new(cfg)
+    }
+
+    /// Runs a random cluster for `epochs` epochs through the stepped
+    /// reference — levels mostly above the clamp target, jobs of random
+    /// size in some epochs and none in others, hotplug — checking the clamp certificate at each epoch's
+    /// start against what the epoch did: wherever the certificate holds,
+    /// the clamp must not fire. Returns the epochs the horizon bound
+    /// certified above the clamp target, and the epochs whose clamp
+    /// fired.
+    fn check_certificate(seed: u64, epochs: usize) -> (usize, usize) {
+        let mut rng = simkit::SimRng::seed_from(seed);
+        let mut c = random_cluster(&mut rng);
+        let (dt, steps) = (SimDuration::from_millis(1), 20);
+        let (max, cores) = (c.config().opps.max_level(), c.num_cores());
+        let mut t = SimTime::ZERO;
+        let (mut by_bound, mut fired) = (0, 0);
+        for e in 0..epochs as u64 {
+            if rng.chance(0.05) {
+                c.set_online(1 + rng.uniform_usize(cores), 0).unwrap();
+            }
+            let level = if rng.chance(0.8) {
+                max - rng.uniform_usize(3).min(max)
+            } else {
+                rng.uniform_usize(max + 1)
+            };
+            c.set_level(level, 0).unwrap();
+            let arrivals = if rng.chance(0.3) {
+                0
+            } else {
+                1 + rng.uniform_usize(6)
+            };
+            for k in 0..arrivals {
+                let work = rng.uniform_in(1e5, 8e7) as u64;
+                c.enqueue_on(rng.uniform_usize(cores), job(e * 8 + k as u64, work));
+            }
+            let (start, above) = (c.level(), c.level() > c.clamp_target());
+            let certified = c.clamp_cannot_fire(dt, steps);
+            for _ in 0..steps {
+                c.advance_substep(t, dt);
+                t += dt;
+            }
+            let clamped = c.level() < start;
+            assert!(
+                !(certified && clamped),
+                "seed {seed}, epoch {e}: certified, yet the clamp fired ({start} -> {})",
+                c.level()
+            );
+            by_bound += usize::from(certified && above);
+            fired += usize::from(clamped);
+            c.end_epoch();
+        }
+        (by_bound, fired)
+    }
+
+    proptest::proptest! {
+        /// The clamp certificate is sound: no cluster-epoch it admits
+        /// clamps in the stepped reference.
+        #[test]
+        fn prop_clamp_certificate_is_sound(seed in proptest::arbitrary::any::<u64>()) {
+            check_certificate(seed, 150);
+        }
+    }
+
+    /// The certificate test reaches both of its sides: the horizon bound
+    /// certifies epochs above the clamp target, and the clamp fires in
+    /// many of the epochs it refused.
+    #[test]
+    fn clamp_certificate_cases_are_reached() {
+        let (mut by_bound, mut fired) = (0, 0);
+        for seed in 0..40 {
+            let (b, f) = check_certificate(seed, 150);
+            by_bound += b;
+            fired += f;
+        }
+        assert!(by_bound > 500, "{by_bound} epochs certified by the bound");
+        assert!(fired > 50, "{fired} epochs clamped");
     }
 
     #[test]

@@ -43,11 +43,11 @@ pub struct CoreReport {
 }
 
 /// The execution constants of one OPP over one sub-step length, hoisted
-/// out of the sub-step loop by the cluster's busy kernel (see
+/// out of the sub-step loop by the cluster's execution pass (see
 /// [`CoreModel::advance_hoisted`]). Each is the expression
 /// [`CoreModel::advance_into`] evaluates every sub-step, on the same
 /// inputs, so reading it back is bit-identical.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct ExecConsts {
     /// The sub-step length in seconds, `dt.as_secs_f64()`.
     dt_s: f64,
@@ -77,34 +77,12 @@ impl ExecConsts {
             full_busy: busy_fraction(busy_s, dt_s),
         }
     }
-
-    /// The busy fraction of an unstalled sub-step that spends the whole
-    /// budget without finishing its job.
-    pub(crate) fn full_busy(&self) -> f64 {
-        self.full_busy
-    }
 }
 
 /// The busy fraction of a sub-step of `dt_s` seconds that executed for
 /// `busy_s` seconds.
 fn busy_fraction(busy_s: f64, dt_s: f64) -> f64 {
     (busy_s / dt_s).clamp(0.0, 1.0)
-}
-
-/// A front job's remaining work after `n` sub-steps that each take the
-/// full-budget branch of [`CoreModel::advance_hoisted`] — `remaining >
-/// full_budget`, then `remaining -= full_budget` — replayed one
-/// subtraction at a time, so the bits are the ones the stepped loop
-/// leaves. `None` when some sub-step would finish the job instead.
-fn full_budget_run(mut remaining: f64, full_budget: f64, n: u64) -> Option<f64> {
-    for _ in 0..n {
-        if remaining > full_budget {
-            remaining -= full_budget;
-        } else {
-            return None;
-        }
-    }
-    Some(remaining)
 }
 
 impl CoreModel {
@@ -308,35 +286,45 @@ impl CoreModel {
         busy
     }
 
-    /// Whether each of the next `n` sub-steps, unstalled, takes the
-    /// full-budget branch of [`CoreModel::advance_hoisted`] at `k`: a job
-    /// queued, no wake-up stall, and the front job outlasting all `n`
-    /// budgets by exact replay. The product screen before the replay can
-    /// only reject runs the replay rejects too: `n` roundings of the
-    /// replay move it by far less than its 1e-6 margin.
-    pub(crate) fn outlasts(&self, k: &ExecConsts, n: u64) -> bool {
-        let Some(front) = self.queue.front() else {
-            return false;
+    /// Runs the core ahead through the sub-steps whose busy fractions
+    /// `busy` takes, one per sub-step from the next, for as long as each
+    /// is idle or takes the full-budget branch of
+    /// [`CoreModel::advance_hoisted`] unstalled at `k`, and returns how
+    /// many it ran: the core's next event sub-step (a stall, a completion)
+    /// is the one after them. An idle core (nothing queued, no wake-up
+    /// stall) stays idle without a dispatch, so it runs every sub-step,
+    /// busy `+0.0`, its residency in one integer add. A busy one replays
+    /// each sub-step's compare, subtract and add on its front job and
+    /// retired count — one at a time, so the bits are the ones the
+    /// stepped loop leaves — and records `k.full_busy`.
+    pub(crate) fn run_ahead(&mut self, k: &ExecConsts, dt: SimDuration, busy: &mut [f64]) -> u64 {
+        let mut n = 0;
+        if self.is_quiescent() {
+            busy.fill(0.0);
+            n = busy.len() as u64;
+            self.idle_for += dt * n;
+            return n;
+        }
+        if !self.wake_stall.is_zero() {
+            return 0;
+        }
+        let Some(front) = self.queue.front_mut() else {
+            return 0;
         };
-        self.wake_stall.is_zero()
-            && front.remaining * (1.0 + 1e-6) > k.full_budget * n as f64
-            && full_budget_run(front.remaining, k.full_budget, n).is_some()
-    }
-
-    /// Applies `n` sub-steps of the full-budget branch at once, on a core
-    /// that [`CoreModel::outlasts`] them: the replayed front job, `n`
-    /// adds to the retired count, and the residency those sub-steps
-    /// leave.
-    pub(crate) fn run_full_substeps(&mut self, k: &ExecConsts, n: u64, dt: SimDuration) {
-        if let Some(front) = self.queue.front_mut() {
-            let remaining = full_budget_run(front.remaining, k.full_budget, n);
-            debug_assert!(remaining.is_some(), "steady run finishes its job");
-            front.remaining = remaining.unwrap_or(front.remaining);
+        for b in busy {
+            if front.remaining > k.full_budget {
+                front.remaining -= k.full_budget;
+                self.retired += k.full_budget;
+                *b = k.full_busy;
+                n += 1;
+            } else {
+                break;
+            }
         }
-        for _ in 0..n {
-            self.retired += k.full_budget;
+        if n > 0 {
+            self.note_busy(k.full_busy, dt * n);
         }
-        self.note_busy(k.full_busy, dt * n);
+        n
     }
 
     /// Advances the cpuidle residency past a sub-step with busy fraction

@@ -188,9 +188,8 @@ impl PowerModel {
     }
 
     /// The leakage-free half of the per-core expression: switching plus
-    /// the scaled idle clock tree. It is constant while a core stays idle
-    /// or busy by the same fraction at one OPP, so the steady kernel
-    /// evaluates it once per run.
+    /// the scaled idle clock tree. The steady kernel's thermal pass
+    /// evaluates it from each core's recorded busy fraction.
     #[inline]
     pub(crate) fn core_clock_w(dyn_w: f64, idle_coeff: f64, busy: f64, idle_dyn_scale: f64) -> f64 {
         dyn_w * busy + idle_coeff * (1.0 - busy) * idle_dyn_scale
@@ -209,8 +208,7 @@ impl PowerModel {
     /// and adding `+0.0` to the non-negative idle term is a bitwise
     /// no-op — so this fold is **bit-identical** to the general
     /// expression (asserted by a unit test) while skipping three
-    /// multiplications for every quiescent core in the busy and idle
-    /// kernels.
+    /// multiplications for every core of an all-idle kernel block.
     #[inline]
     pub fn idle_core_w_from_parts(
         idle_coeff: f64,

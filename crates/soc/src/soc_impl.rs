@@ -1,5 +1,17 @@
 //! The top-level SoC: clusters + scheduler + arrival queue, advanced one
 //! DVFS epoch at a time.
+//!
+//! With its fast paths on, an epoch runs in two passes (see the
+//! `cluster` module docs). [`Soc::run_epoch_prefix`] applies the levels,
+//! admits each cluster whose clamp certificate holds into a
+//! [`LiveBlock`], and runs the execution pass: it dispatches each arrival
+//! at its sub-step and, between dispatches, runs each admitted cluster on
+//! its own — clusters interact only at dispatch, which reads backlog and
+//! level — and any other cluster through the stepped reference.
+//! [`LiveBlock::finish`] runs the thermal pass of every admitted cluster
+//! in the steady kernel, and [`Soc::run_epoch_suffix`] closes the epoch.
+//! A lone SoC runs its own block, two lanes wide on the xu3; a
+//! [`crate::DeviceBatch`] shares one block among its live lanes.
 
 use simkit::{obs, EventQueue, SimDuration, SimTime};
 
@@ -97,100 +109,89 @@ pub struct Soc {
     epochs_run: u64,
     jobs_submitted: u64,
     idle_fast_forward: bool,
-    /// The epoch tails [`Soc::run_epoch_into`] runs in one kernel call:
-    /// scratch, empty between epochs.
-    tails: Tails,
+    /// The live block [`Soc::run_epoch_into`] runs its clusters in.
+    live: LoneBlock,
 }
 
-/// An epoch step's steady tails, waiting for one steady-kernel call: each
-/// is `(lane, cluster, start)`, cluster `cluster` of SoC `lane` (0 for a
-/// lone SoC) from sub-step `start` of the epoch to its end. Scratch reused
-/// across epochs, with the kernel's start-sorted order over the tails.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct Tails {
-    ids: Vec<(usize, usize, u64)>,
-    order: Vec<u32>,
+/// One block of live clusters in two passes (see the `cluster` module
+/// docs): lane `j` of its kernel lanes holds the cluster the clamp
+/// certificate admitted as `ids[j]`. Each SoC admits its clusters and runs
+/// its execution pass ([`Soc::run_epoch_prefix`]); [`LiveBlock::finish`]
+/// then runs the thermal pass of every lane and stores each back. Scratch
+/// reused across epochs, empty between them.
+#[derive(Debug)]
+pub(crate) struct LiveBlock {
+    lanes: SteadyLanes<STEADY_BLOCK>,
+    ids: Vec<LiveId>,
+    /// Whether a lane's rows may hold a busy sub-step, and whether a lane
+    /// has cpuidle states: with neither, the thermal pass runs all-idle.
+    busy: bool,
+    scaled: bool,
 }
 
-impl Tails {
-    /// Runs every tail of `socs` through the steady kernel to the end of
-    /// an epoch of `steps` sub-steps of length `dt` — loading each tail's
-    /// cluster into a lane, running the block, storing it back — and
-    /// clears the tails. One or two tails (a lone SoC's) go one or two
-    /// lanes wide; more go in [`STEADY_BLOCK`]-lane blocks in order of
-    /// their starts, so that each block's lanes start close together and
-    /// seldom wait.
-    pub(crate) fn run(&mut self, socs: &mut [Soc], dt: SimDuration, steps: u64) {
-        let Tails { ids, order } = self;
-        match ids.len() {
-            0 => {}
-            1 => run_tail_blocks::<1>(socs, ids, &[0], dt, steps),
-            2 => run_tail_blocks::<2>(socs, ids, &[0, 1], dt, steps),
-            _ => {
-                let sorted = sort_by_start(ids, order, steps);
-                run_tail_blocks::<STEADY_BLOCK>(socs, ids, sorted, dt, steps);
+/// A lane of a [`LiveBlock`]: cluster `cluster` of SoC `lane` (0 for a
+/// lone SoC), and while that cluster [`Cluster::stays_idle`], the first
+/// of its sub-steps the execution pass has yet to run.
+#[derive(Debug, Clone, Copy)]
+struct LiveId {
+    lane: usize,
+    cluster: usize,
+    idle_from: Option<u64>,
+}
+
+impl LiveBlock {
+    /// A block for the clusters of `socs`, which share one grid: rows for
+    /// an epoch of its sub-steps, as wide as the widest cluster, with
+    /// scale rows when some cluster has cpuidle states.
+    pub(crate) fn new(socs: &[Soc]) -> Box<LiveBlock> {
+        let clusters = || socs.iter().flat_map(|s| s.clusters.iter());
+        let cores = clusters().map(Cluster::num_cores).max().unwrap_or(0);
+        let cpuidle = clusters().any(|c| c.config().idle.is_some());
+        let steps = socs.first().map_or(0, |s| s.config.substeps_per_epoch());
+        Box::new(LiveBlock {
+            lanes: SteadyLanes::with_rows(cores, steps, cpuidle),
+            ids: Vec::with_capacity(STEADY_BLOCK),
+            busy: false,
+            scaled: false,
+        })
+    }
+
+    /// Whether `clusters` more clusters fit in the block.
+    pub(crate) fn has_room(&self, clusters: usize) -> bool {
+        self.ids.len() + clusters <= STEADY_BLOCK
+    }
+
+    /// Runs the thermal pass of every lane through an epoch of `steps`
+    /// sub-steps of length `dt`, stores each lane back into its cluster of
+    /// `socs`, and empties the block.
+    pub(crate) fn finish(&mut self, socs: &mut [Soc], dt: SimDuration, steps: u64) {
+        if self.ids.is_empty() {
+            return;
+        }
+        let n = self.ids.len();
+        self.lanes
+            .run_live(n, dt.as_secs_f64(), steps, self.busy, self.scaled);
+        for (j, id) in self.ids.iter().enumerate() {
+            let cluster = socs
+                .get_mut(id.lane)
+                .and_then(|s| s.clusters.get_mut(id.cluster));
+            if let Some(cluster) = cluster {
+                self.lanes.store(j, cluster);
             }
         }
-        ids.clear();
+        self.ids.clear();
+        (self.busy, self.scaled) = (false, false);
     }
 }
 
-/// Orders `ids` by start into `order`, every start below `steps`, and
-/// returns the sorted indices: a counting sort, where `next[s]` counts the
-/// tails starting before `s`, then hands out their places.
-fn sort_by_start<'a>(
-    ids: &[(usize, usize, u64)],
-    order: &'a mut Vec<u32>,
-    steps: u64,
-) -> &'a [u32] {
-    let buckets = steps as usize + 1;
-    order.clear();
-    order.resize(buckets + ids.len(), 0);
-    let (next, sorted) = order.split_at_mut(buckets);
-    for &(_, _, start) in ids {
-        if let Some(count) = next.get_mut(start as usize + 1) {
-            *count += 1;
-        }
-    }
-    let mut before = 0;
-    for count in next.iter_mut() {
-        before += *count;
-        *count = before;
-    }
-    for (i, &(_, _, start)) in ids.iter().enumerate() {
-        if let Some(slot) = next.get_mut(start as usize) {
-            if let Some(place) = sorted.get_mut(*slot as usize) {
-                *place = i as u32;
-            }
-            *slot += 1;
-        }
-    }
-    sorted
-}
+/// A lone SoC's [`LiveBlock`], built on its first fast epoch and reused;
+/// a clone starts without one.
+#[derive(Debug, Default)]
+struct LoneBlock(Option<Box<LiveBlock>>);
 
-/// Runs the tails `ids` of `socs`, in `order`, in blocks of `W` lanes, one
-/// set of lanes reused by every block.
-fn run_tail_blocks<const W: usize>(
-    socs: &mut [Soc],
-    ids: &[(usize, usize, u64)],
-    order: &[u32],
-    dt: SimDuration,
-    steps: u64,
-) {
-    let mut lanes = SteadyLanes::<W>::new();
-    for block in order.chunks(W) {
-        let tails = block.iter().filter_map(|&k| ids.get(k as usize));
-        for (j, &(lane, id, start)) in tails.clone().enumerate() {
-            if let Some(cluster) = socs.get_mut(lane).and_then(|s| s.clusters.get_mut(id)) {
-                lanes.load(j, cluster, dt, start);
-            }
-        }
-        lanes.run(block.len(), dt.as_secs_f64(), steps);
-        for (j, &(lane, id, start)) in tails.enumerate() {
-            if let Some(cluster) = socs.get_mut(lane).and_then(|s| s.clusters.get_mut(id)) {
-                lanes.store(j, cluster, dt, steps - start);
-            }
-        }
+impl Clone for LoneBlock {
+    fn clone(&self) -> Self {
+        LoneBlock(None)
     }
 }
 
@@ -213,24 +214,26 @@ impl Soc {
             epochs_run: 0,
             jobs_submitted: 0,
             idle_fast_forward: true,
-            tails: Tails::default(),
+            live: LoneBlock::default(),
         })
     }
 
     /// Chooses between the fast paths (`true`, the default) and the
-    /// stepped reference (`false`). The fast paths run each cluster from
-    /// one dispatch to the next on its own — sub-steps with work, and
-    /// every sub-step of a cluster with cpuidle states, through a hoisted
-    /// busy kernel; the quiescent rest of a mid-epoch span of any other
-    /// cluster as one lane of the batched steady kernel; and the steady
-    /// tail of each epoch (every core idle, or busy on a job that outlasts
-    /// the epoch) as one lane of one kernel call for all of the SoC's
-    /// tails — and let a [`crate::DeviceBatch`] park idle lanes and run
-    /// its live lanes' tails together; the stepped reference advances
-    /// every cluster one sub-step at a time through
-    /// [`Cluster::advance_substep`], busy or idle. Both are bit-identical —
-    /// this knob exists so tests can prove that claim by running both
-    /// ways.
+    /// stepped reference (`false`). The fast paths check each cluster's
+    /// clamp certificate at the epoch's start (the clamp provably cannot
+    /// fire in the epoch), and run a certified cluster-epoch in two passes:
+    /// an execution pass that dispatches each arrival at its sub-step and
+    /// runs each cluster from one dispatch to the next on its own,
+    /// recording each core's busy fraction, then a thermal pass that runs
+    /// the epoch's power and thermal chain as one lane of the batched
+    /// steady kernel, all of the SoC's certified clusters in one call. An
+    /// uncertified cluster-epoch steps the reference. A
+    /// [`crate::DeviceBatch`] also parks idle lanes in the kernel across
+    /// epochs and runs its live lanes' thermal passes in 32-lane blocks.
+    /// The stepped reference advances every cluster one sub-step at a time
+    /// through [`Cluster::advance_substep`], busy or idle. Both are
+    /// bit-identical — this knob exists so tests can prove that claim by
+    /// running both ways.
     pub fn set_idle_fast_forward(&mut self, enabled: bool) {
         self.idle_fast_forward = enabled;
     }
@@ -351,23 +354,28 @@ impl Soc {
         request: &LevelRequest,
         report: &mut EpochReport,
     ) -> Result<(), SocError> {
-        let mut tails = std::mem::take(&mut self.tails);
-        let started = self.run_epoch_prefix(request, 0, &mut tails);
+        let mut block = match self.live.0.take() {
+            Some(block) => block,
+            None => LiveBlock::new(std::slice::from_ref(self)),
+        };
+        let started = self.run_epoch_prefix(request, 0, &mut block);
         if let Ok(started_at) = started {
             let (substep, steps) = (self.config.substep, self.config.substeps_per_epoch());
-            tails.run(std::slice::from_mut(self), substep, steps);
+            block.finish(std::slice::from_mut(self), substep, steps);
             self.run_epoch_suffix(started_at, report);
         }
-        self.tails = tails;
+        self.live.0 = Some(block);
         started.map(|_| ())
     }
 
-    /// The scalar part of an epoch: applies the request's levels and
-    /// advances the clusters to the epoch's end, except that each
-    /// cluster's steady tail (see [`Cluster::advance_busy_substeps`]) is
-    /// left for the kernel, noted on `tails` as a tail of SoC `lane`.
-    /// Returns the epoch's start; the caller runs the tails
-    /// ([`Tails::run`]) and closes the epoch with [`Soc::run_epoch_suffix`].
+    /// The execution part of an epoch: applies the request's levels,
+    /// admits each cluster whose clamp certificate holds into `block` as
+    /// a cluster of SoC `lane` (with the fast paths on and while the block
+    /// has room), and advances every cluster to the epoch's end — an
+    /// admitted one through its execution pass, any other through the
+    /// stepped reference. Returns the epoch's start; the caller runs the
+    /// block's thermal pass ([`LiveBlock::finish`]) and closes the epoch
+    /// with [`Soc::run_epoch_suffix`].
     ///
     /// # Errors
     ///
@@ -376,62 +384,94 @@ impl Soc {
         &mut self,
         request: &LevelRequest,
         lane: usize,
-        tails: &mut Tails,
+        block: &mut LiveBlock,
     ) -> Result<SimTime, SocError> {
         self.apply_levels(request)?;
 
         let started_at = self.now;
         let substep = self.config.substep;
         let steps = self.config.substeps_per_epoch();
+        let fast = self.idle_fast_forward;
         let _span = obs::span!("soc.run_epoch");
+
+        // This SoC's lanes are `block.ids[first..]`, in cluster order.
+        let first = block.ids.len();
+        if fast {
+            for (cluster, c) in self.clusters.iter_mut().enumerate() {
+                let j = block.ids.len();
+                if block.lanes.admit(j, c, substep, steps) {
+                    let idle_from = c.stays_idle().then_some(0);
+                    block.ids.push(LiveId {
+                        lane,
+                        cluster,
+                        idle_from,
+                    });
+                    block.scaled |= c.config().idle.is_some();
+                }
+            }
+        }
 
         // xtask-hotpath: begin
         let mut step = 0u64;
         while step < steps {
-            // Dispatch arrivals due by the start of this sub-step.
+            // Dispatch arrivals due by the start of this sub-step. A
+            // cluster left idle first runs its idle sub-steps up to now.
             while let Some((_, job)) = self.arrivals.pop_until(self.now) {
                 let (cluster, core) = self.scheduler.place(&self.clusters, &job);
                 if let Some(target) = self.clusters.get_mut(cluster) {
+                    let mut ids = block.ids.iter_mut().enumerate().skip(first);
+                    if let Some((j, id)) = ids.find(|(_, id)| id.cluster == cluster) {
+                        if let Some(from) = id.idle_from.take() {
+                            target.idle_through(&mut block.lanes, j, substep, (from, step - from));
+                        }
+                    }
                     target.enqueue_on(core, job);
                 }
             }
 
-            if !self.idle_fast_forward {
-                for cluster in &mut self.clusters {
-                    cluster.advance_substep(self.now, substep);
-                }
-                self.now += substep;
-                step += 1;
-                continue;
-            }
-
             // Dispatch horizon: the sub-steps up to the next arrival
             // dispatch nothing, and clusters interact only at dispatch
-            // (placement reads every cluster), so each cluster runs the
-            // whole span on its own. The loop above drained everything
-            // due by now, so the span is at least one sub-step. The span
-            // that reaches the epoch's end leaves each cluster's steady
-            // tail for the kernel.
-            let span = self.dispatch_horizon(steps - step);
+            // (placement reads every cluster's backlog and level), so each
+            // cluster runs the whole span on its own. The loop above
+            // drained everything due by now, so the span is at least one
+            // sub-step. The stepped reference dispatches every sub-step.
+            let span = if fast {
+                self.dispatch_horizon(steps - step)
+            } else {
+                1
+            };
+            let mut j = first;
             for (id, cluster) in self.clusters.iter_mut().enumerate() {
-                if step + span < steps {
-                    cluster.advance_span(self.now, substep, span);
+                if let Some(live) = block.ids.get_mut(j).filter(|l| l.cluster == id) {
+                    if live.idle_from.is_none() {
+                        let lanes = &mut block.lanes;
+                        block.busy |= cluster.execute(lanes, j, self.now, substep, (step, span));
+                        live.idle_from = cluster.stays_idle().then_some(step + span);
+                    }
+                    j += 1;
                 } else {
-                    let done = cluster.advance_busy_substeps(self.now, substep, span, true);
-                    if done < span {
-                        tails.ids.push((lane, id, step + done));
+                    let mut t = self.now;
+                    for _ in 0..span {
+                        cluster.advance_substep(t, substep);
+                        t += substep;
                     }
                 }
             }
             self.now += substep * span;
             step += span;
         }
+        for (j, id) in block.ids.iter_mut().enumerate().skip(first) {
+            if let (Some(from), Some(c)) = (id.idle_from.take(), self.clusters.get_mut(id.cluster))
+            {
+                c.idle_through(&mut block.lanes, j, substep, (from, steps - from));
+            }
+        }
         // xtask-hotpath: end
         Ok(started_at)
     }
 
     /// Closes an epoch that [`Soc::run_epoch_prefix`] began at
-    /// `started_at`, once the steady kernel ran its tails: the per-cluster
+    /// `started_at`, once its block's thermal pass ran: the per-cluster
     /// epoch fold and [`Soc::commit_epoch`].
     pub(crate) fn run_epoch_suffix(&mut self, started_at: SimTime, report: &mut EpochReport) {
         let steps = self.config.substeps_per_epoch();
@@ -484,9 +524,9 @@ impl Soc {
     /// Whether the next epoch can take the batched idle fast path: every
     /// cluster quiescent with no cpuidle table, fast-forward enabled, and
     /// no arrival due before the epoch's last sub-step boundary — exactly
-    /// the condition under which [`Soc::run_epoch_into`] would run the
-    /// whole epoch as one all-idle tail per cluster, so parking only moves
-    /// those runs into the batch's shared kernel call.
+    /// the condition under which every cluster's epoch is all-idle, so
+    /// parking only moves its power and thermal chain into the batch's
+    /// resident lanes, where the kernel keeps the clamp.
     pub(crate) fn idle_epoch_parkable(&self) -> bool {
         self.idle_fast_forward
             && self.config.substeps_per_epoch() >= 2
@@ -541,8 +581,8 @@ impl Soc {
     }
 
     /// Closes one parked epoch from the kernel-evolved slots from `first`
-    /// on: the resident equivalent of [`Soc::run_epoch_suffix`] after the
-    /// whole epoch ran as one all-idle tail per cluster, with the cluster
+    /// on: the resident equivalent of [`Soc::run_epoch_suffix`] after an
+    /// all-idle epoch of every cluster, with the cluster
     /// slots closed from the lanes (see [`ParkedLanes::close_epoch`])
     /// instead of from the untouched `Cluster` structs, and the same
     /// epoch-close fold.
