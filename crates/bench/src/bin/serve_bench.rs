@@ -72,12 +72,12 @@ fn main() {
         report.warm_over_cold()
     );
 
-    let json = report.to_json();
+    let json = report.to_value().render_pretty() + "\n";
     if let Err(e) = std::fs::write(&out, &json) {
         eprintln!("error: could not write {}: {e}", out.display());
         std::process::exit(1);
     }
-    println!("{json}");
+    print!("{json}");
     eprintln!("(written to {})", out.display());
 
     if let Some(min) = min_warm_speedup {

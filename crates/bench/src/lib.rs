@@ -1,10 +1,7 @@
-//! # bench — benchmark harness and table regeneration
+//! # bench — table regeneration and the self-relative speed gates
 //!
-//! This crate carries no logic of its own: the Criterion benches under
-//! `benches/` (one per table/figure of the reproduced evaluation) and the
-//! `regen-tables` binary both drive the [`experiments`] crate.
-//!
-//! Regenerate every table and series:
+//! The `regen-tables` binary drives the [`experiments`] crate to
+//! reproduce every table and series of the paper's evaluation:
 //!
 //! ```text
 //! cargo run --release -p bench --bin regen-tables            # everything
@@ -13,16 +10,22 @@
 //! ```
 //!
 //! Outputs are printed as markdown and written as CSV under `results/`.
+//!
+//! Two more binaries measure the ratios CI gates, which hold across
+//! hosts because each compares two runs on the same one: `sim-rate`
+//! ([`simrate`], batched over looped fleets, `BENCH_simrate.json`) and
+//! `serve-bench` ([`serve_load`], warm over cold serving,
+//! `BENCH_serve.json`). Both write through [`rlpm_serve::json`].
+//! Absolute end-to-end and per-layer timings are the repository
+//! benchmark's, perfbench (`perfbench/README.md`).
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod regen;
 pub mod serve_load;
 pub mod simrate;
 
-/// Re-exported so benches and the binary share one definition of the
-/// standard SoC under test.
+/// The standard SoC under test, shared by every binary.
 pub fn soc_under_test() -> soc::SocConfig {
     soc::SocConfig::odroid_xu3_like().expect("preset is valid")
 }

@@ -5,10 +5,8 @@
 //! The measured request is the cached E1 sweep (`eval` with the quick
 //! configuration) — the protocol path heavy traffic actually exercises:
 //! the first request prices the whole sweep, every later identical
-//! request is a content-addressed cache hit. Results are persisted to
-//! `BENCH_serve.json` by the `serve-bench` binary; the JSON is emitted
-//! and parsed with the same rigid hand-rolled conventions as
-//! `BENCH_simrate.json` (the workspace builds offline, without serde).
+//! request is a content-addressed cache hit. The `serve-bench` binary
+//! writes the report to `BENCH_serve.json` through [`rlpm_serve::json`].
 
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
@@ -18,7 +16,7 @@ use rlpm_serve::client::request_over_socket;
 use rlpm_serve::json::Value;
 use rlpm_serve::Server;
 
-use crate::simrate::{extract_number, extract_object, json_num};
+use crate::simrate::milli;
 
 /// Shape of one serve-load measurement pass.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -94,65 +92,38 @@ impl ServeReport {
         self.warm.rps / self.cold.rps.max(1e-12)
     }
 
-    /// Serialises the report as JSON (schema 1).
-    pub fn to_json(&self) -> String {
+    /// The report as a JSON value (schema 1). The file `serve-bench`
+    /// writes is its [`Value::render_pretty`] plus a newline.
+    pub fn to_value(&self) -> Value {
         let phase = |p: &PhaseStats| {
-            format!(
-                "{{\n    \"requests\": {},\n    \"wall_s\": {},\n    \"rps\": {},\n    \"p99_ms\": {}\n  }}",
-                p.requests,
-                json_num(p.wall_s),
-                json_num(p.rps),
-                json_num(p.p99_ms)
-            )
+            Value::Obj(vec![
+                ("requests".into(), Value::num_u64(u64::from(p.requests))),
+                ("wall_s".into(), milli(p.wall_s)),
+                ("rps".into(), milli(p.rps)),
+                ("p99_ms".into(), milli(p.p99_ms)),
+            ])
         };
-        let mut s = String::new();
-        s.push_str("{\n");
-        s.push_str("  \"schema\": 1,\n");
-        s.push_str("  \"unit\": \"requests per wall-second, cached E1 eval\",\n");
-        s.push_str("  \"config\": {\n");
-        s.push_str(&format!(
-            "    \"connections\": {},\n",
-            self.config.connections
-        ));
-        s.push_str(&format!(
-            "    \"warm_requests\": {}\n",
-            self.config.warm_requests
-        ));
-        s.push_str("  },\n");
-        s.push_str(&format!("  \"cold\": {},\n", phase(&self.cold)));
-        s.push_str(&format!("  \"warm\": {},\n", phase(&self.warm)));
-        s.push_str(&format!(
-            "  \"warm_over_cold\": {}\n",
-            json_num(self.warm_over_cold())
-        ));
-        s.push_str("}\n");
-        s
-    }
-
-    /// Parses a report previously written by [`ServeReport::to_json`].
-    /// Returns `None` when the text does not look like one.
-    pub fn from_json(text: &str) -> Option<ServeReport> {
-        if extract_number(text, "schema")? != 1.0 {
-            return None;
-        }
-        let config_block = extract_object(text, "config")?;
-        let phase = |name: &str| -> Option<PhaseStats> {
-            let block = extract_object(text, name)?;
-            Some(PhaseStats {
-                requests: extract_number(&block, "requests")? as u32,
-                wall_s: extract_number(&block, "wall_s")?,
-                rps: extract_number(&block, "rps")?,
-                p99_ms: extract_number(&block, "p99_ms")?,
-            })
-        };
-        Some(ServeReport {
-            config: ServeLoadConfig {
-                connections: extract_number(&config_block, "connections")? as u32,
-                warm_requests: extract_number(&config_block, "warm_requests")? as u32,
-            },
-            cold: phase("cold")?,
-            warm: phase("warm")?,
-        })
+        let config = Value::Obj(vec![
+            (
+                "connections".into(),
+                Value::num_u64(u64::from(self.config.connections)),
+            ),
+            (
+                "warm_requests".into(),
+                Value::num_u64(u64::from(self.config.warm_requests)),
+            ),
+        ]);
+        Value::Obj(vec![
+            ("schema".into(), Value::num_u64(1)),
+            (
+                "unit".into(),
+                Value::str("requests per wall-second, cached E1 eval"),
+            ),
+            ("config".into(), config),
+            ("cold".into(), phase(&self.cold)),
+            ("warm".into(), phase(&self.warm)),
+            ("warm_over_cold".into(), milli(self.warm_over_cold())),
+        ])
     }
 }
 
@@ -258,11 +229,13 @@ mod tests {
 
     #[test]
     fn json_round_trips() {
-        let report = sample();
-        let parsed = ServeReport::from_json(&report.to_json()).expect("own output parses");
-        assert_eq!(parsed, report);
-        assert!(ServeReport::from_json("not json").is_none());
-        assert!(ServeReport::from_json("{\"schema\": 9}").is_none());
+        let value = sample().to_value();
+        let parsed = rlpm_serve::json::parse(&value.render_pretty());
+        assert_eq!(parsed.as_ref(), Ok(&value));
+        let warm_rps = value.get("warm").and_then(|w| w.get("rps"));
+        assert_eq!(warm_rps.and_then(Value::as_f64), Some(20.0));
+        let ratio = value.get("warm_over_cold").and_then(Value::as_f64);
+        assert_eq!(ratio, Some(84.034), "ratios keep three decimals");
     }
 
     #[test]

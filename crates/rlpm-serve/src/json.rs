@@ -2,7 +2,9 @@
 //!
 //! The build environment is offline, so the server cannot pull in a JSON
 //! dependency; this module implements exactly the subset the wire protocol
-//! needs. Two deliberate simplifications versus a general-purpose library:
+//! needs, and also writes the indented `BENCH_*.json` files
+//! ([`Value::render_pretty`]). Two deliberate simplifications versus a
+//! general-purpose library:
 //!
 //! * Objects preserve insertion order in a `Vec<(String, Value)>` so rendered
 //!   responses are deterministic and diff-friendly in transcripts.
@@ -114,11 +116,23 @@ impl Value {
     /// numbers (which valid JSON cannot carry) render as `null`.
     pub fn render(&self) -> String {
         let mut out = String::new();
-        self.render_into(&mut out);
+        self.render_into(&mut out, None);
         out
     }
 
-    fn render_into(&self, out: &mut String) {
+    /// Renders this value as indented JSON for files people read: one
+    /// member per line, two spaces per nesting level, `"key": value`,
+    /// and `[]`/`{}` for empty containers. Scalars render as in
+    /// [`Value::render`]; there is no trailing newline.
+    pub fn render_pretty(&self) -> String {
+        let mut out = String::new();
+        self.render_into(&mut out, Some(0));
+        out
+    }
+
+    /// The one renderer: compact when `indent` is `None`, else indented
+    /// with this value at nesting level `indent`.
+    fn render_into(&self, out: &mut String, indent: Option<usize>) {
         match self {
             Value::Null => out.push_str("null"),
             Value::Bool(true) => out.push_str("true"),
@@ -131,29 +145,53 @@ impl Value {
             Value::Num(_) => out.push_str("null"),
             Value::Str(s) => render_string(s, out),
             Value::Arr(items) => {
-                out.push('[');
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    item.render_into(out);
-                }
-                out.push(']');
+                render_members(out, indent, ['[', ']'], items.iter().map(|v| (None, v)));
             }
-            Value::Obj(members) => {
-                out.push('{');
-                for (i, (k, v)) in members.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    render_string(k, out);
-                    out.push(':');
-                    v.render_into(out);
-                }
-                out.push('}');
-            }
+            Value::Obj(members) => render_members(
+                out,
+                indent,
+                ['{', '}'],
+                members.iter().map(|(k, v)| (Some(k.as_str()), v)),
+            ),
         }
     }
+}
+
+/// Renders a container's members between its brackets, keyed for an
+/// object: `,`-separated on one line, or each on its own line one level
+/// deeper than the container's `indent`.
+fn render_members<'a>(
+    out: &mut String,
+    indent: Option<usize>,
+    [open, close]: [char; 2],
+    members: impl ExactSizeIterator<Item = (Option<&'a str>, &'a Value)>,
+) {
+    let newline = |out: &mut String, level: usize| {
+        out.push('\n');
+        out.extend(std::iter::repeat_n("  ", level));
+    };
+    out.push(open);
+    let empty = members.len() == 0;
+    for (i, (key, value)) in members.enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        if let Some(level) = indent {
+            newline(out, level + 1);
+        }
+        if let Some(key) = key {
+            render_string(key, out);
+            out.push(':');
+            if indent.is_some() {
+                out.push(' ');
+            }
+        }
+        value.render_into(out, indent.map(|level| level + 1));
+    }
+    if let (Some(level), false) = (indent, empty) {
+        newline(out, level);
+    }
+    out.push(close);
 }
 
 fn render_string(s: &str, out: &mut String) {
@@ -498,6 +536,25 @@ mod tests {
     fn containers_preserve_order() {
         let text = "{\"b\":1,\"a\":[2,{\"c\":null}],\"d\":\"x\"}";
         assert_eq!(roundtrip(text), text);
+    }
+
+    #[test]
+    fn render_pretty_indents_two_spaces_a_level() {
+        let v = parse("{\"b\":1,\"a\":[2,{\"c\":null}],\"e\":[],\"o\":{},\"d\":\"x\"}").unwrap();
+        let expected = r#"{
+  "b": 1,
+  "a": [
+    2,
+    {
+      "c": null
+    }
+  ],
+  "e": [],
+  "o": {},
+  "d": "x"
+}"#;
+        assert_eq!(v.render_pretty(), expected);
+        assert_eq!(Value::num_u64(7).render_pretty(), "7");
     }
 
     #[test]

@@ -1943,6 +1943,61 @@ mod tests {
         assert!(fired > 50, "{fired} epochs clamped");
     }
 
+    /// The case the random clusters miss: steep leakage, every core busy
+    /// at the top level, and a node a few sub-steps fast, so that the
+    /// steady state at the epoch's starting leakage sits below the trip
+    /// point and the steady state at the trip point's leakage above it.
+    /// The node heats past the trip within the epoch, so the certificate
+    /// must price leakage at the trip point, not at the start.
+    #[test]
+    fn clamp_certificate_prices_leakage_at_the_trip_point() {
+        let (dt, steps) = (SimDuration::from_millis(1), 20);
+        let mut cfg = SocConfig::tiny_test().unwrap().clusters[0].clone();
+        cfg.power.leak_temp_coeff = 0.5;
+        let (ambient, max) = (cfg.power.leak_t_ref_c, cfg.opps.max_level());
+        let lut = Cluster::new(cfg.clone()).lut(max);
+        let online = cfg.cores as f64;
+        // All cores busy: P(T) = uncore + online · (dyn + leakage(T)),
+        // linear in T. Thermal resistance puts the node's slope dT∞/dT
+        // at 1/2, and the time constant is two sub-steps.
+        let r_th = 0.5 / (online * lut.leak_base * cfg.power.leak_temp_coeff);
+        let power_at = |temp_c: f64| {
+            let leak = PowerModel::leakage_w_from_parts(
+                lut.leak_base,
+                temp_c,
+                cfg.power.leak_temp_coeff,
+                cfg.power.leak_t_ref_c,
+            );
+            lut.uncore_w + online * (lut.dyn_w + leak)
+        };
+        let start_steady = ambient + r_th * power_at(ambient);
+        // Halfway between that steady state and the fixed point
+        // `ambient + 2 (start_steady − ambient)` the node heats towards.
+        let trip = ambient + 1.5 * (start_steady - ambient);
+        cfg.thermal = crate::ThermalModel::new(r_th, 0.002 / r_th, ambient, trip, trip - 0.5, 1);
+        assert!(start_steady < trip && ambient + r_th * power_at(trip) > trip);
+
+        let mut c = Cluster::new(cfg);
+        c.set_level(max, 0).unwrap();
+        for core in 0..c.num_cores() {
+            c.enqueue_on(core, job(core as u64, 1_000_000_000));
+        }
+        assert!(
+            !c.clamp_cannot_fire(dt, steps),
+            "certified an epoch whose leakage carries the node past its trip point"
+        );
+        let mut t = SimTime::ZERO;
+        for _ in 0..steps {
+            c.advance_substep(t, dt);
+            t += dt;
+        }
+        assert!(
+            c.level() < max,
+            "the stepped reference clamps (node at {:.2} C, trip {trip:.2} C)",
+            c.temp_c()
+        );
+    }
+
     #[test]
     fn capacity_scales_with_level() {
         let mut c = test_cluster();
